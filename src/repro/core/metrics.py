@@ -86,13 +86,10 @@ class JobMetrics:
     def wasted_seconds(self) -> float:
         """Virtual seconds charged to work that was thrown away (partial
         kernel progress of crashed attempts, losing speculative copies)."""
-        wasted = sum(s.duration
-                     for s in self.timeline.by_category("map.task_failure"))
-        wasted += sum(s.duration
-                      for s in self.timeline.by_category("reduce.task_failure"))
-        wasted += sum(s.meta.get("wasted", 0.0)
-                      for s in self.timeline.by_category("map.speculative"))
-        return wasted
+        return (self.timeline.busy_time("map.task_failure")
+                + self.timeline.busy_time("reduce.task_failure")
+                + sum(s.meta.get("wasted", 0.0)
+                      for s in self.timeline.by_category("map.speculative")))
 
     @property
     def speculative_launches(self) -> int:

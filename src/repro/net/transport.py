@@ -11,13 +11,14 @@ is lost exactly as on a real cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.simt.core import Interrupt, Simulator
 from repro.simt.resources import Resource
 from repro.simt.trace import Timeline
 
-from repro.hw.specs import NetworkSpec
+if TYPE_CHECKING:   # annotations only; importing repro.hw here is a cycle
+    from repro.hw.specs import NetworkSpec
 
 __all__ = ["Network", "Transfer", "TrafficMeter"]
 

@@ -87,29 +87,32 @@ def match_waits(timeline: Timeline,
     pipeline and carry the pipeline's token).
     """
     spans = timeline.spans
-    by_key: Dict[Tuple, List[Tuple[float, int]]] = {}
-    for i, span in enumerate(spans):
-        key = _identity(span.category, span.name, span.meta)
-        by_key.setdefault(key, []).append((span_request_time(span), i))
+    # Only an identity some edge names can own one: index those spans,
+    # not all of them (a storm has 35x more spans than edges).
+    by_key: Dict[Tuple, List[Tuple[float, int]]] = {
+        _identity(e.category, e.name, e.meta): [] for e in timeline.waits}
+    if by_key:
+        for i, span in enumerate(spans):
+            entries = by_key.get(_identity(span.category, span.name, span.meta))
+            if entries is not None:
+                entries.append((span_request_time(span), i))
     for entries in by_key.values():
         entries.sort()
     assignments: List[List[WaitEdge]] = [[] for _ in spans]
     errors: List[str] = []
     for edge in timeline.waits:
-        key = _identity(edge.category, edge.name, edge.meta)
-        entries = by_key.get(key)
+        entries = by_key[_identity(edge.category, edge.name, edge.meta)]
         owner: Optional[int] = None
-        if entries:
-            reqs = [req for req, _i in entries]
-            pos = bisect_right(reqs, edge.start + tol) - 1
-            # Walk back over spans the edge cannot fit in (it must end
-            # inside its owner, up to tolerance).
-            while pos >= 0:
-                idx = entries[pos][1]
-                if edge.end <= spans[idx].end + tol:
-                    owner = idx
-                    break
-                pos -= 1
+        # the last request time <= the edge's start (no index is len(spans))
+        pos = bisect_right(entries, (edge.start + tol, len(spans))) - 1
+        # Walk back over spans the edge cannot fit in (it must end
+        # inside its owner, up to tolerance).
+        while pos >= 0:
+            idx = entries[pos][1]
+            if edge.end <= spans[idx].end + tol:
+                owner = idx
+                break
+            pos -= 1
         if owner is None:
             errors.append(
                 f"orphan wait edge {edge.wait_class}/{edge.resource} "
@@ -227,16 +230,18 @@ def causal_profile(timeline: Timeline, elapsed_s: Optional[float] = None,
     total_self = 0.0
     total_wait = 0.0
     for span, edges in zip(timeline.spans, assignments):
+        category = span.category
+        entry = stages.get(category) or aggregates.get(category)
+        if entry is None:       # first span of its category: file it once
+            bucket = aggregates if is_aggregate_category(category) else stages
+            entry = bucket[category] = {
+                "count": 0, "elapsed_s": 0.0, "self_s": 0.0, "wait_s": 0.0,
+                "waits": {},
+            }
         req = span_request_time(span)
         elapsed = span.end - req
-        wait = sum(e.duration for e in edges)
+        wait = sum(e.duration for e in edges) if edges else 0
         self_time = max(0.0, elapsed - wait)
-        bucket = aggregates if is_aggregate_category(span.category) \
-            else stages
-        entry = bucket.setdefault(span.category, {
-            "count": 0, "elapsed_s": 0.0, "self_s": 0.0, "wait_s": 0.0,
-            "waits": {},
-        })
         entry["count"] += 1
         entry["elapsed_s"] += elapsed
         entry["self_s"] += self_time
@@ -249,13 +254,14 @@ def causal_profile(timeline: Timeline, elapsed_s: Optional[float] = None,
             cls["count"] += 1
             cls["resources"][edge.resource] = (
                 cls["resources"].get(edge.resource, 0.0) + edge.duration)
-        if bucket is stages:
+        if category in stages:
             total_self += self_time
             total_wait += wait
-            job = str(span.meta.get("job", "-"))
-            node = tree.setdefault(job, {}).setdefault(span.category, {
-                "self_s": 0.0, "wait_s": 0.0, "count": 0,
-            })
+            by_job = tree.setdefault(str(span.meta.get("job", "-")), {})
+            node = by_job.get(category)
+            if node is None:
+                node = by_job[category] = {
+                    "self_s": 0.0, "wait_s": 0.0, "count": 0}
             node["self_s"] += self_time
             node["wait_s"] += wait
             node["count"] += 1

@@ -60,6 +60,13 @@ class PipelineReport:
             return None
         return max(spans, key=lambda s: (s.end, s.name)).name
 
+    def _window(self) -> Optional[Tuple[float, float]]:
+        """``(start, end)`` of the phase on the analysed node, if it ran."""
+        spans = self.timeline.by_category(f"{self.phase}.elapsed", self.node)
+        if not spans:
+            return None
+        return (min(s.start for s in spans), max(s.end for s in spans))
+
     # -- basic stage numbers -----------------------------------------------
     @property
     def elapsed(self) -> float:
@@ -78,28 +85,20 @@ class PipelineReport:
 
     def utilization(self) -> Dict[str, float]:
         """Stage -> occupied/elapsed (the per-stage duty cycle)."""
-        elapsed = self.elapsed
-        if elapsed <= 0:
-            return {stage: 0.0 for stage in PIPELINE_STAGES}
-        return {stage: occ / elapsed
-                for stage, occ in self.stage_occupied().items()}
+        return _derived(self.elapsed, self.stage_occupied())["utilization"]
 
     @property
     def overlap_factor(self) -> float:
         """Sum of stage active times over elapsed; > 1 means the stages
         genuinely ran concurrently (the §III-D buffering payoff)."""
-        elapsed = self.elapsed
-        if elapsed <= 0:
-            return 0.0
-        return sum(self.stage_occupied().values()) / elapsed
+        return _derived(self.elapsed,
+                        self.stage_occupied())["overlap_factor"]
 
     @property
     def dominant_stage(self) -> Optional[str]:
         """The stage with the largest active time (``None`` when idle)."""
-        occupied = self.stage_occupied()
-        if not any(occupied.values()):
-            return None
-        return max(occupied, key=lambda s: occupied[s])
+        return _derived(self.elapsed,
+                        self.stage_occupied())["dominant_stage"]
 
     # -- critical path -----------------------------------------------------
     def critical_path(self) -> Dict[str, float]:
@@ -112,18 +111,20 @@ class PipelineReport:
         buffer-wait — the §III-D interlock (or queue starvation) holding
         every stage idle.  The returned attribution sums to ``elapsed``.
         """
+        return self._critical_path_of(self._window())
+
+    def _critical_path_of(self, window: Optional[Tuple[float, float]]
+                          ) -> Dict[str, float]:
         attribution = {stage: 0.0 for stage in PIPELINE_STAGES}
         attribution["wait"] = 0.0
-        window = [s for s in self.timeline.by_category(f"{self.phase}.elapsed")
-                  if self.node is None or s.name == self.node]
-        if not window:
+        if window is None:
             return attribution
-        t0 = min(s.start for s in window)
-        t1 = max(s.end for s in window)
+        t0, t1 = window
         spans: List[Tuple[float, float, int]] = []
         for rank, stage in enumerate(PIPELINE_STAGES):
-            for s in self.timeline.by_category(f"{self.phase}.{stage}"):
-                if s.name == self.node and s.duration > 0:
+            for s in self.timeline.by_category(f"{self.phase}.{stage}",
+                                               self.node):
+                if s.duration > 0:
                     spans.append((s.start, s.end, rank))
         t = t1
         while t > t0 + _EPS:
@@ -142,13 +143,6 @@ class PipelineReport:
         return attribution
 
     # -- sampled-telemetry analysis ----------------------------------------
-    def _phase_window(self) -> Tuple[float, float]:
-        spans = [s for s in self.timeline.by_category(f"{self.phase}.elapsed")
-                 if self.node is None or s.name == self.node]
-        if not spans:
-            return (float("-inf"), float("inf"))
-        return (min(s.start for s in spans), max(s.end for s in spans))
-
     def interval_rates(self) -> Dict[str, List[Tuple[float, float]]]:
         """Per-interval rates of every sampled counter series
         (``{} `` without telemetry)."""
@@ -166,10 +160,14 @@ class PipelineReport:
         pipeline-local ones).  ``level`` is value/capacity, averaged
         over the sampler ticks falling inside the phase window.
         """
+        return self._saturation_of(self._window())
+
+    def _saturation_of(self, window: Optional[Tuple[float, float]]
+                       ) -> List[Dict[str, Any]]:
         tele = self.telemetry
         if tele is None:
             return []
-        t0, t1 = self._phase_window()
+        t0, t1 = window or (float("-inf"), float("inf"))
         points = tele.series()
         out: List[Dict[str, Any]] = []
         for metric in tele.registry.sorted_metrics():
@@ -182,12 +180,11 @@ class PipelineReport:
             if self.node is not None and labels.get("node",
                                                     self.node) != self.node:
                 continue
-            pts = [(t, v)
-                   for t, v in points.get((metric.name, metric.labels), [])
-                   if t0 <= t <= t1]
-            if not pts:
+            levels = [v / capacity
+                      for t, v in points.get((metric.name, metric.labels), ())
+                      if t0 <= t <= t1]
+            if not levels:
                 continue
-            levels = [v / capacity for _t, v in pts]
             out.append({
                 "series": metric.series(),
                 "capacity": capacity,
@@ -203,10 +200,7 @@ class PipelineReport:
         """The hottest capacity-bearing gauge of the phase, when its mean
         fill level crosses ``threshold`` (``None`` otherwise — nothing
         the sampler watched was meaningfully saturated)."""
-        ranked = self.saturation()
-        if ranked and ranked[0]["mean_level"] >= threshold:
-            return ranked[0]
-        return None
+        return _hottest_of(self.saturation(), threshold)
 
     # -- scheduling --------------------------------------------------------
     def placement(self) -> Optional[Dict[str, Any]]:
@@ -251,34 +245,37 @@ class PipelineReport:
 
     # -- rendering ---------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable summary of the analysis."""
+        """JSON-serialisable summary of the analysis, each part read once."""
+        window = self._window()
+        elapsed = window[1] - window[0] if window else 0.0
+        occupied = self.stage_occupied()
+        saturation = self._saturation_of(window)
         return {
             "phase": self.phase,
             "node": self.node,
-            "elapsed": self.elapsed,
-            "occupied": self.stage_occupied(),
-            "utilization": self.utilization(),
-            "overlap_factor": self.overlap_factor,
-            "dominant_stage": self.dominant_stage,
-            "critical_path": self.critical_path(),
-            "saturation": self.saturation(),
-            "saturated_resource": self.saturated_resource(),
+            "elapsed": elapsed,
+            "occupied": occupied,
+            **_derived(elapsed, occupied),
+            "critical_path": self._critical_path_of(window),
+            "saturation": saturation,
+            "saturated_resource": _hottest_of(saturation),
             "placement": self.placement(),
         }
 
     def explain(self) -> str:
         """Human-readable dominant-stage analysis (the CLI's --explain)."""
-        elapsed = self.elapsed
+        report = self.to_dict()
+        elapsed = report["elapsed"]
         lines = [f"{self.phase} pipeline — critical node "
                  f"{self.node or '(none)'}"]
         if elapsed <= 0:
             lines.append("  (no activity recorded for this phase)")
             return "\n".join(lines)
-        occupied = self.stage_occupied()
-        util = self.utilization()
-        dominant = self.dominant_stage
+        occupied = report["occupied"]
+        util = report["utilization"]
+        dominant = report["dominant_stage"]
         lines.append(f"  elapsed           {elapsed:.4f} s")
-        lines.append(f"  overlap factor    {self.overlap_factor:.2f}x "
+        lines.append(f"  overlap factor    {report['overlap_factor']:.2f}x "
                      f"(stage sum {sum(occupied.values()):.4f} s)")
         if dominant is not None:
             lines.append(f"  dominant stage    {dominant} — occupied "
@@ -287,15 +284,14 @@ class PipelineReport:
         lines.append("  stage utilization "
                      + "  ".join(f"{s} {100 * util[s]:.0f}%"
                                  for s in PIPELINE_STAGES))
-        path = self.critical_path()
-        parts = sorted(((v, k) for k, v in path.items() if v > 0),
-                       reverse=True)
+        parts = sorted(((v, k) for k, v in report["critical_path"].items()
+                        if v > 0), reverse=True)
         lines.append("  critical path     "
                      + ", ".join(f"{'buffer-wait' if k == 'wait' else k} "
                                  f"{100 * v / elapsed:.1f}%"
                                  for v, k in parts))
         if self.telemetry is not None:
-            hot = self.saturated_resource()
+            hot = report["saturated_resource"]
             if hot is not None:
                 lines.append(f"  saturated         {hot['series']} — mean "
                              f"{100 * hot['mean_level']:.0f}% of capacity, "
@@ -303,7 +299,7 @@ class PipelineReport:
             else:
                 lines.append("  saturated         (no sampled resource above "
                              "50% of capacity)")
-        placement = self.placement()
+        placement = report["placement"]
         if placement is not None:
             rate = placement["locality_hit_rate"]
             locality = (f", locality {100 * rate:.0f}% "
@@ -320,6 +316,26 @@ class PipelineReport:
                              + "  ".join(f"{d} {n}" for d, n in
                                          placement["by_device"].items()))
         return "\n".join(lines)
+
+
+def _derived(elapsed: float, occupied: Dict[str, float]) -> Dict[str, Any]:
+    """What follows from a phase's length and its stage -> occupied map,
+    under the keys :meth:`PipelineReport.to_dict` gives them."""
+    idle = elapsed <= 0
+    return {
+        "utilization": {stage: 0.0 if idle else occ / elapsed
+                        for stage, occ in occupied.items()},
+        "overlap_factor": 0.0 if idle else sum(occupied.values()) / elapsed,
+        "dominant_stage": (max(occupied, key=lambda s: occupied[s])
+                           if any(occupied.values()) else None),
+    }
+
+
+def _hottest_of(ranked: List[Dict[str, Any]],
+                threshold: float = 0.5) -> Optional[Dict[str, Any]]:
+    if ranked and ranked[0]["mean_level"] >= threshold:
+        return ranked[0]
+    return None
 
 
 def aggregate_counters(timeline: Timeline) -> Dict[str, Any]:

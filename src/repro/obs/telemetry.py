@@ -35,6 +35,8 @@ import os
 import re
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.simt.trace import GroupedLog
+
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "Telemetry",
     "DEFAULT_WAIT_BOUNDS", "ensure_parent_dir", "render_series",
@@ -96,10 +98,12 @@ class Metric:
         self.name = name
         self.labels = labels
         self.help = help
+        #: what every sample row of the series carries as ``row["labels"]``
+        self._row_labels: Dict[str, str] = dict(labels)
 
     @property
     def label_dict(self) -> Dict[str, str]:
-        return dict(self.labels)
+        return dict(self._row_labels)
 
     def series(self) -> str:
         return render_series(self.name, self.labels)
@@ -150,9 +154,10 @@ class Gauge(Metric):
 
     @property
     def value(self) -> float:
-        if self._probes:
-            return sum(p() for p in self._probes)
-        return self._value
+        probes = self._probes
+        if len(probes) == 1:
+            return 0 + probes[0]()      # what sum() of one gives, bool included
+        return sum(p() for p in probes) if probes else self._value
 
 
 class Histogram(Metric):
@@ -203,6 +208,7 @@ class MetricsRegistry:
         self._metrics: Dict[Tuple[str, LabelKey], Metric] = {}
         self._kinds: Dict[str, str] = {}
         self._helps: Dict[str, str] = {}
+        self._sorted: List[Metric] = []     # stale once shorter than _metrics
 
     def _register(self, name: str, labels: Dict[str, Any], kind: str,
                   help: str) -> Tuple[Optional[Metric], LabelKey]:
@@ -246,7 +252,9 @@ class MetricsRegistry:
 
     def sorted_metrics(self) -> List[Metric]:
         """All instruments in (name, labels) order — the export order."""
-        return [self._metrics[k] for k in sorted(self._metrics)]
+        if len(self._sorted) != len(self._metrics):    # series never leave
+            self._sorted = [self._metrics[k] for k in sorted(self._metrics)]
+        return list(self._sorted)
 
     def kind_of(self, name: str) -> Optional[str]:
         return self._kinds.get(name)
@@ -258,6 +266,22 @@ class MetricsRegistry:
         return len(self._metrics)
 
 
+def _file_samples(rows: Sequence[Dict[str, Any]], groups: Dict) -> None:
+    """``(metric, labels) -> [(t, value), ...]`` of counter/gauge rows."""
+    # The rows of a series share one label dict (alive while ``rows`` is),
+    # so its identity finds the series without sorting the labels again.
+    found: Dict[Tuple[str, int], List[Tuple[float, float]]] = {}
+    for row in rows:
+        if row["type"] == "histogram":
+            continue
+        labels = row["labels"]
+        points = found.get((row["metric"], id(labels)))
+        if points is None:
+            points = found[row["metric"], id(labels)] = groups.setdefault(
+                (row["metric"], _label_key(labels)), [])
+        points.append((row["t"], row["value"]))
+
+
 class Telemetry:
     """A registry plus the simulated-time sampler process.
 
@@ -266,7 +290,8 @@ class Telemetry:
     layer can reach it without signature changes), calls :meth:`start`
     before the job and :meth:`stop` when the orchestrator finishes.
     Samples land in :attr:`samples` as plain dict rows, tick-major and
-    series-sorted within a tick — already in export order.
+    series-sorted within a tick — already in export order.  Append-only;
+    the rows of one series share a single ``labels`` dict, so read-only.
     """
 
     def __init__(self, sim, interval: float):
@@ -276,6 +301,7 @@ class Telemetry:
         self.interval = float(interval)
         self.registry = MetricsRegistry()
         self.samples: List[Dict[str, Any]] = []
+        self._index = GroupedLog(_file_samples)
         self.ticks: List[float] = []
         self._stopped = False
         self._started = False
@@ -342,7 +368,7 @@ class Telemetry:
                 "t": t,
                 "metric": metric.name,
                 "type": metric.kind,
-                "labels": metric.label_dict,
+                "labels": metric._row_labels,
             }
             if isinstance(metric, Histogram):
                 row["count"] = metric.count
@@ -356,13 +382,8 @@ class Telemetry:
     # -- series queries ---------------------------------------------------
     def series(self) -> Dict[Tuple[str, LabelKey], List[Tuple[float, float]]]:
         """``(name, labels) -> [(t, value), ...]`` for counters/gauges."""
-        out: Dict[Tuple[str, LabelKey], List[Tuple[float, float]]] = {}
-        for row in self.samples:
-            if row["type"] == "histogram":
-                continue
-            key = (row["metric"], _label_key(row["labels"]))
-            out.setdefault(key, []).append((row["t"], row["value"]))
-        return out
+        return {key: list(points) for key, points
+                in self._index.groups(self.samples).items()}
 
     def final_values(self) -> Dict[str, float]:
         """Last sampled value of every counter/gauge series."""

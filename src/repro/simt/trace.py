@@ -3,15 +3,16 @@
 The paper instruments each pipeline stage with timers (Tables II and III,
 Figures 4 and 5 are all per-stage time breakdowns).  We reproduce that via
 a :class:`Timeline` that records ``Span(category, name, start, end, meta)``
-intervals in virtual time and can aggregate busy time per category.
+intervals in virtual time and can aggregate busy time per category; a
+query reads a :class:`GroupedLog` of the spans, so it costs its own group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-__all__ = ["Span", "WaitEdge", "Timeline", "TimelineFork"]
+__all__ = ["Span", "WaitEdge", "GroupedLog", "Timeline", "TimelineFork"]
 
 
 @dataclass(frozen=True)
@@ -59,12 +60,47 @@ class WaitEdge:
         return self.end - self.start
 
 
+class GroupedLog:
+    """A lazily built ``key -> group`` view of an append-only list.
+
+    It counts the entries it has absorbed and, when asked, hands the tail
+    to ``absorb(entries, groups)``, which files them in recording order.
+    So appending costs nothing and needs no hook; in return the log may
+    only grow at its end — no entry removed, reordered or replaced (one
+    found *shorter* than what was absorbed is regrouped from scratch).
+    """
+
+    def __init__(self, absorb: Callable[[Sequence[Any], Dict], None]) -> None:
+        self._absorb = absorb
+        self._groups: Dict[Any, Any] = {}
+        self._absorbed = 0
+
+    def groups(self, log: List[Any]) -> Dict[Any, Any]:
+        """The groups of ``log``, brought up to date.  Live: do not mutate."""
+        n = len(log)
+        if n < self._absorbed:
+            self._groups, self._absorbed = {}, 0
+        if n > self._absorbed:
+            self._absorb(log[self._absorbed:n], self._groups)
+            self._absorbed = n
+        return self._groups
+
+
+def _file_spans(spans: Sequence[Span], groups: Dict) -> None:
+    """``category -> spans`` and ``(category, name) -> spans``."""
+    for span in spans:
+        groups.setdefault(span.category, []).append(span)
+        groups.setdefault((span.category, span.name), []).append(span)
+
+
 class Timeline:
-    """Accumulates spans and computes per-category statistics."""
+    """Accumulates spans and computes per-category statistics; ``spans``
+    and ``waits`` are append-only (see :class:`GroupedLog`)."""
 
     def __init__(self) -> None:
         self.spans: List[Span] = []
         self.waits: List[WaitEdge] = []
+        self._index = GroupedLog(_file_spans)
         #: optional live-metrics hub (:class:`repro.obs.telemetry.Telemetry`).
         #: Every instrumented layer already carries the timeline, so the
         #: engine enables continuous sampling by setting this one slot; the
@@ -102,13 +138,21 @@ class Timeline:
                 **{"class": wait_class}).inc(edge.duration)
         return edge
 
-    def by_category(self, category: str) -> List[Span]:
-        """All spans whose category matches exactly."""
-        return [s for s in self.spans if s.category == category]
+    def _group(self, category: str,
+               name: Optional[str] = None) -> Sequence[Span]:
+        """The index's own list, in recording order: read, do not mutate."""
+        key = category if name is None else (category, name)
+        return self._index.groups(self.spans).get(key, ())
+
+    def by_category(self, category: str,
+                    name: Optional[str] = None) -> List[Span]:
+        """Spans whose category (and instance) match exactly; a fresh list."""
+        return list(self._group(category, name))
 
     def categories(self) -> List[str]:
         """Sorted list of distinct categories."""
-        return sorted({s.category for s in self.spans})
+        return sorted(key for key in self._index.groups(self.spans)
+                      if isinstance(key, str))
 
     def busy_time(self, category: str, name: Optional[str] = None) -> float:
         """Sum of span durations in ``category`` (optionally one instance).
@@ -116,14 +160,11 @@ class Timeline:
         This counts *work* time; overlapping spans (parallel workers) count
         multiply.  Use :meth:`span_extent` for wall-clock extent.
         """
-        return sum(
-            s.duration for s in self.spans
-            if s.category == category and (name is None or s.name == name))
+        return sum(s.duration for s in self._group(category, name))
 
     def span_extent(self, category: str, name: Optional[str] = None) -> float:
         """Wall-clock extent: latest end minus earliest start in category."""
-        sel = [s for s in self.spans
-               if s.category == category and (name is None or s.name == name)]
+        sel = self._group(category, name)
         if not sel:
             return 0.0
         return max(s.end for s in sel) - min(s.start for s in sel)
@@ -135,9 +176,7 @@ class Timeline:
         the stage was *active*, regardless of how many worker threads it
         used.
         """
-        sel = sorted(
-            ((s.start, s.end) for s in self.spans
-             if s.category == category and (name is None or s.name == name)))
+        sel = sorted((s.start, s.end) for s in self._group(category, name))
         total = 0.0
         cur_start: Optional[float] = None
         cur_end = 0.0
@@ -155,13 +194,12 @@ class Timeline:
 
     def first_start(self, category: str) -> float:
         """Earliest start in category (``inf`` when empty)."""
-        sel = self.by_category(category)
-        return min((s.start for s in sel), default=float("inf"))
+        return min((s.start for s in self._group(category)),
+                   default=float("inf"))
 
     def last_end(self, category: str) -> float:
         """Latest end in category (0 when empty)."""
-        sel = self.by_category(category)
-        return max((s.end for s in sel), default=0.0)
+        return max((s.end for s in self._group(category)), default=0.0)
 
     def merge(self, other: "Timeline") -> None:
         """Absorb another timeline's spans (e.g. per-node sub-timelines)."""

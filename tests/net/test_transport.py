@@ -1,7 +1,13 @@
 """Tests for the network transport model (store-and-forward phases)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.hw.specs import NetworkSpec
 from repro.net import Network
 from repro.simt import Simulator
@@ -161,3 +167,21 @@ def test_bad_node_ids_rejected():
     sim.process(proc(sim))
     with pytest.raises(ValueError):
         sim.run()
+
+
+# -- import order ----------------------------------------------------------
+
+@pytest.mark.parametrize("module", [
+    "repro.net.transport", "repro.net", "repro.hw", "repro.simt.trace",
+    "repro.obs.telemetry", "repro.obs.report"])
+def test_module_can_be_the_first_import(module):
+    """``net.transport`` used to import ``hw.specs`` at run time, and
+    ``hw/__init__`` imports ``hw.node``, which imports ``net.transport``
+    back: whoever imported the network first got an ImportError.  Only a
+    fresh interpreter shows it — here ``repro.hw`` is long imported."""
+    src = pathlib.Path(repro.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]

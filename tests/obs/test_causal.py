@@ -107,6 +107,69 @@ def test_op_token_disambiguates_concurrent_spans():
     assert summary["by_class"]["shuffle-link"] == pytest.approx(4.0)
 
 
+def scan_match(timeline, tol=1e-9):
+    """The reference matcher: for every edge, scan every span.  The owner
+    is the same-identity span with the greatest ``(t_req, index)`` that
+    requested no later than the edge starts and ends no earlier than it."""
+    def identity(item):
+        return (item.category, item.name, item.meta.get("op"),
+                item.meta.get("job"))
+
+    spans = timeline.spans
+    assignments = [[] for _ in spans]
+    orphans = 0
+    for edge in timeline.waits:
+        fits = [(span_request_time(span), i) for i, span in enumerate(spans)
+                if identity(span) == identity(edge)
+                and span_request_time(span) <= edge.start + tol
+                and edge.end <= span.end + tol]
+        if fits:
+            assignments[max(fits)[1]].append(edge)
+        else:
+            orphans += 1
+    return assignments, orphans
+
+
+def assert_matches_like_a_scan(timeline):
+    assignments, errors = match_waits(timeline)
+    expected, orphans = scan_match(timeline)
+    assert assignments == expected
+    assert len(errors) == orphans
+
+
+def test_matcher_agrees_with_a_scan_on_ties_and_tolerance():
+    """match_waits indexes only the identities some edge names and bisects
+    ``(t_req, index)`` pairs: equal request times, an edge that fits only
+    an earlier span, the tolerance at both ends, and an orphan."""
+    tl = Timeline()
+    tl.record("map.kernel", "node0", 1.0, 2.0, t_req=0.5)
+    tl.record("map.kernel", "node0", 1.0, 4.0, t_req=0.5)   # same t_req
+    tl.record("map.kernel", "node0", 3.0, 3.5)              # too short
+    tl.record("map.kernel", "node1", 0.0, 9.0)              # nobody waits
+    tl.record("reduce.kernel", "node0", 0.0, 9.0)           # on these two
+    tl.record_wait("queue", "q", "map.kernel", "node0", 0.5, 1.0)
+    tl.record_wait("queue", "q", "map.kernel", "node0", 3.0, 3.9)
+    tl.record_wait("queue", "q", "map.kernel", "node0",
+                   0.5 - 5e-10, 2.0 + 5e-10)
+    tl.record_wait("queue", "q", "map.kernel", "node0", 0.1, 0.4)   # orphan
+    assignments, errors = match_waits(tl)
+    assert [len(edges) for edges in assignments] == [0, 3, 0, 0, 0]
+    assert len(errors) == 1
+    assert_matches_like_a_scan(tl)
+    assert_matches_like_a_scan(Timeline())
+
+
+def test_matcher_agrees_with_a_scan_on_real_runs(wc_result):
+    assert_matches_like_a_scan(wc_result.timeline)
+    plan = FaultPlan.seeded(
+        3, n_splits=N_SPLITS, n_nodes=NODES,
+        n_partitions=NODES * _wc_config().partitions_per_node,
+        map_rate=0.4, reduce_rate=0.2, straggler_rate=0.3)
+    faulted = _wc_run(faults=plan,
+                      config=_wc_config(speculative_execution=True))
+    assert_matches_like_a_scan(faulted.timeline)
+
+
 def test_overlapping_edges_rejected():
     tl = Timeline()
     tl.record("map.kernel", "node0", 0.0, 4.0)

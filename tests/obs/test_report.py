@@ -1,11 +1,24 @@
 """PipelineReport analysis, counters, and the structured job report."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.apps import WordCountApp
+from repro.apps.datagen import wiki_text
+from repro.bench.scaling import _wc_case
+from repro.core import JobConfig, run_glasswing
+from repro.core.faults import FaultPlan
+from repro.core.metrics import JobMetrics
+from repro.hw.presets import das4_cluster
 from repro.obs import PIPELINE_STAGES, PipelineReport, aggregate_counters
+from repro.obs.telemetry import Telemetry
+from repro.service import JobServer, JobSubmission, ServicePolicy
 from repro.simt import Timeline
+from tests.integration.test_sched_equivalence import APPS, run_app
+from tests.obs.test_telemetry import scan_series
+from tests.simt.test_trace import ScanTimeline
 
 
 def synthetic_timeline():
@@ -177,3 +190,129 @@ def test_job_report_carries_causal_profile(wc_result):
     assert causal["elapsed_s"] == wc_result.job_time
     assert causal["stages"]
     json.dumps(report)
+
+
+# -- the index changes no byte of a report, and bounds its cost ------------
+
+def _over(result, timeline):
+    """``result`` as if it had recorded into ``timeline``."""
+    return dataclasses.replace(
+        result, timeline=timeline,
+        metrics=JobMetrics(timeline, result.n_nodes))
+
+
+def _dumps(report):
+    return json.dumps(report, sort_keys=True)
+
+
+def assert_report_matches_full_scans(result, monkeypatch):
+    """to_report() against the same report built with every Timeline query
+    and ``Telemetry.series`` a full scan (the test-local references)."""
+    indexed = _dumps(result.to_report())
+    with monkeypatch.context() as patch:
+        patch.setattr(Telemetry, "series", scan_series)
+        scanned = _dumps(
+            _over(result, ScanTimeline.over(result.timeline)).to_report())
+    assert indexed == scanned
+
+
+@pytest.mark.parametrize("case", sorted(APPS))
+def test_report_is_byte_identical_to_full_scans(case, monkeypatch):
+    assert_report_matches_full_scans(run_app(case), monkeypatch)
+
+
+def test_faulted_report_is_byte_identical_to_full_scans(monkeypatch):
+    """A seeded fault plan fills the categories the fault properties read
+    (task failures, speculation, recovery, a node crash)."""
+    app, inputs, cfg_kwargs, nodes, _ = APPS["wordcount"]()
+    cfg = JobConfig(input_replication=nodes, speculative_execution=True,
+                    **cfg_kwargs)
+    n_splits = -(-len(inputs["wiki"]) // cfg.chunk_size)
+    clean = run_glasswing(app, inputs, das4_cluster(nodes=nodes), cfg)
+    plan = FaultPlan.seeded(
+        5, n_splits=n_splits, n_nodes=nodes,
+        n_partitions=nodes * cfg.partitions_per_node, map_rate=0.4,
+        reduce_rate=0.2, straggler_rate=0.3, node_crash_count=1,
+        crash_window=(0.2 * clean.map_time, 0.9 * clean.map_time))
+    result = run_glasswing(app, inputs, das4_cluster(nodes=nodes), cfg,
+                           faults=plan)
+    faults = result.to_report()["faults"]
+    assert faults["reexecutions"] > 0 and faults["wasted_seconds"] > 0
+    assert_report_matches_full_scans(result, monkeypatch)
+
+
+def test_sampled_report_is_byte_identical_to_full_scans(monkeypatch):
+    result = run_app("wordcount", metrics_interval=0.0005)
+    report = result.to_report()
+    assert report["phases"]["map"]["saturation"]
+    assert report["telemetry"]["final"]
+    assert_report_matches_full_scans(result, monkeypatch)
+
+
+def test_two_tenant_reports_are_byte_identical_to_full_scans(monkeypatch):
+    """Per-job reports read forks of one session timeline; the session's
+    own pipeline analysis reads the hub every job sampled into."""
+    server = JobServer(das4_cluster(nodes=4),
+                       policy=ServicePolicy(max_running=2),
+                       config=JobConfig(chunk_size=4096,
+                                        partitions_per_node=1),
+                       metrics_interval=0.0005)
+    for i, tenant in enumerate(("alice", "bob", "alice", "bob")):
+        server.submit(JobSubmission(
+            name=f"j{i}", app=WordCountApp(), tenant=tenant,
+            inputs={f"j{i}.txt": wiki_text(8_192, seed=80 + i)},
+            submit_at=i * 1e-4))
+    service = server.run()
+    assert len(service.completed) == 4
+    for record in service.completed:
+        assert_report_matches_full_scans(record.result, monkeypatch)
+    for phase in ("map", "reduce"):
+        indexed = PipelineReport(service.timeline, phase,
+                                 telemetry=service.telemetry).to_dict()
+        with monkeypatch.context() as patch:
+            patch.setattr(Telemetry, "series", scan_series)
+            scanned = PipelineReport(ScanTimeline.over(service.timeline),
+                                     phase,
+                                     telemetry=service.telemetry).to_dict()
+        assert _dumps(indexed) == _dumps(scanned)
+        assert indexed["saturation"]
+
+
+class CountingList(list):
+    """A span list that counts the full passes made over it: an iteration,
+    or a slice that starts at the first entry and runs to the last."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+    def __getitem__(self, index):
+        if (isinstance(index, slice) and len(self)
+                and index.indices(len(self)) == (0, len(self), 1)):
+            self.passes += 1
+        return super().__getitem__(index)
+
+
+def _report_passes(nodes):
+    app, inputs, cfg = _wc_case(nodes)
+    result = run_glasswing(app, inputs, das4_cluster(nodes=nodes),
+                           JobConfig(scheduler="static-affinity", **cfg))
+    timeline = Timeline()               # a fresh index: its build counts
+    timeline.spans = spans = CountingList(result.timeline.spans)
+    timeline.waits = result.timeline.waits
+    report = _over(result, timeline).to_report()
+    assert _dumps(report) == _dumps(result.to_report())
+    return spans.passes, len(spans)
+
+
+def test_report_cost_is_a_constant_number_of_passes():
+    """The complexity gate: to_report() walks the span list a small fixed
+    number of times whatever the node count (it used to be one per node
+    per stage: 246 passes at 16 nodes, 726 at 64)."""
+    small, n_small = _report_passes(16)
+    large, n_large = _report_passes(64)
+    assert n_large > 4 * n_small            # the ladder did grow the log
+    assert small == large
+    assert 0 < large <= 12

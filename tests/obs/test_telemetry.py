@@ -1,6 +1,7 @@
 """Tests for the continuous-telemetry hub, exporters and validator."""
 
 import json
+import random
 
 import pytest
 
@@ -10,10 +11,16 @@ from repro.core import JobConfig, run_glasswing
 from repro.hw.presets import das4_cluster
 from repro.obs.report import aggregate_counters
 from repro.obs.telemetry import (Telemetry, ensure_parent_dir,
-                                 openmetrics_text, validate_openmetrics,
-                                 write_metrics, write_metrics_jsonl,
-                                 write_openmetrics)
+                                 openmetrics_text, render_series,
+                                 validate_openmetrics, write_metrics,
+                                 write_metrics_jsonl, write_openmetrics)
 from repro.simt import Simulator, Timeline
+
+try:
+    from hypothesis import given, settings, strategies as st
+    HAVE_HYPOTHESIS = True
+except ImportError:    # pragma: no cover - hypothesis is an optional extra
+    HAVE_HYPOTHESIS = False
 
 
 # ------------------------------------------------------------- registry
@@ -412,3 +419,140 @@ def test_report_folds_in_telemetry():
                           JobConfig(**cfg)).to_report()
     assert plain["telemetry"] is None
     assert plain["phases"]["map"]["saturation"] == []
+
+
+# ------------------------------------------- the series index is invisible
+# series() / final_values() / rates() read a lazily grouped view of
+# ``samples``; each must answer what a full scan of the rows answers,
+# whenever the view was last brought up to date.
+
+def scan_series(tele):
+    """The reference: ``Telemetry.series`` as the full scan it used to be."""
+    out = {}
+    for row in tele.samples:
+        if row["type"] == "histogram":
+            continue
+        labels = tuple(sorted((k, str(v)) for k, v in row["labels"].items()))
+        out.setdefault((row["metric"], labels), []).append(
+            (row["t"], row["value"]))
+    return out
+
+
+def assert_series_queries_match_a_scan(tele):
+    scanned = scan_series(tele)
+    got = tele.series()
+    assert got == scanned
+    assert list(got) == list(scanned)           # first-seen order too
+    assert tele.final_values() == {
+        render_series(name, labels): pts[-1][1]
+        for (name, labels), pts in sorted(scanned.items())}
+    assert tele.rates() == {
+        render_series(name, labels): [
+            (t1, (v1 - v0) / (t1 - t0))
+            for (t0, v0), (t1, v1) in zip(pts, pts[1:]) if t1 > t0]
+        for (name, labels), pts in sorted(scanned.items())
+        if tele.registry.kind_of(name) == "counter"}
+    # fresh lists each time: what a caller does to them stays with them
+    for pts in got.values():
+        pts.clear()
+
+
+def check_series_index_is_invisible(seed):
+    """Interleave sampling, mid-run registration and queries."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    tele = Telemetry(sim, interval=1.0)
+    level = {"v": 0.0}
+    tele.gauge("toy_depth", probe=lambda: level["v"], node="n0")
+    counters = [tele.counter("toy_bytes", link="0->1")]
+    assert_series_queries_match_a_scan(tele)    # no rows, index never built
+    for step in range(rng.randrange(1, 40)):
+        op = rng.randrange(6)
+        if op == 0:                             # a series registered mid-run
+            counters.append(tele.counter("toy_bytes", link=f"0->{step}"))
+        elif op == 1:
+            tele.gauge("toy_level", node=f"n{step % 3}",
+                       job=step).set(rng.random())
+        elif op == 2:
+            tele.histogram("toy_wait_seconds").observe(rng.random())
+        elif op == 3:
+            assert_series_queries_match_a_scan(tele)
+        else:                                   # the clock moves, then a tick
+            sim.now += rng.choice((0.0, 0.5, 1.0))
+            level["v"] = rng.random()
+            rng.choice(counters).inc(rng.randrange(100))
+            tele.sample()
+    assert_series_queries_match_a_scan(tele)
+
+
+if HAVE_HYPOTHESIS:
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**20))
+    def test_series_index_is_invisible(seed):
+        check_series_index_is_invisible(seed)
+
+else:    # pragma: no cover - exercised only without hypothesis
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_series_index_is_invisible(seed):
+        check_series_index_is_invisible(seed)
+
+
+def test_sample_after_a_first_query_is_seen():
+    """The stale-index case spelled out, with a series registered between
+    the two ticks."""
+    sim = Simulator()
+    tele = Telemetry(sim, interval=1.0)
+    counter = tele.counter("toy_bytes")
+    sim.now = 1.0
+    tele.sample()
+    assert tele.series() == {("toy_bytes", ()): [(1.0, 0)]}
+    counter.inc(8)
+    tele.gauge("toy_depth", node="n1").set(3)
+    sim.now = 2.0
+    tele.sample()
+    assert tele.series() == {("toy_bytes", ()): [(1.0, 0), (2.0, 8)],
+                             ("toy_depth", (("node", "n1"),)): [(2.0, 3)]}
+    assert tele.final_values() == {"toy_bytes": 8, 'toy_depth{node="n1"}': 3}
+    assert tele.rates() == {"toy_bytes": [(2.0, 8.0)]}
+
+
+def test_sorted_metrics_follows_registration():
+    """The export order is kept between ticks, not frozen: a series
+    registered later sorts into place, and the list handed out is the
+    caller's own."""
+    tele = Telemetry(Simulator(), interval=1.0)
+    tele.counter("toy_m", node="n1")
+    assert [m.series() for m in tele.registry.sorted_metrics()] == \
+        ['toy_m{node="n1"}']
+    tele.registry.sorted_metrics().clear()
+    tele.counter("toy_m", node="n0")
+    tele.gauge("toy_a")
+    assert [m.series() for m in tele.registry.sorted_metrics()] == \
+        ["toy_a", 'toy_m{node="n0"}', 'toy_m{node="n1"}']
+
+
+def test_rows_share_their_series_labels_and_label_dict_is_a_copy():
+    sim = Simulator()
+    tele = Telemetry(sim, interval=1.0)
+    gauge = tele.gauge("toy_depth", node="n0")
+    for t in (1.0, 2.0):
+        sim.now = t
+        tele.sample()
+    first, second = tele.samples
+    assert first["labels"] == {"node": "n0"}
+    assert first["labels"] is second["labels"]      # shared: read-only
+    gauge.label_dict["node"] = "elsewhere"          # an outside caller's copy
+    assert first["labels"] == {"node": "n0"}
+    assert gauge.label_dict == {"node": "n0"}
+
+
+def test_single_probe_gauge_reads_like_a_sum_of_one():
+    """One probe is called directly; the value is still what summing gave
+    (a bool probe reads 1, not True — the exporters tell them apart)."""
+    tele = Telemetry(Simulator(), interval=1.0)
+    flag = tele.gauge("toy_flag", probe=lambda: True)
+    assert flag.value == 1 and type(flag.value) is int
+    assert tele.gauge("toy_frac", probe=lambda: 0.25).value == 0.25
+    assert tele.gauge("toy_unprobed").value == 0

@@ -1,8 +1,16 @@
 """Unit tests for the Timeline/Span tracing machinery."""
 
+import random
+
 import pytest
 
-from repro.simt import Timeline
+from repro.simt import Span, Timeline
+
+try:
+    from hypothesis import given, settings, strategies as st
+    HAVE_HYPOTHESIS = True
+except ImportError:    # pragma: no cover - hypothesis is an optional extra
+    HAVE_HYPOTHESIS = False
 
 
 def test_record_and_duration():
@@ -126,3 +134,161 @@ def test_occupied_time_name_none_merges_across_nodes():
     assert tl.occupied_time("map.kernel") == 7.0
     assert tl.occupied_time("map.kernel", name="node0") == 4.0
     assert tl.occupied_time("map.kernel", name="node1") == 5.0
+
+
+# -- the grouped index is invisible ------------------------------------------
+# Every query must answer exactly what a full scan of ``spans`` answers,
+# whoever appended and whenever the index was last brought up to date.
+
+class ScanTimeline(Timeline):
+    """The reference: each query is a full scan of ``spans`` (the query
+    bodies ``Timeline`` had before it was indexed)."""
+
+    @classmethod
+    def over(cls, timeline):
+        """A scanning view of the very lists ``timeline`` records into."""
+        ref = cls()
+        ref.spans, ref.waits = timeline.spans, timeline.waits
+        ref.telemetry = timeline.telemetry
+        return ref
+
+    def _scan(self, category, name=None):
+        return [s for s in self.spans
+                if s.category == category and (name is None or s.name == name)]
+
+    def by_category(self, category, name=None):
+        return self._scan(category, name)
+
+    def categories(self):
+        return sorted({s.category for s in self.spans})
+
+    def busy_time(self, category, name=None):
+        return sum(s.duration for s in self._scan(category, name))
+
+    def span_extent(self, category, name=None):
+        sel = self._scan(category, name)
+        if not sel:
+            return 0.0
+        return max(s.end for s in sel) - min(s.start for s in sel)
+
+    def occupied_time(self, category, name=None):
+        total, cur_start, cur_end = 0.0, None, 0.0
+        for start, end in sorted((s.start, s.end)
+                                 for s in self._scan(category, name)):
+            if cur_start is None:
+                cur_start, cur_end = start, end
+            elif start <= cur_end:
+                cur_end = max(cur_end, end)
+            else:
+                total += cur_end - cur_start
+                cur_start, cur_end = start, end
+        if cur_start is not None:
+            total += cur_end - cur_start
+        return total
+
+    def first_start(self, category):
+        return min((s.start for s in self._scan(category)),
+                   default=float("inf"))
+
+    def last_end(self, category):
+        return max((s.end for s in self._scan(category)), default=0.0)
+
+
+CATEGORIES = ("map.input", "map.kernel", "reduce.kernel", "net.transfer")
+NAMES = ("node0", "node1", "node2")
+FALLBACK_SEEDS = tuple(range(12))
+
+
+def assert_same_answers(timeline):
+    """Every query of ``timeline`` against a scan of its own span list —
+    exact equality, floats included."""
+    ref = ScanTimeline.over(timeline)
+    assert len(timeline) == len(ref.spans)
+    assert timeline.categories() == ref.categories()
+    for prefix in ("", "map.", "absent"):
+        assert timeline.breakdown(prefix) == ref.breakdown(prefix)
+    for category in CATEGORIES + ("absent",):
+        assert timeline.first_start(category) == ref.first_start(category)
+        assert timeline.last_end(category) == ref.last_end(category)
+        for name in (None,) + NAMES + ("nobody",):
+            for query in ("by_category", "busy_time", "span_extent",
+                          "occupied_time"):
+                assert (getattr(timeline, query)(category, name)
+                        == getattr(ref, query)(category, name)), \
+                    (query, category, name)
+        # a fresh list each time: what a caller does to it stays with them
+        timeline.by_category(category).clear()
+
+
+def _random_span_args(rng):
+    start = rng.choice((0.0, rng.random() * 10))
+    length = rng.choice((0.0, rng.random(), rng.random() * 5))
+    return (rng.choice(CATEGORIES), rng.choice(NAMES), start, start + length)
+
+
+def check_index_is_invisible(seed):
+    """Interleave every way a span reaches ``spans`` with queries."""
+    rng = random.Random(seed)
+    timeline = Timeline()
+    fork = timeline.fork("job7")
+    assert_same_answers(timeline)               # empty, index never built
+    for _ in range(rng.randrange(1, 60)):
+        op = rng.randrange(5)
+        if op == 0:
+            timeline.record(*_random_span_args(rng), chunk=rng.randrange(9))
+        elif op == 1:
+            fork.record(*_random_span_args(rng))    # -> parent.spans.append
+        elif op == 2:
+            other = Timeline()
+            for _ in range(rng.randrange(4)):
+                other.record(*_random_span_args(rng))
+            timeline.merge(other)
+        elif op == 3:
+            timeline.spans.append(Span(*_random_span_args(rng)))
+        else:
+            assert_same_answers(timeline)       # stale by whatever came since
+            assert_same_answers(fork)
+    assert_same_answers(timeline)
+    assert_same_answers(fork)
+    assert [s for s in timeline.spans if s.meta.get("job") == "job7"] \
+        == fork.spans
+
+
+if HAVE_HYPOTHESIS:
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**20))
+    def test_index_is_invisible(seed):
+        check_index_is_invisible(seed)
+
+else:    # pragma: no cover - exercised only without hypothesis
+
+    @pytest.mark.parametrize("seed", FALLBACK_SEEDS)
+    def test_index_is_invisible(seed):
+        check_index_is_invisible(seed)
+
+
+def test_query_between_two_appends_sees_both():
+    """The stale-index case spelled out: query, append, query, append."""
+    tl = Timeline()
+    assert tl.by_category("k") == [] and tl.categories() == []
+    tl.record("k", "n0", 0.0, 1.0)
+    assert tl.busy_time("k") == 1.0
+    tl.spans.append(Span("k", "n1", 2.0, 4.0))      # behind record()'s back
+    assert tl.busy_time("k") == 3.0
+    assert tl.busy_time("k", name="n1") == 2.0
+    tl.record("j", "n0", 5.0, 6.0)
+    assert tl.categories() == ["j", "k"]
+    assert_same_answers(tl)
+
+
+def test_a_shortened_log_is_regrouped():
+    """Nothing in the repo shortens ``spans``; if someone does, the index
+    notices the length and starts over instead of answering from memory."""
+    tl = Timeline()
+    for i in range(4):
+        tl.record("k", f"n{i}", float(i), i + 1.0)
+    assert tl.busy_time("k") == 4.0
+    del tl.spans[1:]
+    assert tl.busy_time("k") == 1.0
+    assert [s.name for s in tl.by_category("k")] == ["n0"]
