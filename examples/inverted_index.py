@@ -24,9 +24,9 @@ class InvertedIndexApp(RecordMapReduceApp):
     """word -> tuple of doc ids containing it."""
 
     name = "inverted-index"
-    inter_schema = KVSchema("ii", key_bytes=lambda k: len(k),
-                            value_bytes=lambda v: 8)
-    output_schema = KVSchema("ii-out", key_bytes=lambda k: len(k),
+    # A width is a fixed byte count or a function of the object.
+    inter_schema = KVSchema("ii", key_bytes=len, value_bytes=8)
+    output_schema = KVSchema("ii-out", key_bytes=len,
                              value_bytes=lambda v: 8 * len(v))
     has_combiner = True
 

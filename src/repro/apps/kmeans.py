@@ -58,11 +58,9 @@ class KMeansApp(MapReduceApp):
         self.record_format = FixedRecordFormat(self.dims * 4)
         dims = self.dims
         self.inter_schema = KVSchema(
-            "km-inter", key_bytes=lambda k: 4,
-            value_bytes=lambda v: 4 * dims + 8)
+            "km-inter", key_bytes=4, value_bytes=4 * dims + 8)
         self.output_schema = KVSchema(
-            "km-out", key_bytes=lambda k: 4,
-            value_bytes=lambda v: 4 * dims)
+            "km-out", key_bytes=4, value_bytes=4 * dims)
 
     # -- MapReduce logic ----------------------------------------------------
     def map_batch(self, records: Sequence[bytes]

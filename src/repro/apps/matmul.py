@@ -47,11 +47,9 @@ class MatMulApp(MapReduceApp):
         self.record_format = FixedRecordFormat(matmul_record_size(tile))
         tile_bytes = tile * tile * 4
         self.inter_schema = KVSchema(
-            "mm-inter", key_bytes=lambda k: 8,
-            value_bytes=lambda v: tile_bytes)
+            "mm-inter", key_bytes=8, value_bytes=tile_bytes)
         self.output_schema = KVSchema(
-            "mm-out", key_bytes=lambda k: 8,
-            value_bytes=lambda v: tile_bytes)
+            "mm-out", key_bytes=8, value_bytes=tile_bytes)
 
     # -- MapReduce logic ----------------------------------------------------
     def map_batch(self, records: Sequence[bytes]

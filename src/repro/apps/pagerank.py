@@ -51,9 +51,9 @@ class PageRankDegreeApp(MapReduceApp):
     record_format = FixedRecordFormat(EDGE_SIZE)
     name = "pagerank-degrees"
     inter_schema = KVSchema(
-        "prdeg-inter", key_bytes=lambda k: 4, value_bytes=lambda v: 4)
+        "prdeg-inter", key_bytes=4, value_bytes=4)
     output_schema = KVSchema(
-        "prdeg-out", key_bytes=lambda k: 4, value_bytes=lambda v: 4)
+        "prdeg-out", key_bytes=4, value_bytes=4)
 
     def map_batch(self, records: Sequence[bytes]) -> List[Tuple[int, int]]:
         src = _edges(records)[:, 0]
@@ -99,9 +99,9 @@ class PageRankContribApp(MapReduceApp):
         self.damping = float(damping)
         self.name = f"pagerank-n{self.n}"
         self.inter_schema = KVSchema(
-            "pr-inter", key_bytes=lambda k: 4, value_bytes=lambda v: 8)
+            "pr-inter", key_bytes=4, value_bytes=8)
         self.output_schema = KVSchema(
-            "pr-out", key_bytes=lambda k: 4, value_bytes=lambda v: 8)
+            "pr-out", key_bytes=4, value_bytes=8)
 
     def map_batch(self, records: Sequence[bytes]
                   ) -> List[Tuple[int, float]]:

@@ -8,14 +8,13 @@ keys."
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import List, Sequence, Tuple
 
 from repro.hw.specs import DeviceSpec
 from repro.ocl.kernel import KernelCost
 from repro.storage.records import KVSchema, TextRecordFormat
 
-from repro.core.api import MapReduceApp
+from repro.core.api import MapReduceApp, sum_by_key
 
 __all__ = ["PageViewApp"]
 
@@ -29,10 +28,8 @@ class PageViewApp(MapReduceApp):
 
     name = "pageview"
     record_format = TextRecordFormat()
-    inter_schema = KVSchema("pvc-inter", key_bytes=lambda k: len(k),
-                            value_bytes=lambda v: 4)
-    output_schema = KVSchema("pvc-out", key_bytes=lambda k: len(k),
-                             value_bytes=lambda v: 8)
+    inter_schema = KVSchema("pvc-inter", key_bytes=len, value_bytes=4)
+    output_schema = KVSchema("pvc-out", key_bytes=len, value_bytes=8)
     has_combiner = True
 
     def map_batch(self, records: Sequence[bytes]) -> List[Tuple[bytes, int]]:
@@ -46,11 +43,8 @@ class PageViewApp(MapReduceApp):
     def combine(self, key: bytes, values: List[int]) -> List[int]:
         return [sum(values)]
 
-    def run_combine(self, pairs):  # fast path, as WordCount
-        counts = Counter()
-        for url, n in pairs:
-            counts[url] += n
-        return list(counts.items())
+    def run_combine(self, pairs):
+        return sum_by_key(pairs)
 
     def reduce(self, key: bytes, values: List[int]) -> List[Tuple[bytes, int]]:
         return [(key, sum(values))]

@@ -57,9 +57,9 @@ class PrefixBlockSumApp(MapReduceApp):
         self.block_size = block_size
         self.name = f"prefix-blocksum-b{block_size}"
         self.inter_schema = KVSchema(
-            "psum-inter", key_bytes=lambda k: 8, value_bytes=lambda v: 8)
+            "psum-inter", key_bytes=8, value_bytes=8)
         self.output_schema = KVSchema(
-            "psum-out", key_bytes=lambda k: 8, value_bytes=lambda v: 8)
+            "psum-out", key_bytes=8, value_bytes=8)
 
     def map_batch(self, records: Sequence[bytes]) -> List[Tuple[int, int]]:
         rows = _decode(records)
@@ -100,9 +100,9 @@ class PrefixScanApp(MapReduceApp):
         self.block_size = block_size
         self.name = f"prefix-scan-b{block_size}"
         self.inter_schema = KVSchema(
-            "pscan-inter", key_bytes=lambda k: 8, value_bytes=lambda v: 16)
+            "pscan-inter", key_bytes=8, value_bytes=16)
         self.output_schema = KVSchema(
-            "pscan-out", key_bytes=lambda k: 8, value_bytes=lambda v: 8)
+            "pscan-out", key_bytes=8, value_bytes=8)
 
     def map_batch(self, records: Sequence[bytes]
                   ) -> List[Tuple[int, Tuple[int, int]]]:

@@ -11,6 +11,7 @@ end of the intermediate data shuffle."
 from __future__ import annotations
 
 import bisect
+from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
 
 from repro.hw.specs import DeviceSpec
@@ -27,6 +28,9 @@ RECORD_LEN = 100
 #: effective device ops per record — key extraction + partition lookup
 _OPS_PER_RECORD = 220.0
 
+_KEY_OF = itemgetter(slice(None, KEY_LEN))
+_VALUE_OF = itemgetter(slice(KEY_LEN, None))
+
 
 class TeraSortApp(MapReduceApp):
     """Sort TeraGen records via a sampled range partitioner.
@@ -38,10 +42,10 @@ class TeraSortApp(MapReduceApp):
 
     name = "terasort"
     record_format = FixedRecordFormat(RECORD_LEN)
-    inter_schema = KVSchema("ts-inter", key_bytes=lambda k: KEY_LEN,
-                            value_bytes=lambda v: RECORD_LEN - KEY_LEN)
-    output_schema = KVSchema("ts-out", key_bytes=lambda k: KEY_LEN,
-                             value_bytes=lambda v: RECORD_LEN - KEY_LEN)
+    inter_schema = KVSchema("ts-inter", key_bytes=KEY_LEN,
+                            value_bytes=RECORD_LEN - KEY_LEN)
+    output_schema = KVSchema("ts-out", key_bytes=KEY_LEN,
+                             value_bytes=RECORD_LEN - KEY_LEN)
     has_combiner = False
     map_only_output = True
 
@@ -60,7 +64,7 @@ class TeraSortApp(MapReduceApp):
 
     # -- MapReduce logic ----------------------------------------------------
     def map_batch(self, records: Sequence[bytes]) -> List[Tuple[bytes, bytes]]:
-        return [(r[:KEY_LEN], r[KEY_LEN:]) for r in records]
+        return list(zip(map(_KEY_OF, records), map(_VALUE_OF, records)))
 
     def reduce(self, key, values):  # pragma: no cover - map_only_output
         return [(key, v) for v in values]

@@ -7,14 +7,14 @@ combiner leverage (Table II) and for partitioner-thread tuning (Fig 4).
 
 from __future__ import annotations
 
-from collections import Counter
+from itertools import repeat
 from typing import List, Sequence, Tuple
 
 from repro.hw.specs import DeviceSpec
 from repro.ocl.kernel import KernelCost
 from repro.storage.records import KVSchema, TextRecordFormat
 
-from repro.core.api import MapReduceApp
+from repro.core.api import MapReduceApp, sum_by_key
 
 __all__ = ["WordCountApp"]
 
@@ -29,26 +29,21 @@ class WordCountApp(MapReduceApp):
 
     name = "wordcount"
     record_format = TextRecordFormat()
-    inter_schema = KVSchema("wc-inter", key_bytes=lambda k: len(k),
-                            value_bytes=lambda v: 4)
-    output_schema = KVSchema("wc-out", key_bytes=lambda k: len(k),
-                             value_bytes=lambda v: 8)
+    inter_schema = KVSchema("wc-inter", key_bytes=len, value_bytes=4)
+    output_schema = KVSchema("wc-out", key_bytes=len, value_bytes=8)
     has_combiner = True
 
     def map_batch(self, records: Sequence[bytes]) -> List[Tuple[bytes, int]]:
         # One C-level split over the whole chunk: records are
         # newline-delimited, so joining on a separator preserves words.
         words = b"\n".join(records).split()
-        return [(word, 1) for word in words]
+        return list(zip(words, repeat(1)))
 
     def combine(self, key: bytes, values: List[int]) -> List[int]:
         return [sum(values)]
 
-    def run_combine(self, pairs):  # fast path: everything is (word, count)
-        counts = Counter()
-        for word, n in pairs:
-            counts[word] += n
-        return list(counts.items())
+    def run_combine(self, pairs):
+        return sum_by_key(pairs)
 
     def reduce(self, key: bytes, values: List[int]) -> List[Tuple[bytes, int]]:
         return [(key, sum(values))]

@@ -23,7 +23,8 @@ from repro.hw.specs import DeviceSpec
 from repro.ocl.kernel import KernelCost
 from repro.storage.records import KVSchema, TextRecordFormat
 
-__all__ = ["MapReduceApp", "RecordMapReduceApp", "Emitter", "stable_hash"]
+__all__ = ["MapReduceApp", "RecordMapReduceApp", "Emitter", "stable_hash",
+           "sum_by_key"]
 
 Pair = Tuple[Any, Any]
 
@@ -42,6 +43,18 @@ def stable_hash(key: Any) -> int:
     else:
         data = repr(key).encode("utf-8")
     return zlib.crc32(data)
+
+
+def sum_by_key(pairs: Iterable[Pair]) -> List[Pair]:
+    """``run_combine`` of an app whose ``combine`` is ``[sum(values)]``
+    over integer counts: one running total per key instead of a value
+    list and a ``combine`` call per key, keys in first-occurrence order.
+    """
+    totals: Dict[Any, int] = {}
+    get = totals.get
+    for k, n in pairs:
+        totals[k] = get(k, 0) + n
+    return list(totals.items())
 
 
 class MapReduceApp:
@@ -118,15 +131,18 @@ class MapReduceApp:
 
     # -- helpers ----------------------------------------------------------------
     def run_combine(self, pairs: Iterable[Pair]) -> List[Pair]:
-        """Group ``pairs`` by key and apply :meth:`combine` per key."""
+        """Group ``pairs`` by key and apply :meth:`combine` per key
+        (keys in first-occurrence order)."""
         grouped: Dict[Any, List[Any]] = {}
+        get = grouped.get
         for k, v in pairs:
-            grouped.setdefault(k, []).append(v)
-        out: List[Pair] = []
-        for k, vs in grouped.items():
-            for v in self.combine(k, vs):
-                out.append((k, v))
-        return out
+            vs = get(k)
+            if vs is None:
+                grouped[k] = [v]
+            else:
+                vs.append(v)
+        return [(k, v) for k, vs in grouped.items()
+                for v in self.combine(k, vs)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<MapReduceApp {self.name!r}>"

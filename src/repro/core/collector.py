@@ -39,12 +39,13 @@ Pair = Tuple[Any, Any]
 class KeyInterner:
     """Canonicalises equal keys to one object (hash-table interning).
 
-    The hash collector touches every emitted key; on batched runs the
-    same hot keys recur in every batch, and CPython compares interned
-    keys by identity before falling back to ``__eq__``.  Interning is
-    free of virtual time (the hash probe is already part of the
-    collector's charged cost) and never changes results — only object
-    identity.  Unhashable keys pass through untouched.
+    The hash collector aggregates every emitted key; on batched runs
+    the same hot keys recur in every batch, so the keys that *leave* the
+    collector are interned — one entry per unique key once the combiner
+    has run — and CPython compares interned keys by identity before
+    falling back to ``__eq__``.  Interning is free of virtual time (the
+    hash probe is already part of the collector's charged cost) and
+    never changes results — only object identity.
     """
 
     __slots__ = ("_table",)
@@ -56,10 +57,7 @@ class KeyInterner:
         return len(self._table)
 
     def intern(self, key: Any) -> Any:
-        try:
-            return self._table.setdefault(key, key)
-        except TypeError:            # unhashable key: nothing to intern
-            return key
+        return self._table.setdefault(key, key)
 
 #: emitting one pair costs a handful of device ops regardless of collector
 _EMIT_FLOPS = 8.0
@@ -97,9 +95,11 @@ def _hash_collect(app: MapReduceApp, device: DeviceSpec, pairs: List[Pair],
                   use_combiner: bool, chunk_index: int,
                   interner: KeyInterner | None = None
                   ) -> Tuple[MapOutput, KernelCost]:
-    if interner is not None:
-        pairs = [(interner.intern(k), v) for k, v in pairs]
-    n_unique = len({k for k, _ in pairs})
+    try:
+        n_unique = len({k for k, _ in pairs})
+    except TypeError:
+        _reject_unhashable_key(pairs)
+        raise
     contention = hash_contention(len(pairs), n_unique)
     raw_in = app.inter_schema.size_of(pairs)
     extra = KernelCost(
@@ -119,10 +119,25 @@ def _hash_collect(app: MapReduceApp, device: DeviceSpec, pairs: List[Pair],
         extra = extra + KernelCost(flops=2.0 * len(pairs),
                                    device_bytes=2.0 * raw_out,
                                    launches=1)
+    if interner is not None:
+        intern = interner.intern
+        out_pairs = [(intern(k), v) for k, v in out_pairs]
     raw = app.inter_schema.size_of(out_pairs)
     out = MapOutput(chunk_index=chunk_index, pairs=out_pairs, raw_bytes=raw,
                     decode_items=n_unique)
     return out, extra
+
+
+def _reject_unhashable_key(pairs: List[Pair]) -> None:
+    """Name the key the hash table cannot hold (error path only)."""
+    for key, _ in pairs:
+        try:
+            hash(key)
+        except TypeError:
+            raise TypeError(
+                f"the hash collector needs hashable keys, got a "
+                f"{type(key).__name__}; use collector=\"buffer\" (and no "
+                f"combiner) for such keys") from None
 
 
 COLLECTORS = {

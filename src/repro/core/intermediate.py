@@ -17,7 +17,7 @@ clear while competing with the map kernel and partitioner threads for CPU.
 
 from __future__ import annotations
 
-import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Tuple
 
@@ -265,14 +265,18 @@ class IntermediateManager:
 
     # -- helpers ----------------------------------------------------------------
     def _merge_runs(self, runs: List[SortedRun]) -> SortedRun:
-        """Real multi-way merge preserving sort order (a single run is
-        already sorted and skips the heap — the hot path when flushes
-        drain one run per partition)."""
+        """Real multi-way merge preserving sort order: one stable sort
+        of the concatenated runs.  Timsort finds each pre-sorted run and
+        gallops through the merges, and being stable it leaves equal keys
+        in run order, then in-run order — exactly the list
+        ``heapq.merge`` yields, without a Python-level heap step per
+        record.  A single run is already sorted — the hot path when
+        flushes drain one run per partition."""
         if len(runs) == 1:
             return SortedRun(list(runs[0].pairs), runs[0].raw_bytes)
         key = self.app.sort_key
-        merged = list(heapq.merge(*[r.pairs for r in runs],
-                                  key=lambda kv: key(kv[0])))
+        merged = sorted(itertools.chain.from_iterable(r.pairs for r in runs),
+                        key=lambda kv: key(kv[0]))
         return SortedRun(merged, sum(r.raw_bytes for r in runs))
 
     def _new_run_path(self, pid: int) -> str:

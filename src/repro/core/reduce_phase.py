@@ -28,8 +28,10 @@ byte-identical to the fault-free run.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Generator, List, Optional, Sequence, Tuple
 
 from repro.hw.node import Node
@@ -167,8 +169,7 @@ class ReducePhase:
             runs, disk_bytes, disk_raw = self.manager.read_partition(pid)
             if not runs:
                 continue
-            merged = list(_merge_pairs(self.app, runs))
-            groups = _group_pairs(merged)
+            groups = _group_pairs(_merge_pairs(self.app, runs))
             run_bits = max(1, len(runs)).bit_length()
             parts: List[Tuple[List, int, int, int, bool]] = []
             for wstart in range(0, len(groups), keys_per_chunk):
@@ -239,7 +240,7 @@ class ReducePhase:
         out_pairs: List[Tuple[Any, Any]] = []
         if self.app.map_only_output:
             for key, values in chunk.groups:
-                out_pairs.extend((key, v) for v in values)
+                out_pairs.extend(zip(itertools.repeat(key), values))
             cost = KernelCost(launches=0)
         else:
             for key, values in chunk.groups:
@@ -333,23 +334,29 @@ class ReducePhase:
         return out
 
 
-def _merge_pairs(app: MapReduceApp, runs) -> Generator:
-    """Real multi-way merge of sorted runs (heap-based, stable enough).
+def _merge_pairs(app: MapReduceApp, runs) -> List[Tuple[Any, Any]]:
+    """Real multi-way merge of sorted runs: equal keys come out in run
+    order, then in-run order.
 
     A single run is already in order — the common case on large clusters,
     where each partition receives one run per mapper that touched it —
-    so it skips the heap (and its per-item key calls) entirely.
+    and is returned as is (callers only read it).  Several runs stay on
+    ``heapq.merge``: one stable ``sorted`` of their concatenation (what
+    :meth:`IntermediateManager._merge_runs` does) gives the identical
+    list faster, but its few large allocations postpone the full garbage
+    collection that frees a many-node run's cyclic garbage until the
+    report has piled up on top of it (``shuffle-storm`` ``peak_rss_mb``
+    +3 to +4 %, docs/performance.md §6).
     """
     if len(runs) == 1:
-        return iter(runs[0].pairs)
-    import heapq
-    return heapq.merge(*[r.pairs for r in runs],
-                       key=lambda kv: app.sort_key(kv[0]))
+        return runs[0].pairs
+    sort_key = app.sort_key
+    return list(heapq.merge(*[r.pairs for r in runs],
+                            key=lambda kv: sort_key(kv[0])))
 
 
 def _group_pairs(pairs: List[Tuple[Any, Any]]) -> List[Tuple[Any, List[Any]]]:
     """Group a sorted pair stream into (key, [values]) entries."""
-    groups: List[Tuple[Any, List[Any]]] = []
-    for key, vals in itertools.groupby(pairs, key=lambda kv: kv[0]):
-        groups.append((key, [v for _, v in vals]))
-    return groups
+    value_of = itemgetter(1)
+    return [(key, list(map(value_of, vals)))
+            for key, vals in itertools.groupby(pairs, key=itemgetter(0))]

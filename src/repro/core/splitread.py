@@ -10,7 +10,7 @@ every record appears in exactly one split — is directly testable.
 
 from __future__ import annotations
 
-from typing import Generator, List
+from typing import Generator, List, Optional
 
 from repro.hw.specs import KiB
 from repro.storage.records import FixedRecordFormat, TextRecordFormat
@@ -38,7 +38,8 @@ class RecordTooLong(ValueError):
 
 
 def split_text_lines(raw: bytes, base: int, split_end: int,
-                     first: bool = None, at_eof: bool = True) -> List[bytes]:
+                     first: Optional[bool] = None, at_eof: bool = True
+                     ) -> List[bytes]:
     """Lines starting within the split's byte range of a file.
 
     ``raw`` is the file content from ``base`` through at least the end of
@@ -64,20 +65,22 @@ def split_text_lines(raw: bytes, base: int, split_end: int,
                     f"at offset {base}")
             return []  # the whole window is the middle of one long record
         pos = nl + 1
-    records: List[bytes] = []
-    while base + pos < split_end:
-        nl = raw.find(b"\n", pos)
-        if nl == -1:
-            tail = raw[pos:]
-            if tail:
-                if not at_eof:
-                    raise RecordTooLong(
-                        f"record starting at offset {base + pos} exceeds "
-                        "the reader's look-ahead window")
-                records.append(tail)  # final line without trailing newline
-            break
-        records.append(raw[pos:nl])
-        pos = nl + 1
+    # A line is owned when it starts before ``limit``; the last owned one
+    # ends at the first newline at or after ``limit - 1``.
+    limit = split_end - base
+    if pos >= limit:
+        return []
+    end = raw.find(b"\n", limit - 1)
+    if end != -1:
+        return raw[pos:end].split(b"\n")
+    records = raw[pos:].split(b"\n")
+    tail = records.pop()
+    if tail:
+        if not at_eof:
+            raise RecordTooLong(
+                f"record starting at offset {base + len(raw) - len(tail)} "
+                "exceeds the reader's look-ahead window")
+        records.append(tail)  # final line without trailing newline
     return records
 
 

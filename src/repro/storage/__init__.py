@@ -1,4 +1,4 @@
-"""Storage substrates: record codecs, node-local FS, distributed FS.
+"""Storage substrates: record formats, node-local FS, distributed FS.
 
 The paper evaluates Glasswing both on node-local file systems and on HDFS
 (accessed through libhdfs/JNI, deployed over IP-over-InfiniBand).  This

@@ -2,25 +2,22 @@
 
 Engines move *real* Python objects through the pipeline; timing needs the
 *byte size* those objects would occupy serialized.  A :class:`KVSchema`
-provides analytic per-pair sizes (plus a real round-trippable binary codec
-used by tests to validate the estimates), and a :class:`CompressionModel`
-turns raw bytes into stored bytes plus host-CPU cost, as Glasswing keeps
-all intermediate partitions "in a serialized and compressed form".
+provides analytic per-pair sizes, and a :class:`CompressionModel` turns
+raw bytes into stored bytes plus host-CPU cost, as Glasswing keeps all
+intermediate partitions "in a serialized and compressed form".
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Iterable, List, Tuple, Union
 
 __all__ = [
     "TextRecordFormat",
     "FixedRecordFormat",
     "KVSchema",
     "CompressionModel",
-    "encode_pairs",
-    "decode_pairs",
 ]
 
 _PAIR_OVERHEAD = 8  # two 32-bit length prefixes per serialized pair
@@ -68,96 +65,55 @@ class FixedRecordFormat:
 
 
 # ------------------------------------------------------------- KV schemas
+#: serialized width of a key or value: a fixed byte count, or a function
+#: of the object (``len`` for raw bytes)
+Width = Union[int, Callable[[Any], int]]
+
+_KEY, _VALUE = itemgetter(0), itemgetter(1)
+
+
 @dataclass(frozen=True)
 class KVSchema:
-    """Analytic serialized sizes for an application's key/value types."""
+    """Analytic serialized sizes for an application's key/value types.
+
+    Each width is either an ``int`` — every key (value) serializes to that
+    many bytes, as TeraSort's 10-byte keys do — or a callable giving the
+    width of one object, e.g. ``KVSchema("wc-inter", key_bytes=len,
+    value_bytes=4)``.  A fixed width costs :meth:`size_of` nothing per
+    pair; a callable is mapped over the batch in one pass.
+    """
 
     name: str
-    key_bytes: Callable[[Any], int]
-    value_bytes: Callable[[Any], int]
+    key_bytes: Width
+    value_bytes: Width
+
+    def __post_init__(self) -> None:
+        for field in ("key_bytes", "value_bytes"):
+            width = getattr(self, field)
+            if callable(width):
+                continue
+            if (isinstance(width, bool) or not isinstance(width, int)
+                    or width < 0):
+                raise ValueError(
+                    f"{self.name}: {field} must be a non-negative int or "
+                    f"a callable, not {width!r}")
 
     def pair_bytes(self, key: Any, value: Any) -> int:
         """Serialized size of one pair, including framing overhead."""
-        return self.key_bytes(key) + self.value_bytes(value) + _PAIR_OVERHEAD
+        kb, vb = self.key_bytes, self.value_bytes
+        return ((kb(key) if callable(kb) else kb)
+                + (vb(value) if callable(vb) else vb) + _PAIR_OVERHEAD)
 
     def size_of(self, pairs: Iterable[Tuple[Any, Any]]) -> int:
         """Total serialized size of a pair collection."""
-        kb, vb = self.key_bytes, self.value_bytes
-        if hasattr(pairs, "__len__"):
-            return (sum(kb(k) + vb(v) for k, v in pairs)
-                    + _PAIR_OVERHEAD * len(pairs))
-        return sum(kb(k) + vb(v) + _PAIR_OVERHEAD for k, v in pairs)
-
-
-# ------------------------------------------------------- binary pair codec
-def _to_bytes(obj: Any) -> bytes:
-    """Canonical binary form of the key/value types the apps use."""
-    if isinstance(obj, bytes):
-        return b"b" + obj
-    if isinstance(obj, str):
-        return b"s" + obj.encode("utf-8")
-    if isinstance(obj, bool):
-        return b"B" + (b"\x01" if obj else b"\x00")
-    if isinstance(obj, int):
-        return b"i" + struct.pack("<q", obj)
-    if isinstance(obj, float):
-        return b"f" + struct.pack("<d", obj)
-    if isinstance(obj, tuple):
-        parts = [_to_bytes(el) for el in obj]
-        header = struct.pack("<I", len(parts))
-        return b"t" + header + b"".join(
-            struct.pack("<I", len(p)) + p for p in parts)
-    raise TypeError(f"unsupported type for codec: {type(obj).__name__}")
-
-
-def _from_bytes(blob: bytes) -> Any:
-    tag, body = blob[:1], blob[1:]
-    if tag == b"b":
-        return body
-    if tag == b"s":
-        return body.decode("utf-8")
-    if tag == b"B":
-        return body == b"\x01"
-    if tag == b"i":
-        return struct.unpack("<q", body)[0]
-    if tag == b"f":
-        return struct.unpack("<d", body)[0]
-    if tag == b"t":
-        count = struct.unpack("<I", body[:4])[0]
-        parts = []
-        off = 4
-        for _ in range(count):
-            ln = struct.unpack("<I", body[off:off + 4])[0]
-            off += 4
-            parts.append(_from_bytes(body[off:off + ln]))
-            off += ln
-        return tuple(parts)
-    raise ValueError(f"bad codec tag {tag!r}")
-
-
-def encode_pairs(pairs: Sequence[Tuple[Any, Any]]) -> bytes:
-    """Serialize pairs to a real binary blob (round-trippable)."""
-    out = bytearray()
-    for key, value in pairs:
-        kb, vb = _to_bytes(key), _to_bytes(value)
-        out += struct.pack("<II", len(kb), len(vb))
-        out += kb
-        out += vb
-    return bytes(out)
-
-
-def decode_pairs(blob: bytes) -> Iterator[Tuple[Any, Any]]:
-    """Inverse of :func:`encode_pairs`."""
-    off = 0
-    n = len(blob)
-    while off < n:
-        klen, vlen = struct.unpack("<II", blob[off:off + 8])
-        off += 8
-        key = _from_bytes(blob[off:off + klen])
-        off += klen
-        value = _from_bytes(blob[off:off + vlen])
-        off += vlen
-        yield key, value
+        if not hasattr(pairs, "__len__"):
+            pairs = list(pairs)     # an iterator is consumed exactly once
+        total = _PAIR_OVERHEAD * len(pairs)
+        for width, field in ((self.key_bytes, _KEY),
+                             (self.value_bytes, _VALUE)):
+            total += (sum(map(width, map(field, pairs))) if callable(width)
+                      else width * len(pairs))
+        return total
 
 
 # --------------------------------------------------------------- compression

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.apps import (KMeansApp, MatMulApp, PageViewApp, TeraSortApp,
                         WordCountApp)
 from repro.apps import datagen
+from repro.core.api import MapReduceApp
 from repro.hw.presets import CPU_TYPE1, GTX480
 
 
@@ -24,10 +25,77 @@ def test_wc_combine_and_reduce():
     assert app.reduce(b"x", [3, 2]) == [(b"x", 5)]
 
 
-def test_wc_run_combine_fast_path():
+def _counter_run_combine(pairs):
+    """The ``Counter`` loop WordCount and PageView each carried before
+    they shared ``sum_by_key``, kept as the reference."""
+    from collections import Counter
+    counts = Counter()
+    for key, n in pairs:
+        counts[key] += n
+    return list(counts.items())
+
+
+def _old_base_run_combine(app, pairs):
+    """``MapReduceApp.run_combine`` as it was (a list per pair), kept as
+    the reference for the base path."""
+    grouped = {}
+    for k, v in pairs:
+        grouped.setdefault(k, []).append(v)
+    out = []
+    for k, vs in grouped.items():
+        for v in app.combine(k, vs):
+            out.append((k, v))
+    return out
+
+
+_count_streams = {
+    "dense": st.lists(st.tuples(st.sampled_from([b"the", b"a", b"fox", b"of"]),
+                                st.integers(1, 9)), max_size=200),
+    "all-unique": st.lists(st.binary(min_size=1, max_size=6), unique=True,
+                           max_size=100).map(
+                               lambda keys: [(k, 1) for k in keys]),
+}
+
+
+@pytest.mark.parametrize("app", [WordCountApp(), PageViewApp()],
+                         ids=["wordcount", "pageview"])
+@pytest.mark.parametrize("shape", _count_streams)
+@given(data=st.data())
+def test_sum_apps_run_combine_shared_path(app, shape, data):
+    """Same pairs, in the same (first-occurrence) order, as the Counter
+    loop and as the generic base path."""
+    pairs = data.draw(_count_streams[shape])
+    out = app.run_combine(pairs)
+    assert out == _counter_run_combine(pairs)
+    assert out == MapReduceApp.run_combine(app, pairs)
+    assert app.run_combine(iter(pairs)) == out
+
+
+def test_wc_run_combine_shared_path():
     app = WordCountApp()
-    out = dict(app.run_combine([(b"a", 1), (b"b", 2), (b"a", 3)]))
-    assert out == {b"a": 4, b"b": 2}
+    out = app.run_combine([(b"a", 1), (b"b", 2), (b"a", 3)])
+    assert out == [(b"a", 4), (b"b", 2)]
+
+
+def test_pvc_run_combine_shared_path():
+    app = PageViewApp()
+    out = app.run_combine([(b"/x", 1), (b"/y", 2), (b"/x", 3)])
+    assert out == [(b"/x", 4), (b"/y", 2)]
+
+
+class _FanCombineApp(MapReduceApp):
+    """``combine`` returning zero, one or two values, by key."""
+
+    def combine(self, key, values):
+        return [sum(values), len(values)][:key % 3]
+
+
+@given(st.lists(st.tuples(st.integers(0, 8), st.integers(-5, 5)),
+                max_size=120))
+def test_base_run_combine_equals_old_base(pairs):
+    app = _FanCombineApp()
+    assert app.run_combine(pairs) == _old_base_run_combine(app, pairs)
+    assert app.run_combine(iter(pairs)) == _old_base_run_combine(app, pairs)
 
 
 def test_wc_map_cost_scales_with_bytes():

@@ -10,6 +10,7 @@ interning is a host-memory optimisation and must never change results.
 
 from collections import defaultdict
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.wordcount import WordCountApp
@@ -111,11 +112,19 @@ def test_interning_changes_identity_not_results(pairs, batch, combiner):
     assert len(interner) == len({k for k, _ in pairs})
 
 
-def test_interner_tolerates_unhashable_keys():
-    interner = KeyInterner()
-    unhashable = [1, 2]
-    assert interner.intern(unhashable) is unhashable
-    assert len(interner) == 0
-    k = b"key"
-    assert interner.intern(k) is k
-    assert interner.intern(b"key") is k
+def test_unhashable_key_fails_clearly_in_the_hash_collector():
+    """The hash table cannot hold such a key: the collector says so, and
+    says how to run the job instead; the buffer pool takes it as is."""
+    pairs = [(b"ok", 1), ([1, 2], 1)]
+    for use_combiner in (False, True):
+        with pytest.raises(TypeError) as err:
+            collect_map_output("hash", APP, CPU_TYPE1, pairs,
+                               use_combiner=use_combiner, chunk_index=0,
+                               interner=KeyInterner())
+        message = str(err.value)
+        assert "hash collector" in message
+        assert "list" in message
+        assert 'collector="buffer"' in message
+    out, _ = collect_map_output("buffer", APP, CPU_TYPE1, pairs,
+                                use_combiner=False, chunk_index=0)
+    assert out.pairs == pairs

@@ -1,12 +1,16 @@
 """Unit tests for the reduce pipeline's planning and grouping."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.apps import WordCountApp
 from repro.apps.datagen import wiki_text
 from repro.core import JobConfig, run_glasswing
-from repro.core.reduce_phase import _group_pairs
+from repro.core.data import SortedRun
+from repro.core.reduce_phase import _group_pairs, _merge_pairs
 from repro.hw.presets import das4_cluster
+
+from tests.core.test_intermediate import make_manager
 
 
 def test_group_pairs_merges_consecutive_keys():
@@ -21,6 +25,47 @@ def test_group_pairs_empty():
 
 def test_group_pairs_single_key():
     assert _group_pairs([(b"x", 1)] * 4) == [(b"x", [1, 1, 1, 1])]
+
+
+# --------------------------------------- merges against heapq.merge (ties)
+class _CaseFoldApp(WordCountApp):
+    """Overrides the public ``sort_key`` hook: keys that differ compare
+    equal, so tie order is visible in the merged keys themselves."""
+
+    def sort_key(self, key):
+        return key.lower()
+
+
+def _heap_merge(app, runs):
+    """The ``heapq.merge`` both merges were, kept as the reference."""
+    import heapq
+    return list(heapq.merge(*[r.pairs for r in runs],
+                            key=lambda kv: app.sort_key(kv[0])))
+
+
+_tie_runs = st.lists(
+    st.lists(st.tuples(st.sampled_from([b"a", b"A", b"b", b"B", b"c"]),
+                       st.integers(0, 99)), max_size=12),
+    min_size=1, max_size=5)
+
+
+@pytest.mark.parametrize("app", [WordCountApp(), _CaseFoldApp()],
+                         ids=["identity", "sort_key-hook"])
+@given(raw_runs=_tie_runs)
+def test_merges_equal_heapq_merge_on_ties(app, raw_runs):
+    """Equal keys in different runs come out in run order, then in-run
+    order — values tell the copies apart."""
+    runs = [SortedRun(sorted(pairs, key=lambda kv: app.sort_key(kv[0])),
+                      raw_bytes=len(pairs))
+            for pairs in raw_runs]
+    expected = _heap_merge(app, runs)
+    assert list(_merge_pairs(app, runs)) == expected
+    manager = make_manager()[3]
+    manager.app = app
+    merged = manager._merge_runs(runs)
+    assert merged.pairs == expected
+    assert merged.raw_bytes == sum(r.raw_bytes for r in runs)
+    assert merged.pairs is not runs[0].pairs    # a disk run owns its list
 
 
 def run_wc(**cfg):

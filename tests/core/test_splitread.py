@@ -72,6 +72,84 @@ def test_every_record_in_exactly_one_split(lines, split_size, trailing):
     assert lines_via_splits(data, split_size) == expected
 
 
+# ------------------------------------------- the per-line loop, as reference
+def _split_text_lines_per_line(raw, base, split_end, first, at_eof):
+    """``split_text_lines`` as it was — a ``find`` and a slice per line —
+    kept as the reference for the one-``split`` body."""
+    from repro.core.splitread import RecordTooLong
+    if first:
+        pos = 0
+    else:
+        nl = raw.find(b"\n")
+        if nl == -1:
+            if not at_eof and len(raw) > split_end - base:
+                raise RecordTooLong(
+                    f"no record boundary within the {len(raw)}-byte window "
+                    f"at offset {base}")
+            return []
+        pos = nl + 1
+    records = []
+    while base + pos < split_end:
+        nl = raw.find(b"\n", pos)
+        if nl == -1:
+            tail = raw[pos:]
+            if tail:
+                if not at_eof:
+                    raise RecordTooLong(
+                        f"record starting at offset {base + pos} exceeds "
+                        "the reader's look-ahead window")
+                records.append(tail)
+            break
+        records.append(raw[pos:nl])
+        pos = nl + 1
+    return records
+
+
+def _outcome(fn, *args):
+    from repro.core.splitread import RecordTooLong
+    try:
+        return fn(*args)
+    except RecordTooLong as exc:
+        return ("RecordTooLong", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(st.binary(max_size=12).filter(lambda b: b"\n" not in b),
+                   max_size=25),
+    trailing=st.booleans(),
+    split_size=st.integers(min_value=1, max_value=60),
+    lookahead=st.integers(min_value=0, max_value=20),
+)
+def test_equals_the_per_line_loop(lines, trailing, split_size, lookahead):
+    """Every ``(base, split_end, first, at_eof)`` the reader produces for
+    a file, with a look-ahead short enough that both ``RecordTooLong``
+    cases and the unterminated tail occur."""
+    data = b"\n".join(lines) + (b"\n" if trailing else b"")
+    for offset in range(0, len(data), split_size):
+        end = min(offset + split_size, len(data))
+        first = offset == 0
+        base = 0 if first else offset - 1
+        raw = data[base:end + lookahead]
+        at_eof = base + len(raw) >= len(data)
+        args = (raw, base, end, first, at_eof)
+        assert _outcome(split_text_lines, *args) \
+            == _outcome(_split_text_lines_per_line, *args), args
+
+
+def test_both_record_too_long_cases_match_the_loop():
+    window = b"x" * 40                  # no boundary in the whole window
+    args = (window, 6, 20, False, False)
+    assert _outcome(split_text_lines, *args) \
+        == _outcome(_split_text_lines_per_line, *args)
+    assert _outcome(split_text_lines, *args)[0] == "RecordTooLong"
+    window = b"ab\n" + b"y" * 40        # the last owned record never ends
+    args = (window, 6, 20, False, False)
+    assert _outcome(split_text_lines, *args) \
+        == _outcome(_split_text_lines_per_line, *args)
+    assert "offset 9" in _outcome(split_text_lines, *args)[1]
+
+
 # ------------------------------------------------------- oversized records
 def test_record_longer_than_lookahead_raises():
     """A line that cannot be completed within the look-ahead window must

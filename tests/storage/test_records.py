@@ -1,4 +1,4 @@
-"""Tests for record formats, KV schemas, codec and compression model."""
+"""Tests for record formats, KV schemas and the compression model."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,8 +9,6 @@ from repro.storage.records import (
     FixedRecordFormat,
     KVSchema,
     TextRecordFormat,
-    decode_pairs,
-    encode_pairs,
 )
 
 
@@ -62,35 +60,87 @@ def test_schema_size_of():
     assert WC_SCHEMA.size_of(pairs) == (1 + 4 + 8) + (2 + 4 + 8)
 
 
-# ------------------------------------------------------------------- codec
-def test_codec_round_trip_simple():
-    pairs = [("hello", 3), (b"raw", 2.5), (7, "x")]
-    assert list(decode_pairs(encode_pairs(pairs))) == pairs
+def _per_pair_size_of(kb, vb, pairs):
+    """The per-pair formula ``size_of`` replaced, kept as the reference."""
+    return sum(kb(k) + vb(v) + 8 for k, v in pairs)
 
 
-def test_codec_tuple_values():
-    pairs = [(("k", 1), (2.0, "v", b"z"))]
-    assert list(decode_pairs(encode_pairs(pairs))) == pairs
+# A width as the schema takes it, next to the same width as a function.
+_WIDTHS = {
+    "int/int": ((10, lambda k: 10), (90, lambda v: 90)),
+    "callable/int": ((len, len), (4, lambda v: 4)),
+    "int/callable": ((4, lambda k: 4), (len, len)),
+    "callable/callable": ((len, len), (lambda v: 8 * len(v),
+                                       lambda v: 8 * len(v))),
+}
+_pair_lists = st.lists(st.tuples(st.binary(max_size=12),
+                                 st.binary(max_size=12)), max_size=40)
 
 
-def test_codec_rejects_unsupported():
-    with pytest.raises(TypeError):
-        encode_pairs([({"dict": 1}, 2)])
+@pytest.mark.parametrize("widths", _WIDTHS)
+@given(pairs=_pair_lists)
+def test_size_of_equals_per_pair_formula(widths, pairs):
+    (kb, kb_fn), (vb, vb_fn) = _WIDTHS[widths]
+    schema = KVSchema("s", key_bytes=kb, value_bytes=vb)
+    expected = _per_pair_size_of(kb_fn, vb_fn, pairs)
+    assert schema.size_of(pairs) == expected              # sized
+    assert schema.size_of(tuple(pairs)) == expected
+    assert schema.size_of(iter(pairs)) == expected        # unsized
+    assert schema.size_of(kv for kv in pairs) == expected
+    for k, v in pairs:
+        assert schema.pair_bytes(k, v) == kb_fn(k) + vb_fn(v) + 8
 
 
-_scalar = st.one_of(
-    st.text(max_size=20),
-    st.binary(max_size=20),
-    st.integers(min_value=-2**60, max_value=2**60),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.booleans(),
-)
-_value = st.one_of(_scalar, st.tuples(_scalar, _scalar))
+@pytest.mark.parametrize("widths", _WIDTHS)
+def test_size_of_empty_batch(widths):
+    (kb, _), (vb, _) = _WIDTHS[widths]
+    schema = KVSchema("s", key_bytes=kb, value_bytes=vb)
+    assert schema.size_of([]) == 0
+    assert schema.size_of(iter(())) == 0
 
 
-@given(st.lists(st.tuples(_value, _value), max_size=30))
-def test_codec_round_trip_property(pairs):
-    assert list(decode_pairs(encode_pairs(pairs))) == pairs
+def test_size_of_consumes_an_iterator_exactly_once():
+    pulled = []
+
+    def stream():
+        for pair in [(b"a", 1), (b"bb", 2), (b"ccc", 3)]:
+            pulled.append(pair)
+            yield pair
+
+    for kb, vb in [(10, 90), (len, 4), (len, lambda v: 4)]:
+        del pulled[:]
+        KVSchema("s", key_bytes=kb, value_bytes=vb).size_of(stream())
+        assert len(pulled) == 3
+
+
+@pytest.mark.parametrize("width", [True, False, -1, 2.5, None, "4"])
+def test_schema_rejects_bad_widths(width):
+    with pytest.raises(ValueError, match="key_bytes"):
+        KVSchema("s", key_bytes=width, value_bytes=4)
+    with pytest.raises(ValueError, match="value_bytes"):
+        KVSchema("s", key_bytes=len, value_bytes=width)
+
+
+def test_app_schemas_use_the_cheap_forms():
+    """All eighteen schemas in ``apps/`` are a constant or ``len`` — the
+    forms ``size_of`` handles without a Python-level call per pair."""
+    import numpy as np
+    from repro.apps.kmeans import KMeansApp
+    from repro.apps.matmul import MatMulApp
+    from repro.apps.pagerank import PageRankContribApp, PageRankDegreeApp
+    from repro.apps.pageview import PageViewApp
+    from repro.apps.prefixsum import PrefixBlockSumApp, PrefixScanApp
+    from repro.apps.terasort import TeraSortApp
+    from repro.apps.wordcount import WordCountApp
+    apps = [WordCountApp(), PageViewApp(), TeraSortApp([b"k" * 10]),
+            KMeansApp(np.zeros((2, 3), dtype=np.float32)), MatMulApp(4),
+            PageRankDegreeApp(), PageRankContribApp(np.ones(2), {0: 1}),
+            PrefixBlockSumApp(8), PrefixScanApp({0: 0}, 8)]
+    widths = [width for app in apps
+              for schema in (app.inter_schema, app.output_schema)
+              for width in (schema.key_bytes, schema.value_bytes)]
+    assert len(widths) == 2 * 18
+    assert all(width is len or type(width) is int for width in widths)
 
 
 # ------------------------------------------------------------- compression
