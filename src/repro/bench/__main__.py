@@ -1,82 +1,65 @@
 """Command-line entry point: ``python -m repro.bench <experiment>``.
 
-Experiments: table1, fig2, fig3, table2, table3, fig4, fig5, vertical,
-ablation, scaling, service, dag, elastic, or ``all``.  Use ``--quick``
-for truncated node sweeps.  ``scaling`` writes ``BENCH_scaling.json``,
-``service`` writes ``BENCH_service.json``, ``dag`` writes
-``BENCH_dag.json`` and ``elastic`` writes ``BENCH_elastic.json`` to the
-current directory.
+The experiments are the rows of :data:`EXPERIMENTS` (``--help`` lists
+them), or ``all``.  Use ``--quick`` for truncated node sweeps.
+``scaling``, ``service``, ``dag`` and ``elastic`` write their
+``BENCH_<name>.json`` baseline to the current directory — on a full run
+only: a quick run never writes a committed baseline.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
+from typing import Any, Callable, Dict, List, Tuple
+
+
+def _report(*args: Any, **kwargs: Any) -> Callable[[Any], List[Any]]:
+    return lambda mod: [mod.report(*args, **kwargs)]
+
+
+def _run_all(mod: Any) -> List[Any]:
+    return mod.run_all()
+
+
+#: experiment -> (module under ``repro.bench``, full run, quick run); a
+#: run takes the imported module and returns its report(s)
+EXPERIMENTS: Dict[str, Tuple[str, Callable, Callable]] = {
+    "table1": ("table1", _report(), _report()),
+    "fig2": ("fig2", _run_all, lambda m: [
+        m.pvc_report((1, 4, 16)), m.wc_report((1, 4, 16)),
+        m.ts_report((4, 16))]),
+    "fig3": ("fig3", _run_all, lambda m: [
+        m.km_cpu_report((1, 4)), m.mm_cpu_report((1, 4)),
+        m.km_gpu_report((1, 4)), m.mm_gpu_report((1, 4)),
+        m.km_overlap_report((1, 4))]),
+    "table2": ("table2", _report(), _report()),
+    "table3": ("table3", _report(), _report()),
+    "fig4": ("fig4", _run_all, _run_all),
+    "fig5": ("fig5", _report(), _report()),
+    "vertical": ("vertical", _report(), _report()),
+    "ablation": ("ablation", _run_all, _run_all),
+    "scaling": ("scaling", _report(), lambda m: [
+        m.report(m.QUICK_NODES, json_path=None)]),
+    "service": ("service", _report(), lambda m: [
+        m.report(m.QUICK_JOBS, json_path=None)]),
+    "dag": ("dag", _report(), _report(quick=True, json_path=None)),
+    "elastic": ("elastic", _report(), _report(quick=True, json_path=None)),
+}
+ALL = tuple(EXPERIMENTS)
 
 
 def _reports(name: str, quick: bool):
-    if name == "table1":
-        from repro.bench import table1
-        return [table1.report()]
-    if name == "fig2":
-        from repro.bench import fig2
-        if quick:
-            return [fig2.pvc_report((1, 4, 16)), fig2.wc_report((1, 4, 16)),
-                    fig2.ts_report((4, 16))]
-        return fig2.run_all()
-    if name == "fig3":
-        from repro.bench import fig3
-        if quick:
-            return [fig3.km_cpu_report((1, 4)), fig3.mm_cpu_report((1, 4)),
-                    fig3.km_gpu_report((1, 4)), fig3.mm_gpu_report((1, 4)),
-                    fig3.km_overlap_report((1, 4))]
-        return fig3.run_all()
-    if name == "table2":
-        from repro.bench import table2
-        return [table2.report()]
-    if name == "table3":
-        from repro.bench import table3
-        return [table3.report()]
-    if name == "fig4":
-        from repro.bench import fig4
-        return fig4.run_all()
-    if name == "fig5":
-        from repro.bench import fig5
-        return [fig5.report()]
-    if name == "vertical":
-        from repro.bench import vertical
-        return [vertical.report()]
-    if name == "ablation":
-        from repro.bench import ablation
-        return ablation.run_all()
-    if name == "scaling":
-        from repro.bench import scaling
-        nodes = scaling.QUICK_NODES if quick else scaling.NODES
-        return [scaling.report(nodes)]
-    if name == "service":
-        from repro.bench import service
-        if quick:
-            return [service.report(service.QUICK_JOBS, json_path=None)]
-        return [service.report()]
-    if name == "dag":
-        from repro.bench import dag
-        if quick:
-            return [dag.report(quick=True, json_path=None)]
-        return [dag.report()]
-    if name == "elastic":
-        from repro.bench import elastic
-        if quick:
-            return [elastic.report(quick=True, json_path=None)]
-        return [elastic.report()]
-    raise SystemExit(f"unknown experiment {name!r}")
+    if name not in EXPERIMENTS:
+        raise SystemExit(f"unknown experiment {name!r}")
+    module, full, quick_run = EXPERIMENTS[name]
+    mod = importlib.import_module(f"repro.bench.{module}")
+    return (quick_run if quick else full)(mod)
 
 
-ALL = ("table1", "fig2", "fig3", "table2", "table3", "fig4", "fig5",
-       "vertical", "ablation", "scaling", "service", "dag", "elastic")
-
-
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Regenerate the paper's tables and figures.")
@@ -89,7 +72,11 @@ def main(argv=None) -> int:
     parser.add_argument("--trace-dir", metavar="DIR", default=None,
                         help="write Chrome traces of runs the experiments "
                              "kept a timeline for (chrome://tracing)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
 
     out_dir = None
     if args.output:

@@ -21,7 +21,6 @@ Everything recorded is *virtual* (wall-clock is noted, never gated), so
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Any, Dict, Optional
 
@@ -34,13 +33,12 @@ from repro.apps.prefixsum import prefix_sums
 from repro.core import JobConfig
 from repro.core.costs import DEFAULT_HOST_COSTS, HostCosts
 from repro.hw.presets import das4_cluster
-from repro.obs.telemetry import ensure_parent_dir
 
 from repro.bench.harness import ExperimentReport, Table
 
-__all__ = ["report", "dag_point", "kmeans_point", "pagerank_point",
-           "prefixsum_point", "MIN_KMEANS_SPEEDUP", "DAG_NODES",
-           "DEFAULT_JSON_PATH"]
+__all__ = ["report", "dag_point", "POINTS", "kmeans_point",
+           "pagerank_point", "prefixsum_point", "MIN_KMEANS_SPEEDUP",
+           "DAG_NODES", "DEFAULT_JSON_PATH"]
 
 DEFAULT_JSON_PATH = "BENCH_dag.json"
 
@@ -60,9 +58,10 @@ PR_VERTICES, PR_EDGES, PR_ROUNDS = 2_000, 16_000, 5
 #: prefix sums: one two-stage DAG over 100k int64 records
 PS_VALUES, PS_BLOCK = 100_000, 4_096
 
-#: quick (CI smoke) sizes — same round budget, fewer points/edges
-_QUICK = {"km_points": 16_000, "km_rounds": 8, "pr_vertices": 500,
-          "pr_edges": 3_000, "pr_rounds": 3, "ps_values": 20_000}
+#: quick (CI smoke) shapes — same round budget, fewer points/edges
+_QUICK = {"dag:kmeans": dict(n_points=16_000, rounds=8),
+          "dag:pagerank": dict(n_vertices=500, n_edges=3_000, rounds=3),
+          "dag:prefixsum": dict(n_values=20_000)}
 
 
 def _dag_config() -> JobConfig:
@@ -157,16 +156,19 @@ def prefixsum_point(costs: HostCosts = DEFAULT_HOST_COSTS,
     }
 
 
+#: baseline ``app`` label -> the function that measures that point; the
+#: function's keyword parameters (``costs`` aside) are the recorded
+#: fields ``repro.bench.regress`` replays it from
+POINTS = {"dag:kmeans": kmeans_point, "dag:pagerank": pagerank_point,
+          "dag:prefixsum": prefixsum_point}
+
+
 def dag_point(app: str, costs: HostCosts = DEFAULT_HOST_COSTS,
               **kwargs: Any) -> Dict[str, Any]:
     """Dispatch a baseline point by its recorded ``app`` label."""
-    if app == "dag:kmeans":
-        return kmeans_point(costs=costs, **kwargs)
-    if app == "dag:pagerank":
-        return pagerank_point(costs=costs, **kwargs)
-    if app == "dag:prefixsum":
-        return prefixsum_point(costs=costs, **kwargs)
-    raise ValueError(f"unknown dag bench point {app!r}")
+    if app not in POINTS:
+        raise ValueError(f"unknown dag point {app!r}")
+    return POINTS[app](costs=costs, **kwargs)
 
 
 def report(quick: bool = False,
@@ -181,18 +183,9 @@ def report(quick: bool = False,
                     "bit-identical output, and the MRC multi-round apps "
                     "(prefix sums, PageRank) run as chained stages")
 
-    if quick:
-        km = kmeans_point(n_points=_QUICK["km_points"],
-                          rounds=_QUICK["km_rounds"])
-        pr = pagerank_point(n_vertices=_QUICK["pr_vertices"],
-                            n_edges=_QUICK["pr_edges"],
-                            rounds=_QUICK["pr_rounds"])
-        ps = prefixsum_point(n_values=_QUICK["ps_values"])
-    else:
-        km = kmeans_point()
-        pr = pagerank_point()
-        ps = prefixsum_point()
-    points = [km, pr, ps]
+    points = [fn(**(_QUICK[app] if quick else {}))
+              for app, fn in POINTS.items()]
+    km, pr, ps = points
 
     table = Table(f"DAG points ({DAG_NODES} nodes, dfs, static-affinity)",
                   ["app", "rounds", "elapsed_s", "network_bytes",
@@ -228,19 +221,10 @@ def report(quick: bool = False,
     rep.check("every point re-read bytes from the cross-round cache",
               all(p["cache_hit_bytes"] > 0 for p in points))
 
-    if json_path:
-        payload = {
-            "generated_by": "python -m repro.bench dag",
-            "min_kmeans_speedup": MIN_KMEANS_SPEEDUP,
-            "nodes": DAG_NODES,
-            "points": points,
-            "checks": [{"name": c.name, "passed": c.passed,
-                        "detail": c.detail} for c in rep.checks],
-        }
-        ensure_parent_dir(json_path)
-        with open(json_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        rep.notes.append(f"wrote {json_path}")
-
+    rep.write_baseline(
+        json_path,
+        generated_by="python -m repro.bench dag",
+        min_kmeans_speedup=MIN_KMEANS_SPEEDUP,
+        nodes=DAG_NODES,
+        points=points)
     return rep

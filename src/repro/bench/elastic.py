@@ -26,7 +26,6 @@ Everything recorded is *virtual* (wall-clock is noted, never gated), so
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Any, Dict, Optional
 
@@ -37,13 +36,12 @@ from repro.core.costs import DEFAULT_HOST_COSTS, HostCosts
 from repro.core.faults import (CoordinatorCrash, FaultPlan, NodeJoin,
                                NodeLeave)
 from repro.hw.presets import das4_cluster
-from repro.obs.telemetry import ensure_parent_dir
 
 from repro.bench.harness import ExperimentReport, Table
 
-__all__ = ["report", "elastic_point", "double_point", "halve_point",
-           "failover_point", "ELASTIC_NODES", "FAILOVER_TIMEOUT",
-           "DEFAULT_JSON_PATH"]
+__all__ = ["report", "elastic_point", "POINTS", "double_point",
+           "halve_point", "failover_point", "ELASTIC_NODES",
+           "FAILOVER_TIMEOUT", "DEFAULT_JSON_PATH"]
 
 DEFAULT_JSON_PATH = "BENCH_elastic.json"
 
@@ -172,16 +170,18 @@ def failover_point(costs: HostCosts = DEFAULT_HOST_COSTS,
     }
 
 
+#: baseline ``app`` label -> the function that measures that point (see
+#: :data:`repro.bench.dag.POINTS`)
+POINTS = {"elastic:double": double_point, "elastic:halve": halve_point,
+          "elastic:failover": failover_point}
+
+
 def elastic_point(app: str, costs: HostCosts = DEFAULT_HOST_COSTS,
                   **kwargs: Any) -> Dict[str, Any]:
     """Dispatch a baseline point by its recorded ``app`` label."""
-    if app == "elastic:double":
-        return double_point(costs=costs, **kwargs)
-    if app == "elastic:halve":
-        return halve_point(costs=costs, **kwargs)
-    if app == "elastic:failover":
-        return failover_point(costs=costs, **kwargs)
-    raise ValueError(f"unknown elastic bench point {app!r}")
+    if app not in POINTS:
+        raise ValueError(f"unknown elastic point {app!r}")
+    return POINTS[app](costs=costs, **kwargs)
 
 
 def report(quick: bool = False,
@@ -198,10 +198,8 @@ def report(quick: bool = False,
                     "exactly one election delay")
 
     kilobytes = _QUICK_KILOBYTES if quick else KILOBYTES
-    double = double_point(kilobytes=kilobytes)
-    halve = halve_point(kilobytes=kilobytes)
-    failover = failover_point(kilobytes=kilobytes)
-    points = [double, halve, failover]
+    points = [fn(kilobytes=kilobytes) for fn in POINTS.values()]
+    double, halve, failover = points
 
     table = Table(f"chaos points ({ELASTIC_NODES} nodes, dfs, "
                   "static-affinity)",
@@ -234,19 +232,10 @@ def report(quick: bool = False,
               f"overhead {failover['overhead_s']:.6f}s vs "
               f"2 x {FAILOVER_TIMEOUT}s")
 
-    if json_path:
-        payload = {
-            "generated_by": "python -m repro.bench elastic",
-            "nodes": ELASTIC_NODES,
-            "failover_timeout": FAILOVER_TIMEOUT,
-            "points": points,
-            "checks": [{"name": c.name, "passed": c.passed,
-                        "detail": c.detail} for c in rep.checks],
-        }
-        ensure_parent_dir(json_path)
-        with open(json_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        rep.notes.append(f"wrote {json_path}")
-
+    rep.write_baseline(
+        json_path,
+        generated_by="python -m repro.bench elastic",
+        nodes=ELASTIC_NODES,
+        failover_timeout=FAILOVER_TIMEOUT,
+        points=points)
     return rep

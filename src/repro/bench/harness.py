@@ -13,7 +13,7 @@ The harness separates three things the paper mixes in each figure:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 __all__ = ["Table", "ShapeCheck", "ExperimentReport", "fmt_seconds",
            "speedups", "parallel_efficiency"]
@@ -127,6 +127,20 @@ class ExperimentReport:
             path = out / f"{slug(self.experiment)}-{slug(label)}.trace.json"
             written.append(write_chrome_trace(timeline, str(path)))
         return written
+
+    def write_baseline(self, json_path: Optional[str], **fields: Any) -> None:
+        """Write ``fields`` plus this report's checks as a ``BENCH_*.json``.
+
+        A falsy ``json_path`` writes nothing: quick runs and tests want
+        the report, never a new committed baseline.
+        """
+        if not json_path:
+            return
+        from repro.obs import write_json
+        write_json(json_path, {**fields, "checks": [
+            {"name": c.name, "passed": c.passed, "detail": c.detail}
+            for c in self.checks]})
+        self.notes.append(f"wrote {json_path}")
 
     @property
     def all_passed(self) -> bool:

@@ -1,34 +1,14 @@
 """Performance-regression gate over the committed bench baselines.
 
-Replays sweep points from ``BENCH_scaling.json`` (the artefact
-``python -m repro.bench scaling`` commits) and diffs the re-measured
-*virtual* metrics against the recorded ones:
-
-* ``elapsed_s`` — simulated job time (relative tolerance; the model is
-  deterministic, so any drift is a code change, but float noise from
-  refactored arithmetic gets a small allowance);
-* ``network_bytes`` — shuffle volume (exact: byte counts never drift
-  legitimately);
-* map ``overlap_factor`` — the §III-D pipelining payoff (absolute
-  tolerance).
-
-When ``BENCH_service.json`` (from ``python -m repro.bench service``) is
-present it is replayed too: the multi-job trace replay is rerun per
-arbiter and its makespan, throughput and latency percentiles are diffed
-— plus the exact-match counters (``completed``, ``leaked_buffer_slots``)
-that must never drift at all.
-
-Likewise ``BENCH_dag.json`` (from ``python -m repro.bench dag``): the
-three DAG/iterative points are re-measured and diffed, including the
-exact cache-traffic byte counters, the k-means DAG-vs-resubmit speedup,
-and the bit-identical/bit-exact output flags that must never flip.
-
-And ``BENCH_elastic.json`` (from ``python -m repro.bench elastic``): the
-three membership chaos points — cluster doubling, cluster halving,
-double coordinator failover — are replayed and diffed, including the
-byte-identical output flag, the exact join/drain/failover counts and
-the recovery re-push/re-execute counters, none of which may drift at
-all.
+Every committed ``BENCH_*.json`` is one row of :data:`BASELINES` — the
+file ``python -m repro.bench <name>`` writes, how to re-measure one of
+its recorded points, and how far each *virtual* metric may drift — and
+:func:`replay` is the one loop that re-runs a row's points and diffs
+them.  Adding a baseline is adding a row.  ``scaling`` (the sweep) is
+always replayed; ``service`` (the multi-job trace replay per arbiter),
+``dag`` (the three DAG/iterative points) and ``elastic`` (cluster
+doubling, halving, double coordinator failover) are skipped with a note
+when their file is absent, so an older checkout still gates scaling.
 
 Wall-clock fields are deliberately ignored — they measure the CI
 machine, not the model.  Exit status is nonzero on any regression, so
@@ -38,112 +18,126 @@ CI can gate on ``python -m repro.bench.regress``.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
+import os
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.costs import DEFAULT_HOST_COSTS, HostCosts
-from repro.obs.diff import explain_diff, render_diff
+from repro.obs import explain_diff, render_diff, write_json
 
-from repro.bench.dag import DEFAULT_JSON_PATH as DAG_JSON_PATH
-from repro.bench.dag import dag_point
-from repro.bench.elastic import DEFAULT_JSON_PATH as ELASTIC_JSON_PATH
-from repro.bench.elastic import elastic_point
-from repro.bench.scaling import DEFAULT_JSON_PATH, QUICK_NODES, sweep_point
-from repro.bench.service import DEFAULT_JSON_PATH as SERVICE_JSON_PATH
-from repro.bench.service import service_point
+from repro.bench import dag, elastic, scaling, service
 
-__all__ = ["DEFAULT_TOLERANCES", "SERVICE_TOLERANCES", "DAG_TOLERANCES",
-           "ELASTIC_TOLERANCES", "compare_point", "run_regress",
-           "run_service_regress", "run_dag_regress", "run_elastic_regress",
-           "main"]
+__all__ = ["Baseline", "BASELINES", "compare_point", "replay", "main"]
 
+Point = Dict[str, Any]
+#: re-run one recorded point under the given host cost model
+Measure = Callable[[Point, HostCosts], Point]
 #: metric -> (kind, tolerance); ``rel`` compares |new-old|/|old|,
 #: ``abs`` compares |new-old|
-DEFAULT_TOLERANCES: Dict[str, Any] = {
-    "elapsed_s": ("rel", 0.02),
-    "network_bytes": ("rel", 0.0),
-    "overlap_factor": ("abs", 0.05),
+Tolerances = Dict[str, Tuple[str, float]]
+
+#: simulated times: the model is deterministic, so any drift is a code
+#: change, but float noise from refactored arithmetic gets an allowance
+_TIME = ("rel", 0.02)
+#: byte and job counts never drift legitimately
+_COUNT = ("rel", 0.0)
+#: flags, leak audits, membership/recovery counters: flipping one is a
+#: correctness bug, which the gate refuses like a slowdown
+_EXACT = ("abs", 0.0)
+
+
+@dataclass(frozen=True)
+class Baseline:
+    """One committed ``BENCH_*.json`` and how to replay it."""
+
+    path: str
+    #: key of the file's list of recorded points
+    points_key: str
+    measure: Measure
+    #: gated on every point
+    tolerances: Tolerances
+    #: point ``app`` label -> metrics gated on that point only
+    extra: Dict[str, Tolerances] = field(default_factory=dict)
+    #: recorded point -> the ``app`` / ``nodes`` columns it is shown under
+    label: Callable[[Point], Point] = (
+        lambda p: {"app": p["app"], "nodes": p["nodes"]})
+
+
+def _labelled(dispatch: Callable[..., Point],
+              points: Dict[str, Callable[..., Point]]) -> Measure:
+    """``measure`` of a baseline whose points name their own function.
+
+    Each point records its own shape (the keyword parameters of its
+    function); seeds, cluster and scheduler are pinned in the bench.
+    """
+    def measure(recorded: Point, costs: HostCosts) -> Point:
+        fn = points.get(recorded["app"])    # None: ``dispatch`` rejects it
+        shape = inspect.signature(fn).parameters if fn else ()
+        return dispatch(recorded["app"], costs=costs, **{
+            key: recorded[key] for key in shape if key != "costs"})
+    return measure
+
+
+BASELINES: Dict[str, Baseline] = {
+    "scaling": Baseline(
+        scaling.DEFAULT_JSON_PATH, "sweep",
+        lambda p, costs: scaling.sweep_point(p["app"], p["nodes"],
+                                             costs=costs),
+        # the map overlap factor is the §III-D pipelining payoff
+        {"elapsed_s": _TIME, "network_bytes": _COUNT,
+         "overlap_factor": ("abs", 0.05)}),
+    # each point records its trace shape, so the replay regenerates the
+    # identical arrival trace; the ``nodes`` column shows the job count
+    "service": Baseline(
+        service.DEFAULT_JSON_PATH, "points",
+        lambda p, costs: service.service_point(
+            p["arbiter"], n_jobs=p["n_jobs"], seed=p["trace_seed"],
+            costs=costs),
+        {"makespan_s": _TIME, "throughput_jobs_per_s": _TIME,
+         "latency_p50_s": _TIME, "latency_p95_s": _TIME,
+         "latency_p99_s": _TIME, "completed": _COUNT,
+         "leaked_buffer_slots": _EXACT},
+        label=lambda p: {"app": f"service:{p['arbiter']}",
+                         "nodes": p["n_jobs"]}),
+    # cache traffic drifting means the cross-round caching behaviour
+    # changed; the k-means speedup is DAG vs naive re-submission
+    "dag": Baseline(
+        dag.DEFAULT_JSON_PATH, "points", _labelled(dag.dag_point, dag.POINTS),
+        {"elapsed_s": _TIME, "network_bytes": _COUNT,
+         "cache_hit_bytes": _COUNT, "cache_miss_bytes": _COUNT},
+        {"dag:kmeans": {"naive_elapsed_s": _TIME, "speedup": _TIME,
+                        "identical_output": _EXACT},
+         "dag:pagerank": {"max_abs_err": ("abs", 1e-12)},
+         "dag:prefixsum": {"exact": _EXACT}}),
+    # each point replays its own static run first (the chaos schedule's
+    # event times derive from the measured static map extent), so the
+    # comparison covers both runs
+    "elastic": Baseline(
+        elastic.DEFAULT_JSON_PATH, "points",
+        _labelled(elastic.elastic_point, elastic.POINTS),
+        {"elapsed_s": _TIME, "baseline_elapsed_s": _TIME,
+         "network_bytes": _COUNT, "identical_output": _EXACT,
+         "leaked_buffer_slots": _EXACT},
+        {"elastic:double": {"speedup": _TIME, "joined": _EXACT},
+         "elastic:halve": {"slowdown": _TIME, "departed": _EXACT,
+                           "repushed_runs": _EXACT,
+                           "reexecuted_splits": _EXACT},
+         "elastic:failover": {"failovers": _EXACT,
+                              "overhead_s": ("abs", 1e-9)}}),
 }
 
-#: the service-replay gate: virtual latency metrics get the same float
-#: allowance as ``elapsed_s``; job counts and the leak audit are exact
-SERVICE_TOLERANCES: Dict[str, Any] = {
-    "makespan_s": ("rel", 0.02),
-    "throughput_jobs_per_s": ("rel", 0.02),
-    "latency_p50_s": ("rel", 0.02),
-    "latency_p95_s": ("rel", 0.02),
-    "latency_p99_s": ("rel", 0.02),
-    "completed": ("rel", 0.0),
-    "leaked_buffer_slots": ("abs", 0.0),
-}
 
-#: the DAG-replay gate: simulated times get the float allowance, every
-#: byte counter is exact (cache traffic drifting means the cross-round
-#: caching behaviour changed)
-DAG_TOLERANCES: Dict[str, Any] = {
-    "elapsed_s": ("rel", 0.02),
-    "network_bytes": ("rel", 0.0),
-    "cache_hit_bytes": ("rel", 0.0),
-    "cache_miss_bytes": ("rel", 0.0),
-}
-
-#: per-app extras on top of :data:`DAG_TOLERANCES` — correctness flags
-#: are booleans compared exactly (flipping one is a correctness bug, not
-#: a perf regression, but the gate still refuses it)
-_DAG_EXTRA_TOLERANCES: Dict[str, Dict[str, Any]] = {
-    "dag:kmeans": {"naive_elapsed_s": ("rel", 0.02),
-                   "speedup": ("rel", 0.02),
-                   "identical_output": ("abs", 0.0)},
-    "dag:pagerank": {"max_abs_err": ("abs", 1e-12)},
-    "dag:prefixsum": {"exact": ("abs", 0.0)},
-}
-
-#: which recorded fields parameterise each point's replay
-_DAG_SHAPE_KEYS: Dict[str, Any] = {
-    "dag:kmeans": ("n_points", "rounds"),
-    "dag:pagerank": ("n_vertices", "n_edges", "rounds"),
-    "dag:prefixsum": ("n_values",),
-}
-
-#: the chaos-replay gate: simulated times get the float allowance;
-#: byte counters, the identical-output flag and the leak audit are
-#: exact — a chaos schedule whose output stops matching the static run
-#: is a correctness bug the gate must refuse
-ELASTIC_TOLERANCES: Dict[str, Any] = {
-    "elapsed_s": ("rel", 0.02),
-    "baseline_elapsed_s": ("rel", 0.02),
-    "network_bytes": ("rel", 0.0),
-    "identical_output": ("abs", 0.0),
-    "leaked_buffer_slots": ("abs", 0.0),
-}
-
-#: per-point extras on top of :data:`ELASTIC_TOLERANCES` — membership
-#: and recovery counters are exact
-_ELASTIC_EXTRA_TOLERANCES: Dict[str, Dict[str, Any]] = {
-    "elastic:double": {"speedup": ("rel", 0.02), "joined": ("abs", 0.0)},
-    "elastic:halve": {"slowdown": ("rel", 0.02), "departed": ("abs", 0.0),
-                      "repushed_runs": ("abs", 0.0),
-                      "reexecuted_splits": ("abs", 0.0)},
-    "elastic:failover": {"failovers": ("abs", 0.0),
-                         "overhead_s": ("abs", 1e-9)},
-}
-
-_ELASTIC_SHAPE_KEYS: Dict[str, Any] = {
-    "elastic:double": ("kilobytes",),
-    "elastic:halve": ("kilobytes",),
-    "elastic:failover": ("kilobytes",),
-}
-
-
-def _metric_of(point: Dict[str, Any], metric: str) -> float:
+def _metric_of(point: Point, metric: str) -> float:
     if metric == "overlap_factor":
         return point["map_pipeline"]["overlap_factor"]
     return point[metric]
 
 
-def compare_point(baseline: Dict[str, Any], measured: Dict[str, Any],
-                  tolerances: Dict[str, Any]) -> List[Dict[str, Any]]:
+def compare_point(baseline: Point, measured: Point,
+                  tolerances: Tolerances) -> List[Dict[str, Any]]:
     """Diff one sweep point; returns one row per compared metric."""
     rows = []
     for metric, (kind, tol) in sorted(tolerances.items()):
@@ -169,38 +163,39 @@ def compare_point(baseline: Dict[str, Any], measured: Dict[str, Any],
     return rows
 
 
-def run_regress(baseline_path: str = DEFAULT_JSON_PATH,
-                nodes: Optional[Sequence[int]] = None,
-                cases: Optional[Sequence[str]] = None,
-                tolerances: Optional[Dict[str, Any]] = None,
-                costs: HostCosts = DEFAULT_HOST_COSTS) -> Dict[str, Any]:
-    """Re-run selected baseline points and diff them.
+def replay(name: str, baseline_path: Optional[str] = None, *,
+           tolerances: Optional[Tolerances] = None,
+           costs: HostCosts = DEFAULT_HOST_COSTS,
+           nodes: Optional[Sequence[int]] = None,
+           cases: Optional[Sequence[str]] = None) -> Dict[str, Any]:
+    """Re-run the recorded points of baseline ``name`` and diff them.
 
-    ``nodes`` defaults to the CI-sized ladder (intersected with what the
-    baseline actually recorded); ``None`` never silently compares an
-    empty set — a baseline without matching points raises.
+    ``baseline_path`` and ``tolerances`` default to the row's (per-point
+    extras always apply on top).  ``nodes`` / ``cases`` select points by
+    their recorded ``nodes`` / ``app``; a selection (or a file) without
+    points raises rather than silently comparing nothing.
     """
+    row = BASELINES[name]
+    baseline_path = baseline_path or row.path
     with open(baseline_path, encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    tolerances = dict(tolerances or DEFAULT_TOLERANCES)
-    recorded = {(p["app"], p["nodes"]): p for p in baseline["sweep"]}
-    want_nodes = set(nodes if nodes is not None else QUICK_NODES)
-    selected = sorted(
-        key for key in recorded
-        if key[1] in want_nodes and (cases is None or key[0] in cases))
+        points = json.load(fh)[row.points_key]
+    selected = [p for p in points
+                if (nodes is None or p.get("nodes") in nodes)
+                and (cases is None or p.get("app") in cases)]
     if not selected:
-        raise ValueError(
-            f"no baseline points match nodes={sorted(want_nodes)} "
-            f"cases={cases!r} in {baseline_path}")
+        raise ValueError(f"no baseline points match nodes={nodes!r} "
+                         f"cases={cases!r} in {baseline_path}")
     rows: List[Dict[str, Any]] = []
     explanations: List[Dict[str, Any]] = []
-    for app, n in selected:
-        measured = sweep_point(app, n, costs=costs)
-        point_rows = compare_point(recorded[(app, n)], measured, tolerances)
+    for recorded in selected:
+        measured = row.measure(recorded, costs)
+        label = row.label(recorded)
+        tols = {**(tolerances or row.tolerances),
+                **row.extra.get(label["app"], {})}
+        point_rows = compare_point({**recorded, **label}, measured, tols)
         rows.extend(point_rows)
         if not all(r["ok"] for r in point_rows):
-            explanations.append(
-                _explain_failure(recorded[(app, n)], measured, app, n))
+            explanations.append(_explain_failure(recorded, measured, label))
     return {
         "baseline_path": baseline_path,
         "points": len(selected),
@@ -211,21 +206,17 @@ def run_regress(baseline_path: str = DEFAULT_JSON_PATH,
     }
 
 
-def _explain_failure(recorded: Dict[str, Any], measured: Dict[str, Any],
-                     app: str, nodes: Any) -> Dict[str, Any]:
-    """Root-cause one drifted point via the causal run-diff explainer.
-
-    A drifted gate should print *why*, not just a percentage — when both
-    the baseline point and the fresh measurement carry a
-    ``glasswing-causal/1`` profile, :func:`repro.obs.diff.explain_diff`
-    attributes the delta to ranked (stage, wait-class, resource) causes.
-    Baselines recorded before causal capture existed get a note instead.
+def _explain_failure(recorded: Point, measured: Point,
+                     label: Point) -> Dict[str, Any]:
+    """Root-cause one drifted point: the gate prints *why*, not just a
+    percentage.  A point recorded with a ``glasswing-causal/1`` profile
+    gets :func:`repro.obs.diff.explain_diff`'s ranked (stage, wait-class,
+    resource) causes; one recorded without gets a note instead.
     """
-    entry: Dict[str, Any] = {"app": app, "nodes": nodes}
+    entry: Dict[str, Any] = dict(label)
     if not isinstance(recorded.get("causal"), dict):
-        entry["note"] = ("baseline point has no causal profile; "
-                         "regenerate the baseline to enable root-cause "
-                         "explanations")
+        entry["note"] = ("baseline point has no causal profile; regenerate "
+                         "the baseline to enable root-cause explanations")
         return entry
     try:
         entry["diff"] = explain_diff(recorded, measured)
@@ -234,118 +225,11 @@ def _explain_failure(recorded: Dict[str, Any], measured: Dict[str, Any],
     return entry
 
 
-def run_service_regress(baseline_path: str = SERVICE_JSON_PATH,
-                        tolerances: Optional[Dict[str, Any]] = None,
-                        costs: HostCosts = DEFAULT_HOST_COSTS
-                        ) -> Dict[str, Any]:
-    """Re-run every recorded service-replay point and diff it.
-
-    Each baseline point records its own trace shape (``n_jobs``,
-    ``trace_seed``) so the replay regenerates the identical arrival
-    trace; the comparison rows label points ``service:<arbiter>`` with
-    the job count in the ``nodes`` column.
-    """
-    with open(baseline_path, encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    tolerances = dict(tolerances or SERVICE_TOLERANCES)
-    points = baseline["points"]
-    if not points:
-        raise ValueError(f"{baseline_path} records no service points")
-    rows: List[Dict[str, Any]] = []
-    for recorded in points:
-        measured = service_point(recorded["arbiter"],
-                                 n_jobs=recorded["n_jobs"],
-                                 seed=recorded["trace_seed"], costs=costs)
-        label = {"app": f"service:{recorded['arbiter']}",
-                 "nodes": recorded["n_jobs"]}
-        rows.extend(compare_point({**recorded, **label},
-                                  {**measured, **label}, tolerances))
-    return {
-        "baseline_path": baseline_path,
-        "points": len(points),
-        "comparisons": rows,
-        "failures": [r for r in rows if not r["ok"]],
-        "ok": all(r["ok"] for r in rows),
-    }
-
-
-def run_dag_regress(baseline_path: str = DAG_JSON_PATH,
-                    tolerances: Optional[Dict[str, Any]] = None,
-                    costs: HostCosts = DEFAULT_HOST_COSTS) -> Dict[str, Any]:
-    """Re-run every recorded DAG/iterative point and diff it.
-
-    Each baseline point records its own shape (point/edge/value counts
-    and the round budget), so the replay reproduces the identical run;
-    everything else (seeds, cluster, scheduler) is pinned inside
-    :mod:`repro.bench.dag`.
-    """
-    with open(baseline_path, encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    points = baseline["points"]
-    if not points:
-        raise ValueError(f"{baseline_path} records no dag points")
-    rows: List[Dict[str, Any]] = []
-    for recorded in points:
-        app = recorded["app"]
-        if app not in _DAG_SHAPE_KEYS:
-            raise ValueError(f"{baseline_path}: unknown dag point {app!r}")
-        shape = {key: recorded[key] for key in _DAG_SHAPE_KEYS[app]}
-        measured = dag_point(app, costs=costs, **shape)
-        tols = {**(tolerances or DAG_TOLERANCES),
-                **_DAG_EXTRA_TOLERANCES[app]}
-        rows.extend(compare_point(recorded, measured, tols))
-    return {
-        "baseline_path": baseline_path,
-        "points": len(points),
-        "comparisons": rows,
-        "failures": [r for r in rows if not r["ok"]],
-        "ok": all(r["ok"] for r in rows),
-    }
-
-
-def run_elastic_regress(baseline_path: str = ELASTIC_JSON_PATH,
-                        tolerances: Optional[Dict[str, Any]] = None,
-                        costs: HostCosts = DEFAULT_HOST_COSTS
-                        ) -> Dict[str, Any]:
-    """Re-run every recorded membership chaos point and diff it.
-
-    Each point replays its own static baseline first (the chaos
-    schedule's event times are derived from the measured static map
-    extent), so the comparison covers both runs; everything else —
-    seeds, cluster, scheduler, the failover delay — is pinned inside
-    :mod:`repro.bench.elastic`.
-    """
-    with open(baseline_path, encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    points = baseline["points"]
-    if not points:
-        raise ValueError(f"{baseline_path} records no elastic points")
-    rows: List[Dict[str, Any]] = []
-    for recorded in points:
-        app = recorded["app"]
-        if app not in _ELASTIC_SHAPE_KEYS:
-            raise ValueError(
-                f"{baseline_path}: unknown elastic point {app!r}")
-        shape = {key: recorded[key] for key in _ELASTIC_SHAPE_KEYS[app]}
-        measured = elastic_point(app, costs=costs, **shape)
-        tols = {**(tolerances or ELASTIC_TOLERANCES),
-                **_ELASTIC_EXTRA_TOLERANCES[app]}
-        rows.extend(compare_point(recorded, measured, tols))
-    return {
-        "baseline_path": baseline_path,
-        "points": len(points),
-        "comparisons": rows,
-        "failures": [r for r in rows if not r["ok"]],
-        "ok": all(r["ok"] for r in rows),
-    }
-
-
-def _print_table(result: Dict[str, Any], out=None) -> None:
-    out = out if out is not None else sys.stdout
+def _print_table(result: Dict[str, Any]) -> None:
     header = (f"{'app':<18} {'nodes':>5} {'metric':<21} {'baseline':>14} "
               f"{'measured':>14} {'deviation':>10} {'tol':>8}  verdict")
-    print(header, file=out)
-    print("-" * len(header), file=out)
+    print(header)
+    print("-" * len(header))
     for r in result["comparisons"]:
         tol = (f"{r['tolerance']:.0%}" if r["kind"] == "rel"
                else f"{r['tolerance']:g}")
@@ -354,28 +238,26 @@ def _print_table(result: Dict[str, Any], out=None) -> None:
         print(f"{r['app']:<18} {r['nodes']:>5} {r['metric']:<21} "
               f"{r['baseline']:>14.6g} {r['measured']:>14.6g} "
               f"{dev:>10} {tol:>8}  "
-              f"{'ok' if r['ok'] else 'REGRESSION'}", file=out)
+              f"{'ok' if r['ok'] else 'REGRESSION'}")
     verdict = "PASS" if result["ok"] else (
         f"FAIL ({len(result['failures'])} regression(s))")
     print(f"\n{result['points']} point(s) replayed against "
-          f"{result['baseline_path']}: {verdict}", file=out)
-    for entry in result.get("explanations", []):
-        print(f"\nroot cause: {entry['app']} @ {entry['nodes']} node(s)",
-              file=out)
+          f"{result['baseline_path']}: {verdict}")
+    for entry in result["explanations"]:
+        print(f"\nroot cause: {entry['app']} @ {entry['nodes']} node(s)")
         if "diff" in entry:
-            print(render_diff(entry["diff"]), file=out)
+            print(render_diff(entry["diff"]))
         else:
-            print(f"  ({entry.get('note', 'no explanation available')})",
-                  file=out)
+            print(f"  ({entry['note']})")
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.regress",
-        description="Replay the scaling sweep and diff it against the "
-                    "committed baseline; exits 1 on regression.")
-    parser.add_argument("--baseline", default=DEFAULT_JSON_PATH,
-                        help="baseline JSON (default: %(default)s)")
+        description="Replay the committed bench baselines and diff them "
+                    "against their recorded points; exits 1 on regression.")
+    parser.add_argument("--baseline", default=BASELINES["scaling"].path,
+                        help="scaling baseline JSON (default: %(default)s)")
     parser.add_argument("--nodes", type=int, action="append", default=None,
                         help="cluster size to replay (repeatable; default: "
                              "the CI quick ladder)")
@@ -393,120 +275,54 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--tol-overlap", type=float, default=None,
                         metavar="ABS",
                         help="absolute tolerance on the map overlap factor")
-    parser.add_argument("--json", metavar="FILE", default=None,
-                        help="also write the comparison result as JSON")
-    parser.add_argument("--json-out", metavar="FILE", default=None,
-                        dest="json_out",
-                        help="machine-readable result (sorted keys, parent "
-                             "dirs created); same payload as --json — CI "
-                             "uploads this on failure")
-    parser.add_argument("--service-baseline", default=None, metavar="FILE",
-                        help="service-replay baseline to gate (default: "
-                             f"{SERVICE_JSON_PATH} when present)")
-    parser.add_argument("--skip-service", action="store_true",
-                        help="skip the multi-job service replay")
-    parser.add_argument("--dag-baseline", default=None, metavar="FILE",
-                        help="DAG/iterative baseline to gate (default: "
-                             f"{DAG_JSON_PATH} when present)")
-    parser.add_argument("--skip-dag", action="store_true",
-                        help="skip the DAG/iterative replay")
-    parser.add_argument("--elastic-baseline", default=None, metavar="FILE",
-                        help="membership chaos baseline to gate (default: "
-                             f"{ELASTIC_JSON_PATH} when present)")
-    parser.add_argument("--skip-elastic", action="store_true",
-                        help="skip the membership chaos replay")
-    args = parser.parse_args(argv)
+    parser.add_argument("--json", "--json-out", metavar="FILE",
+                        action="append", default=None, dest="json_out",
+                        help="also write the result as JSON to FILE "
+                             "(repeatable; CI uploads it on failure)")
+    for name, row in BASELINES.items():
+        if name == "scaling":       # --baseline above; always replayed
+            continue
+        parser.add_argument(
+            f"--{name}-baseline", default=None, metavar="FILE",
+            help=f"{name} baseline to gate (default: {row.path} if present)")
+        parser.add_argument(f"--skip-{name}", action="store_true",
+                            help=f"skip the {name} replay")
+    return parser
 
-    tolerances = dict(DEFAULT_TOLERANCES)
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _build_parser().parse_args(argv)
+    tolerances = dict(BASELINES["scaling"].tolerances)
     if args.tol_elapsed is not None:
         tolerances["elapsed_s"] = ("rel", args.tol_elapsed)
     if args.tol_bytes is not None:
         tolerances["network_bytes"] = ("rel", args.tol_bytes)
     if args.tol_overlap is not None:
         tolerances["overlap_factor"] = ("abs", args.tol_overlap)
-    nodes: Optional[Sequence[int]] = args.nodes
-    if args.full:
-        with open(args.baseline, encoding="utf-8") as fh:
-            nodes = sorted({p["nodes"]
-                            for p in json.load(fh)["sweep"]})
-    try:
-        result = run_regress(args.baseline, nodes=nodes, cases=args.cases,
-                             tolerances=tolerances)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"regress: {exc}", file=sys.stderr)
-        return 2
-    _print_table(result)
-
-    service_result = None
-    if not args.skip_service:
-        import os
-        service_baseline = args.service_baseline or SERVICE_JSON_PATH
-        if args.service_baseline is None \
-                and not os.path.exists(service_baseline):
-            print(f"(no {service_baseline}; service replay skipped)")
-        else:
-            try:
-                service_result = run_service_regress(service_baseline)
-            except (OSError, ValueError, KeyError) as exc:
-                print(f"regress: {exc}", file=sys.stderr)
-                return 2
+    nodes = None if args.full else (args.nodes or scaling.QUICK_NODES)
+    results: Dict[str, Any] = {}
+    for name, row in BASELINES.items():
+        path, selection = getattr(args, f"{name}_baseline", None), {}
+        if name == "scaling":       # the one that must exist
+            path, selection = args.baseline, dict(
+                nodes=nodes, cases=args.cases, tolerances=tolerances)
+        elif getattr(args, f"skip_{name}"):
+            continue
+        elif path is None and not os.path.exists(row.path):
+            print(f"(no {row.path}; {name} replay skipped)")
+            continue
+        try:
+            result = replay(name, path, **selection)
+        except (OSError, ValueError, KeyError) as exc:
+            print(f"regress: {exc}", file=sys.stderr)
+            return 2
+        if results:
             print()
-            _print_table(service_result)
-
-    dag_result = None
-    if not args.skip_dag:
-        import os
-        dag_baseline = args.dag_baseline or DAG_JSON_PATH
-        if args.dag_baseline is None and not os.path.exists(dag_baseline):
-            print(f"(no {dag_baseline}; dag replay skipped)")
-        else:
-            try:
-                dag_result = run_dag_regress(dag_baseline)
-            except (OSError, ValueError, KeyError) as exc:
-                print(f"regress: {exc}", file=sys.stderr)
-                return 2
-            print()
-            _print_table(dag_result)
-
-    elastic_result = None
-    if not args.skip_elastic:
-        import os
-        elastic_baseline = args.elastic_baseline or ELASTIC_JSON_PATH
-        if args.elastic_baseline is None \
-                and not os.path.exists(elastic_baseline):
-            print(f"(no {elastic_baseline}; elastic replay skipped)")
-        else:
-            try:
-                elastic_result = run_elastic_regress(elastic_baseline)
-            except (OSError, ValueError, KeyError) as exc:
-                print(f"regress: {exc}", file=sys.stderr)
-                return 2
-            print()
-            _print_table(elastic_result)
-
-    if args.json or args.json_out:
-        from repro.obs.telemetry import ensure_parent_dir
-        payload = dict(result)
-        extras = {"service": service_result, "dag": dag_result,
-                  "elastic": elastic_result}
-        if any(v is not None for v in extras.values()):
-            payload = {"scaling": result,
-                       "ok": result["ok"] and all(
-                           v is None or v["ok"] for v in extras.values())}
-            for key, value in extras.items():
-                if value is not None:
-                    payload[key] = value
-        for path in (args.json, args.json_out):
-            if not path:
-                continue
-            ensure_parent_dir(path)
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-    ok = result["ok"] \
-        and (service_result is None or service_result["ok"]) \
-        and (dag_result is None or dag_result["ok"]) \
-        and (elastic_result is None or elastic_result["ok"])
+        _print_table(result)
+        results[name] = result
+    ok = all(result["ok"] for result in results.values())
+    for path in args.json_out or ():
+        write_json(path, {"ok": ok, **results})
     return 0 if ok else 1
 
 

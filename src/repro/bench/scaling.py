@@ -21,7 +21,6 @@ smoke-check the sweep and diff the recorded numbers.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from typing import Any, Dict, Optional, Sequence
@@ -34,7 +33,6 @@ from repro.hw.presets import das4_cluster
 from repro.hw.specs import KiB
 from repro.obs.causal import causal_profile
 from repro.obs.report import PipelineReport
-from repro.obs.telemetry import ensure_parent_dir
 from repro.storage.records import NO_COMPRESSION
 
 from repro.bench.harness import ExperimentReport, Table
@@ -301,25 +299,16 @@ def report(nodes: Sequence[int] = NODES,
             batched["wall_s"] <= WC64_WALL_BUDGET_S,
             f"{batched['wall_s']:.2f}s")
 
-    if json_path:
-        payload = {
-            "generated_by": "python -m repro.bench scaling",
-            "per_node_bytes": PER_NODE_BYTES,
-            "splits_per_node": SPLITS_PER_NODE,
-            "nodes_swept": list(nodes),
-            "wall_budget_s": {"wordcount_64_batched": WC64_WALL_BUDGET_S},
-            "sweep": points,
-            "batch_comparison": comparison,
-            "sched_comparison": sched_comparison,
-            "checks": [{"name": c.name, "passed": c.passed,
-                        "detail": c.detail} for c in rep.checks],
-        }
-        ensure_parent_dir(json_path)
-        with open(json_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        rep.notes.append(f"wrote {json_path}")
-
+    rep.write_baseline(
+        json_path,
+        generated_by="python -m repro.bench scaling",
+        per_node_bytes=PER_NODE_BYTES,
+        splits_per_node=SPLITS_PER_NODE,
+        nodes_swept=list(nodes),
+        wall_budget_s={"wordcount_64_batched": WC64_WALL_BUDGET_S},
+        sweep=points,
+        batch_comparison=comparison,
+        sched_comparison=sched_comparison)
     return rep
 
 

@@ -19,7 +19,6 @@ orientation but never gated.
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Any, Dict, Optional, Sequence
 
@@ -27,7 +26,6 @@ from repro.core import JobConfig
 from repro.core.costs import DEFAULT_HOST_COSTS, HostCosts
 from repro.core.sched import ARBITER_NAMES
 from repro.hw.presets import das4_cluster
-from repro.obs.telemetry import ensure_parent_dir
 from repro.service import JobServer, ServicePolicy, synthetic_trace
 
 from repro.bench.harness import ExperimentReport, Table
@@ -150,20 +148,11 @@ def report(n_jobs: int = TRACE_JOBS,
               all(p["peak_running"] == _MAX_RUNNING for p in points),
               "arrivals outpace service, so the slots must fill")
 
-    if json_path:
-        payload = {
-            "generated_by": "python -m repro.bench service",
-            "trace_seed": TRACE_SEED,
-            "mean_interarrival_s": MEAN_INTERARRIVAL,
-            "nodes": SERVICE_NODES,
-            "points": points,
-            "checks": [{"name": c.name, "passed": c.passed,
-                        "detail": c.detail} for c in rep.checks],
-        }
-        ensure_parent_dir(json_path)
-        with open(json_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        rep.notes.append(f"wrote {json_path}")
-
+    rep.write_baseline(
+        json_path,
+        generated_by="python -m repro.bench service",
+        trace_seed=TRACE_SEED,
+        mean_interarrival_s=MEAN_INTERARRIVAL,
+        nodes=SERVICE_NODES,
+        points=points)
     return rep

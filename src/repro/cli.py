@@ -35,7 +35,8 @@ The multi-job service (:mod:`repro.service`) has its own entry point::
 from __future__ import annotations
 
 import argparse
-from typing import Dict, Optional, Tuple
+import sys
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.apps import (KMeansApp, MatMulApp, PageViewApp, TeraSortApp,
                         WordCountApp)
@@ -43,7 +44,7 @@ from repro.apps import datagen
 from repro.core import JobConfig, run_glasswing
 from repro.core.api import MapReduceApp
 from repro.core.faults import FaultPlan, NodeCrash
-from repro.core.sched import SCHEDULER_NAMES
+from repro.core.sched import ARBITER_NAMES, SCHEDULER_NAMES
 from repro.hw.presets import GBE, QDR_IB, das4_cluster
 from repro.hw.specs import DeviceKind, MiB
 from repro.storage.records import NO_COMPRESSION
@@ -53,24 +54,55 @@ __all__ = ["main", "serve_main", "dag_main", "explain_diff_main"]
 APPS = ("wordcount", "pageview", "terasort", "kmeans", "matmul")
 
 
+def _cluster_flags(chunk_kb: int) -> argparse.ArgumentParser:
+    """Parent parser: the simulated cluster every sub-command runs on."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--nodes", type=int, default=4)
+    parent.add_argument("--network", choices=["ib", "gbe"], default="ib")
+    parent.add_argument("--storage", choices=["dfs", "local"], default="dfs")
+    parent.add_argument("--scheduler", choices=list(SCHEDULER_NAMES),
+                        default=None,
+                        help="placement policy (default: static-affinity, "
+                             "or $REPRO_SCHEDULER)")
+    parent.add_argument("--chunk-kb", type=int, default=chunk_kb,
+                        help="chunk size in KiB (default: %(default)s)")
+    return parent
+
+
+def _artifact_flags(metrics: bool) -> argparse.ArgumentParser:
+    """Parent parser: the files a run can leave behind."""
+    parent = argparse.ArgumentParser(add_help=False)
+    obs = parent.add_argument_group("observability")
+    obs.add_argument("--trace-out", metavar="FILE.json", default=None,
+                     help="write a Chrome trace-event file (load in "
+                          "chrome://tracing or https://ui.perfetto.dev)")
+    obs.add_argument("--report-json", metavar="FILE", default=None,
+                     help="write the structured run report as JSON")
+    if metrics:
+        obs.add_argument("--metrics-interval", type=float, default=None,
+                         metavar="SECONDS",
+                         help="sample queue depths / occupancy / in-flight "
+                              "bytes every SECONDS of simulated time")
+        obs.add_argument("--metrics-out", metavar="FILE", default=None,
+                         help="write sampled metrics (.om/.prom/.txt/"
+                              ".openmetrics selects OpenMetrics text, "
+                              "anything else JSONL); requires "
+                              "--metrics-interval")
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        description="Run a Glasswing MapReduce job on a simulated cluster.")
+        description="Run a Glasswing MapReduce job on a simulated cluster.",
+        parents=[_cluster_flags(chunk_kb=256), _artifact_flags(metrics=True)])
     parser.add_argument("app", choices=APPS)
-    parser.add_argument("--nodes", type=int, default=4)
     parser.add_argument("--device", choices=["cpu", "gpu"], default="cpu")
     parser.add_argument("--devices", metavar="POOL", default=None,
                         help="heterogeneous per-node device pool, e.g. "
                              "'cpu+gpu': every listed device runs its own "
                              "scheduler-fed pipeline concurrently "
                              "(overrides --device)")
-    parser.add_argument("--scheduler", choices=list(SCHEDULER_NAMES),
-                        default=None,
-                        help="placement policy (default: static-affinity, "
-                             "or $REPRO_SCHEDULER)")
-    parser.add_argument("--storage", choices=["dfs", "local"], default="dfs")
-    parser.add_argument("--network", choices=["ib", "gbe"], default="ib")
     parser.add_argument("--megabytes", type=float, default=8.0,
                         help="input size for the text apps")
     parser.add_argument("--records", type=int, default=80_000,
@@ -89,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "center shift (used with --iterations > 1)")
     parser.add_argument("--matrix", type=int, default=1024,
                         help="matrix size for matmul (tile = matrix/4)")
-    parser.add_argument("--chunk-kb", type=int, default=256)
     parser.add_argument("--batch-size", type=int, default=None,
                         metavar="RECORDS",
                         help="records per simulated pipeline payload; "
@@ -160,23 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SECONDS",
                          help="leader-election delay charged per "
                               "coordinator failover (default 0.05)")
-    obs = parser.add_argument_group("observability")
-    obs.add_argument("--trace-out", metavar="FILE.json", default=None,
-                     help="write a Chrome trace-event file (load in "
-                          "chrome://tracing or https://ui.perfetto.dev)")
-    obs.add_argument("--report-json", metavar="FILE", default=None,
-                     help="write the structured job report as JSON")
-    obs.add_argument("--explain", action="store_true",
-                     help="print per-phase dominant-stage / critical-path "
-                          "analysis")
-    obs.add_argument("--metrics-interval", type=float, default=None,
-                     metavar="SECONDS",
-                     help="sample queue depths / occupancy / in-flight "
-                          "bytes every SECONDS of simulated time")
-    obs.add_argument("--metrics-out", metavar="FILE", default=None,
-                     help="write sampled metrics (.om/.prom/.txt/"
-                          ".openmetrics selects OpenMetrics text, anything "
-                          "else JSONL); requires --metrics-interval")
+    parser.add_argument("--explain", action="store_true",
+                        help="print per-phase dominant-stage / "
+                             "critical-path analysis")
     return parser
 
 
@@ -199,10 +216,21 @@ def _parse_member_at(spec: str, flag: str) -> Tuple[Optional[int], float]:
                          f"got {spec!r}")
 
 
+#: the flags that each schedule one explicit fault
+_EXPLICIT_FAULT_FLAGS = ("--fail-map", "--fail-reduce", "--node-crash",
+                         "--straggle", "--join", "--leave", "--coord-crash")
+
+
 def make_faults(args, n_splits_hint: int = 64) -> Optional[FaultPlan]:
     """Build the :class:`FaultPlan` the CLI flags describe (or ``None``)."""
     from repro.core.faults import CoordinatorCrash, NodeJoin, NodeLeave
     if args.fault_seed is not None:
+        explicit = [flag for flag in _EXPLICIT_FAULT_FLAGS
+                    if getattr(args, flag[2:].replace("-", "_"), None)]
+        if explicit:
+            raise SystemExit(
+                "--fault-seed draws the whole fault schedule and cannot be "
+                f"combined with {', '.join(explicit)}")
         return FaultPlan.seeded(
             args.fault_seed, n_splits=n_splits_hint, n_nodes=args.nodes,
             n_partitions=args.nodes * JobConfig().partitions_per_node,
@@ -261,28 +289,58 @@ def _parse_device_pool(spec: str) -> Tuple[DeviceKind, ...]:
     return tuple(kinds)
 
 
+def _cluster(args, gpu: bool = False):
+    """The simulated cluster the ``_cluster_flags`` describe."""
+    return das4_cluster(nodes=args.nodes, gpu=gpu,
+                        network=QDR_IB if args.network == "ib" else GBE)
+
+
+def _config(args, **kw: Any) -> JobConfig:
+    """A :class:`JobConfig` from the ``_cluster_flags`` plus ``kw``; a flag
+    left unset (``None``) leaves the config's own default in force."""
+    kw["scheduler"] = args.scheduler
+    return JobConfig(chunk_size=args.chunk_kb * 1024, storage=args.storage,
+                     **{k: v for k, v in kw.items() if v is not None})
+
+
+def _check_artifact_flags(args) -> None:
+    if args.metrics_out and args.metrics_interval is None:
+        raise SystemExit("--metrics-out requires --metrics-interval")
+
+
+def _write_artifacts(args, *, timeline, telemetry=None,
+                     report: Callable[[], Any]) -> None:
+    """Write the files the ``_artifact_flags`` asked for, and only those.
+
+    ``report`` builds the ``--report-json`` payload on demand, so a run
+    that did not ask for a report does not pay for one.
+    """
+    from repro.obs import write_chrome_trace, write_json, write_metrics
+    if args.trace_out:
+        print(f"  trace written to "
+              f"{write_chrome_trace(timeline, args.trace_out)}")
+    if getattr(args, "metrics_out", None):
+        print(f"  metrics written to "
+              f"{write_metrics(telemetry, args.metrics_out)}")
+    if args.report_json:
+        print(f"  report written to "
+              f"{write_json(args.report_json, report())}")
+
+
 def make_job(args) -> Tuple[MapReduceApp, Dict[str, bytes], JobConfig]:
     """Build (app, inputs, config) from parsed CLI arguments."""
     nbytes = int(args.megabytes * MiB)
-    extra = {}
-    if args.scheduler is not None:
-        extra["scheduler"] = args.scheduler
-    if args.devices is not None:
-        extra["devices"] = _parse_device_pool(args.devices)
-    if getattr(args, "active_nodes", None) is not None:
-        extra["active_nodes"] = args.active_nodes
-    if getattr(args, "coord_replicas", None) is not None:
-        extra["coordinator_replicas"] = args.coord_replicas
-    if getattr(args, "failover_timeout", None) is not None:
-        extra["failover_timeout"] = args.failover_timeout
-    config = JobConfig(
-        chunk_size=args.chunk_kb * 1024,
+    config = _config(
+        args,
         device=DeviceKind.GPU if args.device == "gpu" else DeviceKind.CPU,
-        storage=args.storage,
+        devices=(None if args.devices is None
+                 else _parse_device_pool(args.devices)),
         buffering=args.buffering,
         batch_size=args.batch_size,
         metrics_interval=args.metrics_interval,
-        **extra)
+        active_nodes=args.active_nodes,
+        coordinator_replicas=args.coord_replicas,
+        failover_timeout=args.failover_timeout)
     if args.app == "wordcount":
         return (WordCountApp(),
                 {"corpus": datagen.wiki_text(nbytes, seed=args.seed)},
@@ -314,12 +372,13 @@ def make_job(args) -> Tuple[MapReduceApp, Dict[str, bytes], JobConfig]:
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
-    from repro.core.sched import ARBITER_NAMES
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
         description="Run the multi-job service: a stream of job "
                     "submissions through admission control onto one "
-                    "shared simulated cluster.")
+                    "shared simulated cluster.",
+        # small jobs, small chunks
+        parents=[_cluster_flags(chunk_kb=8), _artifact_flags(metrics=True)])
     trace = parser.add_argument_group("arrival trace")
     trace.add_argument("--arrival-trace", metavar="FILE.json", default=None,
                        help="replay this JSON trace (see "
@@ -335,16 +394,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="mean virtual interarrival of the synthetic "
                             "trace")
-    parser.add_argument("--nodes", type=int, default=4)
-    parser.add_argument("--network", choices=["ib", "gbe"], default="ib")
-    parser.add_argument("--storage", choices=["dfs", "local"], default="dfs")
-    parser.add_argument("--scheduler", choices=list(SCHEDULER_NAMES),
-                        default=None,
-                        help="per-job placement policy (default: "
-                             "static-affinity, or $REPRO_SCHEDULER)")
-    parser.add_argument("--chunk-kb", type=int, default=8,
-                        help="chunk size for service jobs (small jobs, "
-                             "small chunks)")
     adm = parser.add_argument_group("admission control")
     adm.add_argument("--queue-capacity", type=int, default=32,
                      help="bounded admission queue: waiting jobs beyond "
@@ -371,20 +420,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
                       metavar="[NODE@]TIME",
                       help="drain a pool node at a virtual time "
                            "(repeatable)")
-    obs = parser.add_argument_group("observability")
-    obs.add_argument("--trace-out", metavar="FILE.json", default=None,
-                     help="write the merged multi-job Chrome trace "
-                          "(per-job lane groups)")
-    obs.add_argument("--report-json", metavar="FILE", default=None,
-                     help="write the service report (per-job sections) "
-                          "as JSON")
-    obs.add_argument("--metrics-interval", type=float, default=None,
-                     metavar="SECONDS",
-                     help="sample glasswing_svc_* queue/admission gauges "
-                          "every SECONDS of simulated time")
-    obs.add_argument("--metrics-out", metavar="FILE", default=None,
-                     help="write sampled metrics (OpenMetrics or JSONL "
-                          "by extension); requires --metrics-interval")
     return parser
 
 
@@ -393,27 +428,20 @@ def serve_main(argv=None) -> int:
     from repro.service import (JobServer, ServicePolicy, load_trace,
                                synthetic_trace)
     args = build_serve_parser().parse_args(argv)
-    if args.metrics_out and args.metrics_interval is None:
-        raise SystemExit("--metrics-out requires --metrics-interval")
+    _check_artifact_flags(args)
     if args.arrival_trace:
         requests = load_trace(args.arrival_trace)
     else:
         requests = synthetic_trace(args.jobs, seed=args.trace_seed,
                                    mean_interarrival=args.mean_interarrival)
-    extra = {}
-    if args.scheduler is not None:
-        extra["scheduler"] = args.scheduler
-    config = JobConfig(chunk_size=args.chunk_kb * 1024,
-                       partitions_per_node=1, storage=args.storage, **extra)
     policy = ServicePolicy(queue_capacity=args.queue_capacity,
                            max_running=args.max_running,
                            max_per_tenant_running=args.tenant_running,
                            max_per_tenant_queued=args.tenant_queued,
                            arbiter=args.arbiter)
-    cluster = das4_cluster(nodes=args.nodes,
-                           network=QDR_IB if args.network == "ib" else GBE)
     try:
-        server = JobServer(cluster, policy=policy, config=config,
+        server = JobServer(_cluster(args), policy=policy,
+                           config=_config(args, partitions_per_node=1),
                            metrics_interval=args.metrics_interval,
                            active_nodes=args.active_nodes)
     except ValueError as exc:    # e.g. --active-nodes outside the cluster
@@ -421,8 +449,7 @@ def serve_main(argv=None) -> int:
 
     def _scale_spec(spec, flag):
         if "@" in spec:
-            node, at = _parse_at(spec, flag)
-            return node, at
+            return _parse_at(spec, flag)
         try:
             return None, float(spec)
         except ValueError:
@@ -455,43 +482,14 @@ def serve_main(argv=None) -> int:
     print(f"  peak running {result.peak_running}, "
           f"peak queue {result.peak_queue_depth}")
     print(f"  leaked buffer slots {result.leaked_buffer_slots}")
-    if args.trace_out:
-        from repro.obs import write_chrome_trace
-        print(f"  trace written to "
-              f"{write_chrome_trace(result.timeline, args.trace_out)}")
-    if args.metrics_out:
-        from repro.obs import write_metrics
-        print(f"  metrics written to "
-              f"{write_metrics(result.telemetry, args.metrics_out)}")
-    if args.report_json:
-        import json
-
-        from repro.obs import ensure_parent_dir
-        ensure_parent_dir(args.report_json)
-        with open(args.report_json, "w", encoding="utf-8") as fh:
-            json.dump(result.to_report(), fh, indent=2, sort_keys=True)
-        print(f"  report written to {args.report_json}")
+    _write_artifacts(args, timeline=result.timeline,
+                     telemetry=result.telemetry, report=result.to_report)
     return 0
 
 
-def _kmeans_iterative_main(args, app, inputs, config) -> int:
+def _kmeans_iterative_main(args, app, inputs, config, cluster) -> int:
     """``repro kmeans --iterations N`` (N > 1): the DAG-backed driver."""
     from repro.apps.drivers import kmeans_iterate
-    n_splits = max(1, -(-sum(len(v) for v in inputs.values())
-                        // config.chunk_size))
-    try:
-        faults = make_faults(args, n_splits_hint=n_splits)
-    except ValueError as exc:
-        raise SystemExit(f"invalid fault schedule: {exc}")
-    if faults is not None:
-        raise SystemExit(
-            "fault injection flags apply to the single-iteration job; "
-            "drop them or use --iterations 1")
-    needs_gpu = (args.device == "gpu"
-                 or (config.devices is not None
-                     and DeviceKind.GPU in config.devices))
-    cluster = das4_cluster(nodes=args.nodes, gpu=needs_gpu,
-                           network=QDR_IB if args.network == "ib" else GBE)
     run = kmeans_iterate(inputs, app.centers, cluster, config,
                          max_iterations=args.iterations,
                          tolerance=args.tolerance, engine="dag")
@@ -505,37 +503,36 @@ def _kmeans_iterative_main(args, app, inputs, config) -> int:
         extra = f", orphaned centers {orphans}" if orphans else ""
         print(f"  round {i:<3} {result.job_time:10.4f} s   "
               f"shift {shift:12.6g}{extra}")
-    print(f"  total time   {run.total_time:10.4f} s")
-    cache = run.cache
+    _finish_dag(args, run.runner, {
+        "schema": "glasswing-dag-report/1",
+        "dag": "kmeans",
+        "iterations": run.iterations,
+        "converged": run.converged,
+        "tolerance": run.tolerance,
+        "shifts": run.shifts,
+        "orphaned": run.orphaned,
+    })
+    return 0
+
+
+def _finish_dag(args, runner, report: Dict[str, Any]) -> None:
+    """What every multi-round run ends with: total time, cache traffic
+    and the artefacts (``report`` plus the per-round sections)."""
+    print(f"  total time   {runner.total_time:10.4f} s")
+    cache = runner.cache_stats()
     print(f"  input cache  {cache['hit_bytes']} B from cache, "
           f"{cache['miss_bytes']} B from storage "
           f"({100.0 * cache['hit_rate_bytes']:.1f}% hit rate)")
-    if args.trace_out:
-        from repro.obs import write_chrome_trace
-        timeline = run.runner.session.timeline
-        print(f"  trace written to "
-              f"{write_chrome_trace(timeline, args.trace_out)}")
-    if args.report_json:
-        import json
-
-        from repro.obs import ensure_parent_dir
-        report = {
-            "schema": "glasswing-dag-report/1",
-            "dag": "kmeans",
-            "iterations": run.iterations,
-            "converged": run.converged,
-            "tolerance": run.tolerance,
-            "shifts": run.shifts,
-            "orphaned": run.orphaned,
-            "total_time": run.total_time,
-            "rounds": [sr.section() for sr in run.runner.stage_runs],
+    runner.close()      # final telemetry snapshot, as a single job takes
+    _write_artifacts(
+        args, timeline=runner.session.timeline,
+        telemetry=runner.session.telemetry,
+        report=lambda: {
+            **report,
+            "rounds": [sr.section() for sr in runner.stage_runs],
+            "total_time": runner.total_time,
             "cache": cache,
-        }
-        ensure_parent_dir(args.report_json)
-        with open(args.report_json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        print(f"  report written to {args.report_json}")
-    return 0
+        })
 
 
 DAG_APPS = ("pagerank", "prefixsum")
@@ -546,16 +543,9 @@ def build_dag_parser() -> argparse.ArgumentParser:
         prog="python -m repro dag",
         description="Run a multi-round DAG application: chained "
                     "MapReduce stages on one shared session with "
-                    "immutable inputs cached across rounds.")
+                    "immutable inputs cached across rounds.",
+        parents=[_cluster_flags(chunk_kb=64), _artifact_flags(metrics=False)])
     parser.add_argument("app", choices=DAG_APPS)
-    parser.add_argument("--nodes", type=int, default=4)
-    parser.add_argument("--network", choices=["ib", "gbe"], default="ib")
-    parser.add_argument("--storage", choices=["dfs", "local"], default="dfs")
-    parser.add_argument("--scheduler", choices=list(SCHEDULER_NAMES),
-                        default=None,
-                        help="placement policy (default: static-affinity, "
-                             "or $REPRO_SCHEDULER)")
-    parser.add_argument("--chunk-kb", type=int, default=64)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--rounds", type=int, default=5,
                         help="power-iteration rounds for pagerank")
@@ -569,13 +559,6 @@ def build_dag_parser() -> argparse.ArgumentParser:
                         help="record count for prefixsum")
     parser.add_argument("--block", type=int, default=4_096,
                         help="scan block size for prefixsum")
-    obs = parser.add_argument_group("observability")
-    obs.add_argument("--trace-out", metavar="FILE.json", default=None,
-                     help="write the session Chrome trace (one lane per "
-                          "stage round)")
-    obs.add_argument("--report-json", metavar="FILE", default=None,
-                     help="write the DAG report (per-round sections) "
-                          "as JSON")
     return parser
 
 
@@ -584,20 +567,13 @@ def dag_main(argv=None) -> int:
     args = build_dag_parser().parse_args(argv)
     if args.rounds < 1:
         raise SystemExit("--rounds must be >= 1")
-    extra = {}
-    if args.scheduler is not None:
-        extra["scheduler"] = args.scheduler
-    config = JobConfig(chunk_size=args.chunk_kb * 1024,
-                       storage=args.storage, **extra)
-    cluster = das4_cluster(nodes=args.nodes,
-                           network=QDR_IB if args.network == "ib" else GBE)
+    config, cluster = _config(args), _cluster(args)
     if args.app == "pagerank":
         from repro.apps.pagerank import pagerank_iterate
         edges = datagen.pagerank_edges(args.vertices, args.edges,
                                        seed=args.seed)
         run = pagerank_iterate(edges, args.vertices, cluster, config=config,
                                rounds=args.rounds, damping=args.damping)
-        runner = run.runner
         print(f"pagerank on {args.nodes} node(s), {args.storage} storage: "
               f"{args.vertices} vertices, {args.edges} edges, "
               f"{run.rounds} round(s) + 1 degree round")
@@ -612,37 +588,16 @@ def dag_main(argv=None) -> int:
         values = datagen.prefix_values(args.values, seed=args.seed)
         run = prefix_sums(values, cluster, config=config,
                           block_size=args.block)
-        runner = run.runner
         print(f"prefixsum on {args.nodes} node(s), {args.storage} storage: "
               f"{args.values} records, block {args.block} "
               f"({len(run.block_sums)} blocks)")
         print(f"  final prefix total {int(run.prefix[-1])}")
         last_report = run.dag_result.to_report()
-    for sr in runner.stage_runs:
+    for sr in run.runner.stage_runs:
         print(f"  {sr.label:<16} {sr.elapsed:10.4f} s   "
               f"cache {sr.cache_hit_bytes}/"
               f"{sr.cache_hit_bytes + sr.cache_miss_bytes} B")
-    print(f"  total time   {runner.total_time:10.4f} s")
-    cache = runner.cache_stats()
-    print(f"  input cache  {cache['hit_bytes']} B from cache, "
-          f"{cache['miss_bytes']} B from storage "
-          f"({100.0 * cache['hit_rate_bytes']:.1f}% hit rate)")
-    if args.trace_out:
-        from repro.obs import write_chrome_trace
-        print(f"  trace written to "
-              f"{write_chrome_trace(runner.session.timeline, args.trace_out)}")
-    if args.report_json:
-        import json
-
-        from repro.obs import ensure_parent_dir
-        report = dict(last_report)
-        report["rounds"] = [sr.section() for sr in runner.stage_runs]
-        report["total_time"] = runner.total_time
-        report["cache"] = cache
-        ensure_parent_dir(args.report_json)
-        with open(args.report_json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        print(f"  report written to {args.report_json}")
+    _finish_dag(args, run.runner, last_report)
     return 0
 
 
@@ -668,7 +623,7 @@ def build_explain_diff_parser() -> argparse.ArgumentParser:
 
 def explain_diff_main(argv=None) -> int:
     """Entry point of ``python -m repro explain-diff``."""
-    from repro.obs import ensure_parent_dir, explain_diff, render_diff
+    from repro.obs import explain_diff, render_diff, write_json
     args = build_explain_diff_parser().parse_args(argv)
     if args.top < 1:
         raise SystemExit("--top must be >= 1")
@@ -678,46 +633,41 @@ def explain_diff_main(argv=None) -> int:
         raise SystemExit(f"explain-diff: {exc}")
     print(render_diff(diff))
     if args.json:
-        import json
-        ensure_parent_dir(args.json)
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(diff, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"diff written to {args.json}")
+        print(f"diff written to {write_json(args.json, diff)}")
     return 0
+
+
+#: first argument -> the sub-command that takes the rest
+_SUBCOMMANDS = {"serve": serve_main, "dag": dag_main,
+                "explain-diff": explain_diff_main}
 
 
 def main(argv=None) -> int:
     if argv is None:
-        import sys
         argv = sys.argv[1:]
-    if argv and argv[0] == "serve":
-        return serve_main(argv[1:])
-    if argv and argv[0] == "dag":
-        return dag_main(argv[1:])
-    if argv and argv[0] == "explain-diff":
-        return explain_diff_main(argv[1:])
+    if argv and argv[0] in _SUBCOMMANDS:
+        return _SUBCOMMANDS[argv[0]](argv[1:])
     args = build_parser().parse_args(argv)
-    if args.metrics_out and args.metrics_interval is None:
-        raise SystemExit("--metrics-out requires --metrics-interval")
+    _check_artifact_flags(args)
     if args.iterations < 1:
         raise SystemExit("--iterations must be >= 1")
     app, inputs, config = make_job(args)
-    if args.app == "kmeans" and args.iterations > 1:
-        return _kmeans_iterative_main(args, app, inputs, config)
-    if args.speculate:
-        config = config.with_(speculative_execution=True)
     n_splits = max(1, -(-sum(len(v) for v in inputs.values())
                         // config.chunk_size))
     try:
         faults = make_faults(args, n_splits_hint=n_splits)
     except ValueError as exc:    # e.g. straggler factor < 1
         raise SystemExit(f"invalid fault schedule: {exc}")
-    needs_gpu = (args.device == "gpu"
-                 or (config.devices is not None
-                     and DeviceKind.GPU in config.devices))
-    cluster = das4_cluster(nodes=args.nodes, gpu=needs_gpu,
-                           network=QDR_IB if args.network == "ib" else GBE)
+    cluster = _cluster(args, gpu=args.device == "gpu"
+                       or DeviceKind.GPU in (config.devices or ()))
+    if args.app == "kmeans" and args.iterations > 1:
+        if faults is not None:
+            raise SystemExit(
+                "fault injection flags apply to the single-iteration job; "
+                "drop them or use --iterations 1")
+        return _kmeans_iterative_main(args, app, inputs, config, cluster)
+    if args.speculate:
+        config = config.with_(speculative_execution=True)
     elastic = (_parse_elastic(args.elastic, args.nodes)
                if args.elastic else None)
     try:
@@ -754,22 +704,8 @@ def main(argv=None) -> int:
         from repro.obs import PipelineReport
         for phase in ("map", "reduce"):
             print(PipelineReport(result.timeline, phase=phase).explain())
-    if args.trace_out:
-        from repro.obs import write_chrome_trace
-        print(f"  trace written to "
-              f"{write_chrome_trace(result.timeline, args.trace_out)}")
-    if args.metrics_out:
-        from repro.obs import write_metrics
-        print(f"  metrics written to "
-              f"{write_metrics(result.telemetry, args.metrics_out)}")
-    if args.report_json:
-        import json
-
-        from repro.obs import ensure_parent_dir
-        ensure_parent_dir(args.report_json)
-        with open(args.report_json, "w", encoding="utf-8") as fh:
-            json.dump(result.to_report(), fh, indent=2, sort_keys=True)
-        print(f"  report written to {args.report_json}")
+    _write_artifacts(args, timeline=result.timeline,
+                     telemetry=result.telemetry, report=result.to_report)
     return 0
 
 

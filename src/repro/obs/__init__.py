@@ -35,8 +35,8 @@ from repro.obs.report import (PIPELINE_STAGES, PipelineReport,
 from repro.obs.telemetry import (Counter, Gauge, Histogram, MetricsRegistry,
                                  Telemetry, ensure_parent_dir,
                                  openmetrics_text, validate_openmetrics,
-                                 write_metrics, write_metrics_jsonl,
-                                 write_openmetrics)
+                                 write_json, write_metrics,
+                                 write_metrics_jsonl, write_openmetrics)
 
 __all__ = [
     "WAIT_CLASSES",
@@ -61,6 +61,7 @@ __all__ = [
     "ensure_parent_dir",
     "openmetrics_text",
     "validate_openmetrics",
+    "write_json",
     "write_metrics",
     "write_metrics_jsonl",
     "write_openmetrics",

@@ -39,7 +39,8 @@ from repro.simt.trace import GroupedLog
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "Telemetry",
-    "DEFAULT_WAIT_BOUNDS", "ensure_parent_dir", "render_series",
+    "DEFAULT_WAIT_BOUNDS", "ensure_parent_dir", "write_json",
+    "render_series",
     "write_metrics_jsonl", "write_openmetrics", "write_metrics",
     "openmetrics_text", "validate_openmetrics",
     "register_membership_gauges",
@@ -443,6 +444,20 @@ def ensure_parent_dir(path: str) -> str:
     """Create ``path``'s parent directories if missing; returns ``path``."""
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
+    return path
+
+
+def write_json(path: str, payload: Any) -> str:
+    """Write ``payload`` as diff-stable JSON; returns ``path``.
+
+    The one format of every report, baseline and gate result the repo
+    writes: utf-8, parent directories created, ``indent=2``, sorted keys
+    and a trailing newline.
+    """
+    ensure_parent_dir(path)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return path
 
 

@@ -11,8 +11,10 @@ import json
 from dataclasses import replace
 
 from repro.bench.dag import kmeans_point, prefixsum_point
-from repro.bench.regress import DAG_TOLERANCES, main, run_dag_regress
+from repro.bench.regress import BASELINES, main, replay
 from repro.core.costs import DEFAULT_HOST_COSTS
+
+DAG_TOLERANCES = BASELINES["dag"].tolerances
 
 # Small shapes: enough rounds for the cache to matter, cheap to re-run.
 KM_SMALL = dict(n_points=4_000, rounds=3)
@@ -39,7 +41,7 @@ def test_kmeans_point_is_deterministic():
 
 def test_dag_regress_passes_against_fresh_baseline(tmp_path):
     points = [kmeans_point(**KM_SMALL), prefixsum_point(**PS_SMALL)]
-    result = run_dag_regress(write_baseline(tmp_path, points))
+    result = replay("dag", write_baseline(tmp_path, points))
     assert result["ok"], result["failures"]
     assert result["points"] == 2
     # kmeans carries 3 extra metrics, prefixsum 1, on the shared 4.
@@ -52,7 +54,7 @@ def test_dag_regress_detects_injected_slowdown(tmp_path):
     # shuffle overhead dominates, so inflating it is a real slowdown.
     slow = replace(DEFAULT_HOST_COSTS,
                    push_overhead=DEFAULT_HOST_COSTS.push_overhead * 10)
-    result = run_dag_regress(baseline, costs=slow)
+    result = replay("dag", baseline, costs=slow)
     assert not result["ok"]
     failed = {r["metric"] for r in result["failures"]}
     assert "elapsed_s" in failed
@@ -62,7 +64,7 @@ def test_dag_regress_rejects_unknown_point(tmp_path):
     import pytest
     baseline = write_baseline(tmp_path, [{"app": "dag:mystery"}])
     with pytest.raises(ValueError, match="unknown dag point"):
-        run_dag_regress(baseline)
+        replay("dag", baseline)
 
 
 def test_cli_gates_on_dag_baseline(tmp_path, capsys):

@@ -13,11 +13,11 @@ from dataclasses import replace
 
 from repro.bench.elastic import (FAILOVER_TIMEOUT, double_point,
                                  elastic_point, failover_point, halve_point)
-from repro.bench.regress import (ELASTIC_TOLERANCES, main,
-                                 run_elastic_regress)
+from repro.bench.regress import BASELINES, main, replay
 from repro.core.costs import DEFAULT_HOST_COSTS
 
 KB_SMALL = 48
+ELASTIC_TOLERANCES = BASELINES["elastic"].tolerances
 
 
 def strip_wall(point):
@@ -65,7 +65,7 @@ def test_elastic_regress_passes_against_fresh_baseline(tmp_path):
     points = [double_point(kilobytes=KB_SMALL),
               halve_point(kilobytes=KB_SMALL),
               failover_point(kilobytes=KB_SMALL)]
-    result = run_elastic_regress(write_baseline(tmp_path, points))
+    result = replay("elastic", write_baseline(tmp_path, points))
     assert result["ok"], result["failures"]
     assert result["points"] == 3
     # Every gated metric drifted exactly 0%.
@@ -78,7 +78,7 @@ def test_elastic_regress_detects_injected_slowdown(tmp_path):
     baseline = write_baseline(tmp_path, [halve_point(kilobytes=KB_SMALL)])
     slow = replace(DEFAULT_HOST_COSTS,
                    push_overhead=DEFAULT_HOST_COSTS.push_overhead * 10)
-    result = run_elastic_regress(baseline, costs=slow)
+    result = replay("elastic", baseline, costs=slow)
     assert not result["ok"]
     assert "elapsed_s" in {r["metric"] for r in result["failures"]}
 
@@ -89,7 +89,7 @@ def test_elastic_regress_detects_doctored_invariant(tmp_path):
     point = halve_point(kilobytes=KB_SMALL)
     point["departed"] += 1
     point["network_bytes"] += 1
-    result = run_elastic_regress(write_baseline(tmp_path, [point]))
+    result = replay("elastic", write_baseline(tmp_path, [point]))
     assert not result["ok"]
     failed = {r["metric"] for r in result["failures"]}
     assert {"departed", "network_bytes"} <= failed
@@ -99,7 +99,7 @@ def test_elastic_regress_rejects_unknown_point(tmp_path):
     path = write_baseline(tmp_path, [{"app": "elastic:mystery",
                                       "nodes": 8, "kilobytes": 8}])
     try:
-        run_elastic_regress(path)
+        replay("elastic", path)
     except ValueError as exc:
         assert "mystery" in str(exc)
     else:

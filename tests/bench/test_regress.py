@@ -5,11 +5,11 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench.regress import (DEFAULT_TOLERANCES, compare_point, main,
-                                 run_regress)
+from repro.bench.regress import BASELINES, compare_point, main, replay
 from repro.core.costs import DEFAULT_HOST_COSTS
 
 BASELINE = "BENCH_scaling.json"
+DEFAULT_TOLERANCES = BASELINES["scaling"].tolerances
 SMALL = (1, 4)      # replayed points stay cheap in CI
 
 
@@ -46,7 +46,7 @@ def test_compare_point_zero_baseline():
 
 # ------------------------------------------------- against the committed baseline
 def test_regress_passes_on_committed_baseline():
-    result = run_regress(BASELINE, nodes=SMALL)
+    result = replay("scaling", BASELINE, nodes=SMALL)
     assert result["ok"], result["failures"]
     assert result["points"] == 2 * len(SMALL)   # both apps
 
@@ -54,7 +54,7 @@ def test_regress_passes_on_committed_baseline():
 def test_regress_detects_injected_slowdown():
     slow = replace(DEFAULT_HOST_COSTS,
                    sort_item=DEFAULT_HOST_COSTS.sort_item * 10)
-    result = run_regress(BASELINE, nodes=(1,), costs=slow)
+    result = replay("scaling", BASELINE, nodes=(1,), costs=slow)
     assert not result["ok"]
     assert result["failures"]
 
@@ -64,8 +64,8 @@ def test_regress_explains_drift_with_root_causes():
     the injected slowdown's stage is the #1 cause."""
     slow = replace(DEFAULT_HOST_COSTS,
                    sort_item=DEFAULT_HOST_COSTS.sort_item * 10)
-    result = run_regress(BASELINE, nodes=(4,), cases=("wordcount",),
-                         costs=slow)
+    result = replay("scaling", BASELINE, nodes=(4,), cases=("wordcount",),
+                    costs=slow)
     assert not result["ok"]
     assert len(result["explanations"]) == 1
     entry = result["explanations"][0]
@@ -78,7 +78,7 @@ def test_regress_explains_drift_with_root_causes():
 
 
 def test_regress_passing_points_carry_no_explanations():
-    result = run_regress(BASELINE, nodes=(1,), cases=("wordcount",))
+    result = replay("scaling", BASELINE, nodes=(1,), cases=("wordcount",))
     assert result["ok"]
     assert result["explanations"] == []
 
@@ -92,14 +92,14 @@ def test_regress_notes_baselines_without_causal(tmp_path):
     doctored["sweep"][0]["elapsed_s"] *= 2.0
     path = tmp_path / "old-baseline.json"
     path.write_text(json.dumps(doctored))
-    result = run_regress(str(path), nodes=(1,))
+    result = replay("scaling", str(path), nodes=(1,))
     assert not result["ok"]
     assert "regenerate" in result["explanations"][0]["note"]
 
 
 def test_regress_rejects_empty_selection():
     with pytest.raises(ValueError, match="no baseline points"):
-        run_regress(BASELINE, nodes=(3,))
+        replay("scaling", BASELINE, nodes=(3,))
 
 
 # ------------------------------------------------------------- CLI level

@@ -10,12 +10,12 @@ slowdown trips it.
 import json
 from dataclasses import replace
 
-from repro.bench.regress import (SERVICE_TOLERANCES, main,
-                                 run_service_regress)
+from repro.bench.regress import BASELINES, main, replay
 from repro.bench.service import service_point
 from repro.core.costs import DEFAULT_HOST_COSTS
 
 SMALL_JOBS = 10
+SERVICE_TOLERANCES = BASELINES["service"].tolerances
 
 
 def strip_wall(point):
@@ -39,7 +39,7 @@ def test_service_point_is_deterministic():
 def test_service_regress_passes_against_fresh_baseline(tmp_path):
     points = [service_point(a, n_jobs=SMALL_JOBS)
               for a in ("fair-share", "lpt")]
-    result = run_service_regress(write_baseline(tmp_path, points))
+    result = replay("service", write_baseline(tmp_path, points))
     assert result["ok"], result["failures"]
     assert result["points"] == 2
     assert len(result["comparisons"]) == 2 * len(SERVICE_TOLERANCES)
@@ -50,7 +50,7 @@ def test_service_regress_detects_injected_slowdown(tmp_path):
         tmp_path, [service_point("fair-share", n_jobs=SMALL_JOBS)])
     slow = replace(DEFAULT_HOST_COSTS,
                    sort_item=DEFAULT_HOST_COSTS.sort_item * 10)
-    result = run_service_regress(baseline, costs=slow)
+    result = replay("service", baseline, costs=slow)
     assert not result["ok"]
     failed = {r["metric"] for r in result["failures"]}
     assert "makespan_s" in failed

@@ -16,7 +16,7 @@ from repro.core.faults import (CoordinatorCrash, FaultPlan, NodeJoin,
 from repro.hw.presets import das4_cluster
 
 from repro.bench import elastic
-from repro.bench.regress import ELASTIC_TOLERANCES, compare_point
+from repro.bench.regress import BASELINES, compare_point
 
 NODES = 4
 FAILOVER = 2e-4
@@ -81,7 +81,7 @@ def test_elastic_bench_points_replay_at_zero_drift():
     for app in ("elastic:double", "elastic:halve", "elastic:failover"):
         first = elastic.elastic_point(app, kilobytes=48)
         second = elastic.elastic_point(app, kilobytes=48)
-        rows = compare_point(first, second, ELASTIC_TOLERANCES)
+        rows = compare_point(first, second, BASELINES["elastic"].tolerances)
         assert rows, app    # the gate actually compared something
         assert all(r["ok"] and r["deviation"] == 0.0 for r in rows), \
             (app, [r for r in rows if not r["ok"] or r["deviation"]])

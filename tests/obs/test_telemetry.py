@@ -187,6 +187,21 @@ def test_ensure_parent_dir_creates_nested(tmp_path):
     ensure_parent_dir(str(target))          # idempotent
 
 
+def test_write_json_is_the_one_diff_stable_format(tmp_path):
+    from repro.obs import write_json
+    target = tmp_path / "deep" / "er" / "report.json"
+    payload = {"b": [1, {"z": 1.5, "a": None}], "a": True, "ключ": "значение"}
+    assert write_json(str(target), payload) == str(target)
+    raw = target.read_bytes()
+    text = raw.decode("utf-8")
+    assert json.loads(text) == payload              # round trip, non-ASCII
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert text.index('"a"') < text.index('"b"')    # sorted keys
+    assert text.endswith("}\n") and not text.endswith("\n\n")
+    write_json(str(target), {"shorter": 1})          # overwrites, no tail
+    assert json.loads(target.read_text(encoding="utf-8")) == {"shorter": 1}
+
+
 # ------------------------------------------------------------- validator
 def _valid_exposition():
     return ("# TYPE toy_bytes counter\n"

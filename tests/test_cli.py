@@ -119,13 +119,64 @@ def test_export_flags_create_parent_dirs(tmp_path, capsys):
     assert trace.is_file() and report.is_file() and metrics.is_file()
 
 
+@pytest.mark.parametrize("flags,written", [
+    ([], set()),
+    (["trace"], {"trace"}),
+    (["report"], {"report"}),
+    (["metrics"], {"metrics"}),
+    (["trace", "report", "metrics"], {"trace", "report", "metrics"}),
+])
+def test_write_artifacts_writes_exactly_what_was_asked(tmp_path, capsys,
+                                                       flags, written):
+    import argparse
+    from repro.cli import _write_artifacts
+    from repro.obs.telemetry import Telemetry
+    from repro.simt import Simulator, Timeline
+    paths = {name: str(tmp_path / "out" / f"{name}.json")
+             for name in ("trace", "report", "metrics")}
+    args = argparse.Namespace(
+        trace_out=paths["trace"] if "trace" in flags else None,
+        report_json=paths["report"] if "report" in flags else None,
+        metrics_out=paths["metrics"] if "metrics" in flags else None)
+    built = []
+
+    def report():
+        built.append(1)
+        return {"schema": "stub"}
+
+    _write_artifacts(args, timeline=Timeline(),
+                     telemetry=Telemetry(Simulator(), interval=1.0),
+                     report=report)
+    out = capsys.readouterr().out
+    import os
+    assert {name for name, path in paths.items()
+            if os.path.exists(path)} == written
+    assert len(built) == ("report" in flags)    # built only on demand
+    for name in ("trace", "report", "metrics"):
+        assert (f"{name} written to" in out) == (name in written)
+
+
+def test_write_artifacts_without_metrics_flags(tmp_path, capsys):
+    """``repro dag`` has no --metrics-* flags: nothing to read, no error."""
+    import argparse
+    from repro.cli import _write_artifacts
+    from repro.simt import Timeline
+    report = tmp_path / "r.json"
+    _write_artifacts(argparse.Namespace(trace_out=None,
+                                        report_json=str(report)),
+                     timeline=Timeline(), report=lambda: {"ok": 1})
+    assert report.read_text() == '{\n  "ok": 1\n}\n'
+
+
 def test_report_json_keys_sorted(tmp_path):
     import json
     report = tmp_path / "r.json"
     main(["wordcount", "--nodes", "2", "--megabytes", "0.2",
           "--chunk-kb", "32", "--report-json", str(report)])
     text = report.read_text()
-    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+    # the one write_json format: sorted keys, trailing newline
+    assert text == json.dumps(json.loads(text), indent=2,
+                              sort_keys=True) + "\n"
 
 
 def test_main_explain_prints_analysis(capsys):
@@ -137,6 +188,44 @@ def test_main_explain_prints_analysis(capsys):
     assert "reduce pipeline" in out
     assert "dominant stage" in out
     assert "critical path" in out
+
+
+# -- --fault-seed vs the explicit fault flags --------------------------------
+
+@pytest.mark.parametrize("flag,value", [
+    ("--fail-map", "0"), ("--fail-reduce", "1"), ("--node-crash", "1@0.0001"),
+    ("--straggle", "0@4"), ("--join", "auto@0.0001"),
+    ("--leave", "auto@0.0001"), ("--coord-crash", "0.0001")])
+def test_fault_seed_rejects_explicit_fault_flags(flag, value):
+    """Regression: --fault-seed used to return its seeded plan before it
+    looked at any explicit flag, silently discarding them."""
+    with pytest.raises(SystemExit, match="--fault-seed") as exc:
+        main(["wordcount", "--nodes", "4", "--megabytes", "0.5",
+              "--fault-seed", "7", flag, value])
+    assert exc.value.code != 0
+    assert flag in str(exc.value)
+
+
+def test_fault_seed_conflict_names_every_flag():
+    from repro.cli import make_faults
+    args = build_parser().parse_args(
+        ["wordcount", "--fault-seed", "7", "--node-crash", "1@0.0001",
+         "--coord-crash", "0.0001"])
+    with pytest.raises(SystemExit) as exc:
+        make_faults(args)
+    assert "--node-crash, --coord-crash" in str(exc.value)
+
+
+def test_fault_seed_alone_is_unchanged():
+    from repro.cli import make_faults
+    from repro.core.faults import FaultPlan
+    args = build_parser().parse_args(
+        ["wordcount", "--nodes", "4", "--fault-seed", "7",
+         "--map-rate", "0.3", "--speculate"])
+    assert make_faults(args, n_splits_hint=8) == FaultPlan.seeded(
+        7, n_splits=8, n_nodes=4,
+        n_partitions=4 * JobConfig().partitions_per_node,
+        map_rate=0.3, reduce_rate=0.1, straggler_rate=0.1)
 
 
 # -- iterative k-means and the dag subcommand -------------------------------
@@ -185,6 +274,26 @@ def test_kmeans_iterative_report(tmp_path, capsys):
     assert r["iterations"] == 2
     assert len(r["rounds"]) == 2
     assert r["rounds"][1]["cache_hit_bytes"] > 0
+
+
+def test_kmeans_iterative_writes_metrics_and_report(tmp_path, capsys):
+    """Regression: the multi-round tail handed ``_write_artifacts`` no
+    telemetry, so --metrics-out crashed after the run (leaving an empty
+    metrics file) and the --report-json behind it was never written."""
+    import json
+    metrics = tmp_path / "m.jsonl"
+    report = tmp_path / "dag.json"
+    rc = main(["kmeans", "--nodes", "2", "--points", "2000", "--centers",
+               "4", "--iterations", "2", "--tolerance", "0",
+               "--metrics-interval", "0.001", "--metrics-out", str(metrics),
+               "--report-json", str(report)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "metrics written to" in out and "report written to" in out
+    rows = [json.loads(line) for line in metrics.read_text().splitlines()]
+    # every round is sampled, not only the first
+    assert {r["labels"].get("job") for r in rows} >= {"lloyd@r1", "lloyd@r2"}
+    assert json.loads(report.read_text())["iterations"] == 2
 
 
 def test_dag_subcommand_prefixsum(capsys):
