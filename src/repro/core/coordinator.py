@@ -146,8 +146,7 @@ class ShuffleRegistry:
         return sorted(s for (n, s) in self.durable if n == node)
 
     # -- recovery planning -------------------------------------------------
-    def recovery_plan(self, all_splits: Sequence[Split], alive,
-                      durable_alive=None
+    def recovery_plan(self, all_splits: Sequence[Split], alive, durable_alive
                       ) -> Tuple[Dict[Tuple[int, int], List[Tuple[int, int, SortedRun]]],
                                  List[Split]]:
         """What the survivors must do after node loss.
@@ -167,11 +166,10 @@ class ShuffleRegistry:
         """
         repushes: Dict[Tuple[int, int], List[Tuple[int, int, SortedRun]]] = {}
         reexec: List[Split] = []
-        can_serve = durable_alive if durable_alive is not None else alive
         for split in all_splits:
             durable_holder = None
             for (node, s) in self.durable:
-                if s == split.index and can_serve(node):
+                if s == split.index and durable_alive(node):
                     durable_holder = node
                     break
             lost_pids = [pid for pid in range(self.total_partitions)

@@ -47,6 +47,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
+from repro.core.membership import initial_active
+
 __all__ = [
     "FaultPlan",
     "FaultInjector",
@@ -244,6 +246,19 @@ class FaultPlan:
         return bool(self.node_joins or self.node_leaves
                     or self.coordinator_crashes)
 
+    def check_nodes(self, n_nodes: int) -> None:
+        """Raise ``ValueError`` when an event names a node an
+        ``n_nodes``-node cluster does not have (a plan is written before
+        the cluster it will run on is known)."""
+        for kind, events in (("crash", self.node_crashes),
+                             ("join", self.node_joins),
+                             ("leave", self.node_leaves)):
+            for event in events:
+                if event.node is not None and event.node >= n_nodes:
+                    raise ValueError(
+                        f"node {kind} targets node {event.node} but the "
+                        f"cluster has {n_nodes} nodes")
+
     # -- schedule queries --------------------------------------------------
     def should_fail_map(self, split_index: int, attempt: int) -> bool:
         """True when this attempt of this map task is destined to crash."""
@@ -403,15 +418,8 @@ class ClusterHealth:
         self.dead_at: Dict[int, float] = {}
         self.departed_at: Dict[int, float] = {}
         self.joined_at: Dict[int, float] = {}
-        if active is None:
-            self.inactive: Set[int] = set()
-        else:
-            ids = set(active)
-            if not ids or any(not (0 <= n < n_nodes) for n in ids):
-                raise ValueError(
-                    f"active ids {sorted(ids)} outside the "
-                    f"{n_nodes}-node cluster")
-            self.inactive = set(range(n_nodes)) - ids
+        self.inactive: Set[int] = (set(range(n_nodes))
+                                   - set(initial_active(n_nodes, active)))
 
     def alive(self, node: int) -> bool:
         return (node not in self.dead_at and node not in self.departed_at

@@ -38,27 +38,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Tuple
 
-from repro.hw.node import Node
-from repro.net.transport import Network
-from repro.ocl.runtime import Buffer, Context, Device
-from repro.simt.core import Simulator
-from repro.simt.trace import Timeline
+from repro.hw.specs import DeviceKind
+from repro.ocl.runtime import Buffer, Context
 
-from repro.core.api import MapReduceApp
 from repro.core.batching import apportion_bytes, resolve_batch_size, \
     slice_batches
 from repro.core.collector import KeyInterner, collect_map_output
-from repro.core.config import JobConfig
-from repro.core.coordinator import ShuffleRegistry, Split
-from repro.core.costs import DEFAULT_HOST_COSTS, HostCosts, sort_seconds
+from repro.core.coordinator import Split
+from repro.core.costs import sort_seconds
 from repro.core.data import Chunk, MapOutput, SortedRun
-from repro.core.faults import ClusterHealth, FaultPlan, TaskFailedError
-from repro.core.intermediate import IntermediateManager
-from repro.core.io import StorageBackend
+from repro.core.faults import TaskFailedError
 from repro.core.pipeline import Pipeline
-from repro.core.sched import Scheduler
 from repro.core.splitread import read_split_records
 
 __all__ = ["MapPhase"]
@@ -84,43 +76,36 @@ class _SplitAccumulator:
 class MapPhase:
     """One node's map pipeline plus its partition-push bookkeeping."""
 
-    def __init__(self, sim: Simulator, node: Node, device: Device,
-                 app: MapReduceApp, config: JobConfig,
-                 backend: StorageBackend, timeline: Timeline,
-                 scheduler: Scheduler,
-                 managers: Dict[int, IntermediateManager],
-                 network: Network,
-                 costs: HostCosts = DEFAULT_HOST_COSTS,
-                 faults: FaultPlan | None = None,
-                 health: ClusterHealth | None = None,
-                 registry: ShuffleRegistry | None = None,
-                 speculation: Optional["SpeculationController"] = None,
-                 recovery: bool = False,
-                 device_key: Optional[str] = None,
-                 meter=None):
-        self.sim = sim
-        self.node = node
-        self.device = device
-        self.app = app
-        self.config = config
-        self.backend = backend
-        self.timeline = timeline
-        self.scheduler = scheduler
-        self.managers = managers          # node_id -> manager (all nodes)
-        self.network = network
-        self.n_nodes = len(managers)
-        self.costs = costs
-        self.faults = faults
-        self.health = health
-        self.registry = registry
-        self.speculation = speculation
+    def __init__(self, job, node_id: int, kind: DeviceKind,
+                 recovery: bool = False):
+        # ``job`` is the JobExecution; what the stage bodies read per
+        # batch is aliased here, so the hot path pays no extra hop.
+        self.sim = sim = job.sim
+        self.node = node = job.cluster[node_id]
+        self.device = device = job.device_objs[node_id][kind]
+        self.app = app = job.app
+        self.config = config = job.config
+        self.backend = job.backend
+        self.timeline = timeline = job.timeline
+        self.scheduler = scheduler = job.scheduler
+        self.managers = job.managers      # node_id -> manager (live nodes)
+        self.network = job.network
+        self.costs = job.costs
+        self.health = job.health
+        self.registry = job.registry
+        #: the job's TrafficMeter, threading through every push
+        self.meter = job.meter
         self.recovery = recovery
-        #: optional per-tenant TrafficMeter threading through every push
-        self.meter = meter
+        # A recovery wave re-executes on survivors, after the planned
+        # faults and the straggler race have had their say: it runs
+        # fault-free, unraced, one plain pipeline per node.
+        self.faults = None if recovery else job.faults
+        self.speculation = None if recovery else job.speculation
         # ``device_key`` marks this pipeline as one member of a multi-
         # device pool: work is then acquired through the scheduler's
         # waiting-capable pool gate instead of the plain per-node pull.
-        self.device_key = device_key
+        self.device_key = device_key = (
+            kind.value if len(job.map_kinds) > 1 and not recovery else None)
         self.phase_kind = "recovery" if recovery else "map"
         self._splits_by_index: Dict[int, Split] = {}
         self.push_procs: List = []        # in-flight remote pushes
@@ -390,8 +375,7 @@ class MapPhase:
         """
         cfg = self.config
         registry = self.registry
-        total_partitions = (registry.total_partitions if registry is not None
-                            else self.n_nodes * cfg.partitions_per_node)
+        total_partitions = registry.total_partitions
         split_index = out.chunk_index
         single = out.seq == 0 and out.last
         # Real work: bucket the pairs (into the split accumulator when
@@ -443,31 +427,26 @@ class MapPhase:
         yield from self.node.disk.write(stored_total, stream="spill")
         runs = {pid: SortedRun(pairs, self.app.inter_schema.size_of(pairs))
                 for pid, pairs in sorted(buckets.items())}
-        if registry is not None:
-            registry.mark_durable(self.node.node_id, split_index, runs)
-            # Empty buckets are vacuously delivered — without an entry the
-            # recovery planner would re-execute a fully delivered split.
-            for pid in range(total_partitions):
-                if pid not in runs:
-                    registry.mark_delivered(split_index, pid,
-                                            registry.owner_of(pid))
+        registry.mark_durable(self.node.node_id, split_index, runs)
+        # Empty buckets are vacuously delivered — without an entry the
+        # recovery planner would re-execute a fully delivered split.
+        for pid in range(total_partitions):
+            if pid not in runs:
+                registry.mark_delivered(split_index, pid,
+                                        registry.owner_of(pid))
         # Push each Partition to its owner.  Pushes to the same peer are
         # batched into one message per chunk (one socket per peer), and
         # they run asynchronously: the pipeline's output stage does not
         # wait for the network.
         remote: Dict[int, List[tuple[int, SortedRun]]] = {}
         for pid, run in runs.items():
-            if (self.recovery and registry is not None
-                    and self.health is not None
-                    and registry.delivered_to_live(split_index, pid,
-                                                   self.health.alive)):
+            if self.recovery and registry.delivered_to_live(
+                    split_index, pid, self.health.alive):
                 continue    # this bucket survived the crash; don't duplicate
-            owner = (registry.owner_of(pid) if registry is not None
-                     else pid % self.n_nodes)
+            owner = registry.owner_of(pid)
             if owner == self.node.node_id:
                 self.managers[owner].add_run(pid, run)
-                if registry is not None:
-                    registry.mark_delivered(split_index, pid, owner)
+                registry.mark_delivered(split_index, pid, owner)
             else:
                 remote.setdefault(owner, []).append((pid, run))
         if remote:
@@ -505,5 +484,4 @@ class MapPhase:
                 continue    # owner is gone; recovery re-routes these runs
             for pid, run in runs:
                 self.managers[owner].add_run(pid, run)
-                if self.registry is not None:
-                    self.registry.mark_delivered(split_index, pid, owner)
+                self.registry.mark_delivered(split_index, pid, owner)

@@ -26,6 +26,12 @@ module adds the three missing pieces:
   are broadcast to every running job, while jobs dispatched later
   snapshot the new active set.
 
+* the transitions themselves — :func:`crash`, :func:`join` and
+  :func:`leave` change one job's membership, and :func:`arm` turns the
+  job's :class:`~repro.core.faults.FaultPlan` schedule into monitor
+  processes that fire them; :func:`initial_active` validates what a
+  submission says about membership before anything is built.
+
 Membership semantics (see ``docs/elasticity.md``): a **joining** node
 registers with the job's scheduler and starts stealing queued map work
 with zero engine changes; a **leaving** node *drains* — its unfinished
@@ -39,13 +45,43 @@ re-execution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from inspect import isgenerator
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.simt.core import Event, Simulator
 from repro.simt.trace import Timeline
 
 __all__ = ["CoordinatorGroup", "ElasticPolicy", "ElasticController",
-           "ElasticPool"]
+           "ElasticPool", "initial_active", "arm", "crash", "join", "leave"]
+
+
+def initial_active(n_nodes: int,
+                   active: Union[int, Sequence[int], None] = None,
+                   faults=None) -> List[int]:
+    """Check a submission's membership against the cluster size and
+    return the sorted ids of its initially-active nodes.
+
+    ``active`` is a count (the first ``active`` nodes), explicit ids, or
+    ``None`` for every node.  Raises ``ValueError`` when the set is empty
+    (a cluster of no nodes included) or leaves the cluster, or when the
+    fault plan names a node the cluster does not have — before anything
+    is built on the simulator.
+    """
+    if faults is not None:
+        faults.check_nodes(n_nodes)
+    if active is None:
+        active = n_nodes
+    if isinstance(active, int):
+        if not (1 <= active <= n_nodes):
+            raise ValueError(
+                f"active node count {active} outside 1..{n_nodes}")
+        return list(range(active))
+    ids = sorted(set(active))
+    if not ids or any(not (0 <= n < n_nodes) for n in ids):
+        raise ValueError(
+            f"active ids {ids} outside the {n_nodes}-node cluster")
+    return ids
 
 
 class CoordinatorGroup:
@@ -83,10 +119,6 @@ class CoordinatorGroup:
     # -- state queries -----------------------------------------------------
     def alive_replicas(self) -> List[int]:
         return [r for r in self.replicas if r not in self.dead]
-
-    @property
-    def has_leader(self) -> bool:
-        return self.leader is not None
 
     # -- failure injection -------------------------------------------------
     def crash_leader(self, at: Optional[float] = None) -> Optional[int]:
@@ -210,14 +242,14 @@ class ElasticController:
         self.scale_ins = 0
 
     def _mean_busy(self) -> float:
-        cluster = self.execution.session.cluster
+        cluster = self.execution.cluster
         nodes = self.execution.health.alive_nodes
         if not nodes:
             return 0.0
         return sum(cluster[n].cpu.busy_fraction() for n in nodes) / len(nodes)
 
     def run(self):
-        sim = self.execution.session.sim
+        sim = self.execution.sim
         policy = self.policy
         stop = self.execution.shuffle_done
         last_action = -policy.cooldown - 1.0
@@ -254,20 +286,7 @@ class ElasticPool:
 
     def __init__(self, n_nodes: int,
                  active: Union[int, Sequence[int], None] = None):
-        if n_nodes < 1:
-            raise ValueError("the pool needs at least one node")
-        if active is None:
-            ids = list(range(n_nodes))
-        elif isinstance(active, int):
-            if not (1 <= active <= n_nodes):
-                raise ValueError(
-                    f"active node count {active} outside 1..{n_nodes}")
-            ids = list(range(active))
-        else:
-            ids = sorted(set(active))
-            if not ids or any(not (0 <= n < n_nodes) for n in ids):
-                raise ValueError(
-                    f"active ids {ids} outside the {n_nodes}-node cluster")
+        ids = initial_active(n_nodes, active)
         self.n_nodes = n_nodes
         self.active: List[int] = ids
         self.standby: List[int] = [n for n in range(n_nodes) if n not in ids]
@@ -301,3 +320,134 @@ class ElasticPool:
         self.standby = sorted(self.standby + [node])
         self.events.append({"kind": "scale-in", "node": node, "at": at})
         return node
+
+
+# -- membership transitions of one job ---------------------------------------
+#
+# ``job`` is a :class:`~repro.core.engine.JobExecution`.  A transition is a
+# no-op once ``job.shuffle_done`` fired: from merge finalisation on the job
+# already holds everything a node produced, and membership is frozen.
+
+def arm(job) -> None:
+    """Turn the job's fault-plan schedule into monitor processes.
+
+    Node crashes, joins and leaves race ``shuffle_done``; a coordinator
+    crash races ``job_done`` (the control plane may be killed in *any*
+    phase).
+    """
+    plan = job.faults
+    if plan is None:
+        return
+    window = job.shuffle_done
+    monitors = [(f"crash.n{e.node}", e.at, window, partial(crash, job, e.node))
+                for e in plan.node_crashes]
+    for kind, events, action in (("join", plan.node_joins, join),
+                                 ("leave", plan.node_leaves, leave)):
+        monitors += [(f"{kind}.{'auto' if e.node is None else e.node}", e.at,
+                      window, partial(action, job, e.node)) for e in events]
+    monitors += [(f"coordcrash@{e.at}", e.at, job.job_done,
+                  job.coordinator.crash_leader)
+                 for e in plan.coordinator_crashes]
+    for name, at, until, action in monitors:
+        job.sim.process(_fire(job.sim, at, until, action), name=name)
+
+
+def _fire(sim: Simulator, at: float, until: Event, action):
+    """Run ``action`` at ``at`` unless ``until`` fires first."""
+    idx, _ = yield sim.any_of([sim.timeout(at), until])
+    if idx == 0:
+        outcome = action()
+        if isgenerator(outcome):    # join/leave are process bodies
+            yield from outcome
+
+
+def _stop_node(job, node: int) -> None:
+    """Kill ``node``'s map pipelines, in-flight pushes and merge cache."""
+    for mp in job.map_phases:
+        if mp.node.node_id == node:
+            mp.kill()
+    job.managers[node].kill()
+
+
+def _record(job, kind: str, node: int) -> None:
+    now = job.sim.now
+    job.timeline.record(f"node.{kind}", job.cluster[node].name, now, now,
+                        node=node)
+    job.membership_events.append({"kind": kind, "node": node, "at": now})
+
+
+def crash(job, node: int) -> None:
+    """Active → dead: the node takes its pipelines, its in-flight pushes
+    and its intermediate cache with it."""
+    if not job.health.alive(node):
+        return
+    now = job.sim.now
+    job.health.mark_dead(node, now)
+    job.timeline.record("node.crash", job.cluster[node].name, now, now,
+                        node=node)
+    _stop_node(job, node)
+
+
+def join(job, node: Optional[int]):
+    """Standby → active (``None`` picks the lowest-id standby): one
+    coordinator round-trip, then the node gets a manager + map pipelines
+    and registers with the scheduler — from where the ordinary pull loop
+    lets it steal queued splits with zero further engine involvement."""
+    health = job.health
+    if job.shuffle_done.triggered:
+        return
+    if node is not None and node not in health.inactive:
+        return
+    # Admission is a control-plane operation: it blocks (and charges
+    # the failover delay) while the coordinator seat is vacant.  An
+    # ``auto`` node resolves *after* the barrier so transitions
+    # queued behind one failover pick distinct standbys.
+    yield from job.coordinator.require_leader()
+    if job.shuffle_done.triggered:
+        return
+    if node is None:
+        if not health.inactive:
+            return
+        node = min(health.inactive)
+    elif node not in health.inactive:
+        return
+    health.activate(node, job.sim.now)
+    _record(job, "join", node)
+    cache = getattr(job.backend, "mark_rejoined", None)
+    if cache is not None:
+        cache(node)
+    job.scheduler.node_joined(node)
+    # A joiner owns no shuffle partitions (the partition space stays
+    # pinned to the initial active set) — it contributes map/merge
+    # work and receives rehomed partitions only through recovery.
+    job.map_waits.extend(mp.run() for mp in job.add_node(node, []))
+
+
+def leave(job, node: Optional[int]):
+    """Active → departed (``None`` picks the highest-id live node; the
+    last one never leaves): drain through the recovery path.  The node's
+    pipelines die like a crash's would, but its durable spill and
+    replicas stay readable — so recovery re-pushes from it instead of
+    re-executing its splits."""
+    health = job.health
+    if job.shuffle_done.triggered:
+        return
+    if node is not None and node not in health.alive_nodes:
+        return
+    yield from job.coordinator.require_leader()
+    alive = health.alive_nodes
+    if job.shuffle_done.triggered or len(alive) <= 1:
+        return
+    if node is None:
+        node = max(alive)
+    elif node not in alive:
+        return
+    health.mark_departed(node, job.sim.now)
+    _record(job, "leave", node)
+    _stop_node(job, node)
+    job.scheduler.node_left(node)
+    # Evict the departing node's cache-aside entries (its RAM left
+    # with it); its *disk* state deliberately survives.
+    cache = getattr(job.backend, "mark_departed", None)
+    if cache is not None:
+        cache(node)

@@ -22,21 +22,12 @@ Two cooperating pieces live here:
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Tuple
 
-from repro.net.transport import Network
-from repro.simt.core import Event, Simulator
-from repro.simt.trace import Timeline
+from repro.simt.core import Event
 
-from repro.core.api import MapReduceApp
-from repro.core.config import JobConfig
-from repro.core.coordinator import ShuffleRegistry, Split
-from repro.core.costs import DEFAULT_HOST_COSTS, HostCosts
+from repro.core.coordinator import Split
 from repro.core.data import SortedRun
-from repro.core.faults import ClusterHealth
-from repro.core.intermediate import IntermediateManager
-from repro.core.io import StorageBackend
-from repro.core.sched import Scheduler
 from repro.core.splitread import read_split_records
 
 __all__ = ["SpeculationController", "run_recovery"]
@@ -54,22 +45,12 @@ class SpeculationController:
     #: completed launches needed before the mean is trusted
     MIN_SAMPLES = 3
 
-    def __init__(self, sim: Simulator, app: MapReduceApp, config: JobConfig,
-                 backend: StorageBackend, health: ClusterHealth,
-                 devices: Sequence, nodes: Sequence,
-                 costs: HostCosts = DEFAULT_HOST_COSTS,
-                 scheduler: Optional[Scheduler] = None):
-        self.sim = sim
-        self.app = app
-        self.config = config
-        self.backend = backend
-        self.health = health
-        self.devices = list(devices)
-        self.nodes = list(nodes)
-        self.costs = costs
-        self.scheduler = scheduler
+    def __init__(self, job):
+        self.job = job          # the JobExecution this controller serves
+        self.sim = job.sim
+        self.config = job.config
         self.durations: List[float] = []
-        self.active: Dict[int, int] = {n: 0 for n in range(len(self.nodes))}
+        self.active: Dict[int, int] = {n: 0 for n in range(len(job.cluster))}
         self.launches = 0
         self.wins = 0
         self._progress_waiters: List[Event] = []
@@ -105,14 +86,9 @@ class SpeculationController:
         """Node to run a speculative copy on — delegated to the job's
         scheduling policy (the base policy picks the least-loaded
         surviving node other than ``exclude``)."""
-        if self.scheduler is not None:
-            return self.scheduler.pick_helper(
-                exclude, self.health.alive_nodes, self.active,
-                split_index=split_index)
-        candidates = [n for n in self.health.alive_nodes if n != exclude]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda n: (self.active[n], n))
+        return self.job.scheduler.pick_helper(
+            exclude, self.job.health.alive_nodes, self.active,
+            split_index=split_index)
 
     def launch_copy(self, split: Split, helper: int):
         """Start the speculative duplicate on ``helper``; returns its
@@ -130,30 +106,24 @@ class SpeculationController:
         """Charge the duplicate's costs: re-read the split on the helper
         and run the map kernel at full speed (the straggler slowdown is a
         property of the sick node, not of the task)."""
+        job = self.job
         self.active[helper] += 1
         try:
             records, nbytes = yield from read_split_records(
-                self.backend, helper, split, self.app.record_format)
-            device = self.devices[helper]
-            cost = self.app.map_cost(device.spec, len(records), nbytes)
+                job.backend, helper, split, job.app.record_format)
+            device = job.device_objs[helper][job.map_kinds[0]]
+            cost = job.app.map_cost(device.spec, len(records), nbytes)
             threads = self.config.kernel_threads
             if threads is None:
-                threads = self.app.preferred_threads(device.spec)
+                threads = job.app.preferred_threads(device.spec)
             yield from device.execute_cost(cost, threads=threads)
         finally:
             self.active[helper] -= 1
 
 
-def run_recovery(sim: Simulator, timeline: Timeline, cluster,
-                 app: MapReduceApp, config: JobConfig,
-                 backend: StorageBackend,
-                 managers: Dict[int, IntermediateManager],
-                 devices: Sequence, network: Network,
-                 registry: ShuffleRegistry, health: ClusterHealth,
-                 splits: Sequence[Split], scheduler: Scheduler,
-                 costs: HostCosts = DEFAULT_HOST_COSTS,
-                 meter=None) -> Generator:
-    """The post-crash recovery wave (process body; yields until done).
+def run_recovery(job) -> Generator:
+    """The post-crash recovery wave of ``job`` (process body; yields
+    until done).
 
     Returns ``(n_repushed_runs, n_reexecuted_splits)`` for the stats
     block.  On return every ``(split, partition)`` run the shuffle lost is
@@ -163,6 +133,8 @@ def run_recovery(sim: Simulator, timeline: Timeline, cluster,
     """
     from repro.core.map_phase import MapPhase   # cycle: map_phase ↔ recovery
 
+    sim, health, registry = job.sim, job.health, job.registry
+    scheduler = job.scheduler
     survivors = health.alive_nodes
     if not survivors:
         raise RuntimeError("every node died; the job cannot complete")
@@ -170,41 +142,36 @@ def run_recovery(sim: Simulator, timeline: Timeline, cluster,
     #    stop reducing): the scheduling policy picks each partition's new
     #    owner (the base policy keeps the original deterministic spread;
     #    load-aware policies balance ownership).
-    for gone in getattr(health, "gone_nodes", health.dead_nodes):
+    for gone in health.gone_nodes:
         for pid in registry.owned_by(gone):
             new_owner = scheduler.rehome(pid, survivors, registry)
             registry.reassign(pid, new_owner)
-            managers[new_owner].adopt_partition(pid)
+            job.managers[new_owner].adopt_partition(pid)
     # 2. Plan: cheap durable re-pushes vs full split re-execution.  A
     #    departed (drained) node still serves its durable spill — that is
     #    what makes a drain cheaper than a crash.
     repushes, reexec = registry.recovery_plan(
-        splits, health.alive,
-        durable_alive=getattr(health, "storage_alive", None))
+        job.splits, health.alive, durable_alive=health.storage_alive)
     n_repushed = sum(len(entries) for entries in repushes.values())
     for split in reexec:
-        timeline.record("recovery.reexec", "job", sim.now, sim.now,
-                        split=split.index)
+        job.timeline.record("recovery.reexec", "job", sim.now, sim.now,
+                            split=split.index)
     # 3. Durable re-pushes: spill re-read on the source, one batched send
     #    per (source, owner) pair, runs join the owner's cache.
-    procs = [sim.process(
-        _repush(sim, timeline, cluster[source], network, managers,
-                registry, config, costs, owner, entries, meter=meter),
-        name=f"recover.n{source}->n{owner}")
-        for (source, owner), entries in sorted(repushes.items())]
+    procs = [sim.process(_repush(job, source, owner, entries),
+                         name=f"recover.n{source}->n{owner}")
+             for (source, owner), entries in sorted(repushes.items())]
     # 4. Re-execution: the lost splits go back through the scheduler
     #    (restricted to survivors) and a recovery map phase pulls them on
     #    every node the policy nominates.  The ledger keeps already
-    #    delivered buckets from being pushed twice.
+    #    delivered buckets from being pushed twice.  The phases stay on
+    #    the job, whose buffer-slot balance counts their pipelines.
     phases = []
     if reexec:
-        scheduler.plan_recovery(reexec, backend, survivors)
-        for node_id in scheduler.recovery_nodes():
-            phases.append(MapPhase(
-                sim, cluster[node_id], devices[node_id], app, config,
-                backend, timeline, scheduler=scheduler, managers=managers,
-                network=network, costs=costs, faults=None, health=health,
-                registry=registry, recovery=True, meter=meter))
+        scheduler.plan_recovery(reexec, job.backend, survivors)
+        phases = [MapPhase(job, node_id, job.map_kinds[0], recovery=True)
+                  for node_id in scheduler.recovery_nodes()]
+        job.recovery_phases.extend(phases)
     waits = procs + [ph.run() for ph in phases]
     if waits:
         yield sim.all_of(waits)
@@ -216,25 +183,22 @@ def run_recovery(sim: Simulator, timeline: Timeline, cluster,
     return n_repushed, len(reexec)
 
 
-def _repush(sim: Simulator, timeline: Timeline, node, network: Network,
-            managers: Dict[int, IntermediateManager],
-            registry: ShuffleRegistry, config: JobConfig, costs: HostCosts,
-            owner: int,
-            entries: List[Tuple[int, int, SortedRun]],
-            meter=None) -> Generator:
-    """Re-deliver durable runs from ``node``'s spill to ``owner``."""
-    stored = sum(config.compression.compressed_size(run.raw_bytes)
+def _repush(job, source: int, owner: int,
+            entries: List[Tuple[int, int, SortedRun]]) -> Generator:
+    """Re-deliver durable runs from ``source``'s spill to ``owner``."""
+    sim, node = job.sim, job.cluster[source]
+    stored = sum(job.config.compression.compressed_size(run.raw_bytes)
                  for _, _, run in entries)
     start = sim.now
     yield from node.disk.read(stored, stream="spill.recover")
-    yield node.host_work(1, costs.push_overhead, tag="push")
-    delivered = yield from network.send(node.node_id, owner, stored,
-                                        meter=meter)
-    timeline.record("recovery.repush", node.name, start, sim.now,
-                    owner=owner, runs=len(entries), bytes=stored,
-                    delivered=bool(delivered))
+    yield node.host_work(1, job.costs.push_overhead, tag="push")
+    delivered = yield from job.network.send(source, owner, stored,
+                                            meter=job.meter)
+    job.timeline.record("recovery.repush", node.name, start, sim.now,
+                        owner=owner, runs=len(entries), bytes=stored,
+                        delivered=bool(delivered))
     if delivered is False:    # owner died during recovery — not modelled
         return
     for split_index, pid, run in entries:
-        managers[owner].add_run(pid, run)
-        registry.mark_delivered(split_index, pid, owner)
+        job.managers[owner].add_run(pid, run)
+        job.registry.mark_delivered(split_index, pid, owner)

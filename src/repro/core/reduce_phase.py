@@ -34,20 +34,14 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Generator, List, Optional, Sequence, Tuple
 
-from repro.hw.node import Node
+from repro.hw.specs import DeviceKind
 from repro.ocl.kernel import KernelCost
-from repro.ocl.runtime import Buffer, Context, Device
-from repro.simt.core import Simulator
-from repro.simt.trace import Timeline
+from repro.ocl.runtime import Buffer, Context
 
 from repro.core.api import MapReduceApp
 from repro.core.batching import apportion_bytes, resolve_batch_size
-from repro.core.config import JobConfig
-from repro.core.costs import DEFAULT_HOST_COSTS, HostCosts
 from repro.core.data import KeyGroupChunk, ReduceOutput
-from repro.core.faults import FaultPlan, TaskFailedError
-from repro.core.intermediate import IntermediateManager
-from repro.core.io import StorageBackend
+from repro.core.faults import TaskFailedError
 from repro.core.pipeline import Pipeline
 
 __all__ = ["ReducePhase"]
@@ -83,23 +77,19 @@ class _ReduceItem:
 class ReducePhase:
     """One node's reduce pipeline over its owned partitions."""
 
-    def __init__(self, sim: Simulator, node: Node, device: Device,
-                 app: MapReduceApp, config: JobConfig,
-                 backend: StorageBackend, timeline: Timeline,
-                 manager: IntermediateManager,
-                 costs: HostCosts = DEFAULT_HOST_COSTS,
-                 faults: FaultPlan | None = None,
+    def __init__(self, job, node_id: int, kind: DeviceKind,
                  pids: Optional[Sequence[int]] = None):
-        self.sim = sim
-        self.node = node
-        self.device = device
-        self.app = app
-        self.config = config
-        self.backend = backend
-        self.timeline = timeline
-        self.manager = manager
-        self.costs = costs
-        self.faults = faults
+        # ``job`` is the JobExecution (see MapPhase for the aliasing).
+        self.sim = sim = job.sim
+        self.node = node = job.cluster[node_id]
+        self.device = device = job.device_objs[node_id][kind]
+        self.app = job.app
+        self.config = config = job.config
+        self.backend = job.backend
+        self.timeline = timeline = job.timeline
+        self.manager = job.managers[node_id]
+        self.costs = job.costs
+        self.faults = job.faults
         # ``pids`` restricts this pipeline to a subset of the manager's
         # owned partitions (device pools split a node's partitions across
         # several concurrent reduce pipelines); ``None`` keeps them all.

@@ -250,7 +250,7 @@ class DagRunner:
         t0 = session.sim.now
         execution = JobExecution(
             session, app, inputs, config=config, costs=self.costs,
-            faults=faults, name=label, exclusive=False,
+            faults=faults, name=label,
             timeline=session.timeline.fork(label),
             backend=backend, splits=splits)
         execution.start()

@@ -7,6 +7,6 @@ on its own NIC — the behaviour that makes the shuffle a real pipeline
 stage worth overlapping (the paper's central claim).
 """
 
-from repro.net.transport import Network, Transfer
+from repro.net.transport import Network
 
-__all__ = ["Network", "Transfer"]
+__all__ = ["Network"]

@@ -2,15 +2,15 @@
 
 Fault semantics: transfers are interrupt-safe (a sender killed by a node
 crash withdraws its queued NIC/fabric requests instead of wedging them),
-and when the network is given a :class:`~repro.core.faults.ClusterHealth`
-view, data addressed to a dead node is dropped — :meth:`Network.send`
-reports delivery, so shuffle data in flight to (or from) a crashed node
-is lost exactly as on a real cluster.
+and when a send carries a :class:`TrafficMeter` with a
+:class:`~repro.core.faults.ClusterHealth` view, data addressed to a dead
+node is dropped — :meth:`Network.send` reports delivery, so shuffle data
+in flight to (or from) a crashed node is lost exactly as on a real
+cluster.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.simt.core import Interrupt, Simulator
@@ -20,18 +20,7 @@ from repro.simt.trace import Timeline
 if TYPE_CHECKING:   # annotations only; importing repro.hw here is a cycle
     from repro.hw.specs import NetworkSpec
 
-__all__ = ["Network", "Transfer", "TrafficMeter"]
-
-
-@dataclass(frozen=True)
-class Transfer:
-    """Record of one completed transfer (for tests and accounting)."""
-
-    src: int
-    dst: int
-    nbytes: int
-    start: float
-    end: float
+__all__ = ["Network", "TrafficMeter"]
 
 
 class TrafficMeter:
@@ -47,7 +36,7 @@ class TrafficMeter:
     * ``timeline``, when set, receives the transfer spans instead of the
       network's session timeline (a :class:`~repro.simt.trace.Timeline`
       fork forwards them to the session anyway, job-tagged);
-    * ``health``, when set, overrides the network-wide health view, so a
+    * ``health``, when set, is the liveness view deliveries obey, so a
       node that crashed *for this job* drops this job's deliveries while
       other tenants keep using it (executor-crash semantics).
     """
@@ -85,14 +74,11 @@ class Network:
         # still works.
         fabric_links = max(1, int(n_nodes * spec.bisection_factor))
         self._fabric = Resource(sim, fabric_links, name="fabric")
-        self.transfers: list[Transfer] = []
         self.bytes_moved = 0
         # Monotonic transfer sequence: concurrent transfers on the same
         # directed link produce overlapping same-identity spans, so each
         # span and its wait edges share an ``op`` token to stay matchable.
         self._seq = 0
-        #: optional ClusterHealth view; when set, sends to dead nodes drop
-        self.health = None
         # Per-link telemetry state, maintained only when the timeline
         # carries a live metrics hub (zero cost otherwise).
         self._inflight: dict[tuple[int, int], int] = {}
@@ -117,11 +103,9 @@ class Network:
                 link=link)
         return counter
 
-    def _endpoint_alive(self, node: int,
-                        meter: Optional[TrafficMeter] = None) -> bool:
-        health = self.health
-        if meter is not None and meter.health is not None:
-            health = meter.health
+    @staticmethod
+    def _endpoint_alive(node: int, meter: Optional[TrafficMeter]) -> bool:
+        health = meter.health if meter is not None else None
         return health is None or health.alive(node)
 
     def send(self, src: int, dst: int, nbytes: int,
@@ -130,14 +114,14 @@ class Network:
 
         Completes when the last byte has been received, returning ``True``
         on delivery.  Same-node sends complete immediately (the caller
-        models any memcpy cost).  With a health view attached, a send to
-        an already-dead node returns ``False`` immediately (connection
-        refused) and a receiver dying mid-transfer loses the data — the
-        wire time is still paid, but the send reports ``False``.
+        models any memcpy cost).
 
         A :class:`TrafficMeter` attributes the transfer to one tenant of
-        a shared fabric: its health view takes precedence over the
-        network-wide one and its timeline receives the transfer span.
+        a shared fabric: its timeline receives the transfer span, and
+        under its health view a send to an already-dead node returns
+        ``False`` immediately (connection refused) while a receiver dying
+        mid-transfer loses the data — the wire time is still paid, but
+        the send reports ``False``.
         """
         self._check_node(src)
         self._check_node(dst)
@@ -209,8 +193,6 @@ class Network:
             self._rx[dst].release()
         delivered = self._endpoint_alive(dst, meter)
         self.bytes_moved += nbytes
-        record = Transfer(src, dst, nbytes, start, self.sim.now)
-        self.transfers.append(record)
         timeline = self.timeline
         if meter is not None:
             meter.bytes_moved += nbytes

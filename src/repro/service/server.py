@@ -36,7 +36,7 @@ from repro.core.config import JobConfig
 from repro.core.costs import DEFAULT_HOST_COSTS, HostCosts
 from repro.core.engine import ClusterSession, GlasswingResult, JobExecution
 from repro.core.faults import FaultPlan
-from repro.core.membership import ElasticPool
+from repro.core.membership import ElasticPool, initial_active
 from repro.core.sched.crossjob import CrossJobArbiter
 from repro.hw.specs import ClusterSpec
 
@@ -278,6 +278,14 @@ class JobServer:
                 submit_at=job.submit_at, cancel_at=job.cancel_at)
         if job.name in self.records:
             raise ValueError(f"duplicate job name {job.name!r}")
+        # Rejected here, before the clock starts: at dispatch the same
+        # error would take every other tenant's run down with it.
+        try:
+            initial_active(len(self.session.cluster),
+                           (job.config or self.base_config).active_nodes,
+                           job.faults)
+        except ValueError as exc:
+            raise ValueError(f"job {job.name!r}: {exc}") from None
         record = JobRecord(
             name=job.name, tenant=job.tenant, priority=job.priority,
             seq=next(self._seq), app_name=job.app.name,

@@ -8,6 +8,7 @@ from repro.apps.datagen import wiki_text
 from repro.baselines.reference import canonical_output, run_reference
 from repro.core import JobConfig, run_glasswing
 from repro.core.api import stable_hash
+from repro.core.faults import FaultPlan, TaskFailedError
 from repro.hw.presets import das4_cluster
 
 from tests.conftest import assert_outputs_match
@@ -77,6 +78,19 @@ def test_result_times_are_consistent():
         res.map_time + res.merge_delay + res.reduce_time, rel=1e-6)
     assert res.map_time > 0
     assert res.reduce_time > 0
+
+
+@pytest.mark.parametrize("metrics_interval", [None, 0.001])
+def test_exhausted_attempts_surface_from_the_run(metrics_interval):
+    """A failing orchestrator raises out of ``run_glasswing`` — also with
+    telemetry on, where the run's owner subscribes to its completion (a
+    subscriber would otherwise count as having handled the failure)."""
+    config = JobConfig(chunk_size=8192, max_attempts=2, backoff_base=0.0,
+                       metrics_interval=metrics_interval)
+    with pytest.raises(TaskFailedError, match="split 0"):
+        run_glasswing(WordCountApp(), {"f": wiki_text(30_000, seed=4)},
+                      das4_cluster(nodes=2), config,
+                      faults=FaultPlan(map_failures={0: 5}))
 
 
 def test_stable_hash_is_deterministic_across_types():

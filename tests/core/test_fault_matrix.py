@@ -13,6 +13,7 @@ import pytest
 from repro.apps import KMeansApp, TeraSortApp, WordCountApp
 from repro.apps.datagen import kmeans_centers, kmeans_points, teragen, wiki_text
 from repro.core import JobConfig, run_glasswing
+from repro.core.engine import ClusterSession, JobExecution
 from repro.core.faults import FaultPlan, NodeCrash
 from repro.hw.presets import das4_cluster
 from repro.storage.records import NO_COMPRESSION
@@ -182,6 +183,28 @@ def test_node_crash_degrades_gracefully():
     assert res.stats["leaked_buffer_slots"] == 0
     assert golden.job_time < res.job_time < 2 * golden.job_time
     assert res.metrics.recovery_time > 0
+
+
+def test_recovery_wave_pipelines_are_in_the_slot_balance():
+    """The re-execution pipelines of the recovery wave stay on the job,
+    so ``leaked_buffer_slots`` covers them like the map and reduce ones."""
+    case = CASES["wordcount"]
+    golden = case.run()
+    session = ClusterSession(das4_cluster(nodes=NODES))
+    job = JobExecution(
+        session, case.app(), case.inputs(), config=case.config(),
+        faults=FaultPlan(
+            node_crashes=(NodeCrash(node=2, at=golden.map_time / 2),)))
+    job.start()
+    session.run()
+    assert job.result().stats["reexecuted_splits"] > 0
+    assert job.recovery_phases
+    assert {ph.phase_kind for ph in job.recovery_phases} == {"recovery"}
+    assert job.leaked_buffer_slots == 0
+    # a slot a recovery pipeline never returned shows up in the balance
+    job.recovery_phases[0].pipeline.in_pool.acquire()
+    session.run()
+    assert job.leaked_buffer_slots == 1
 
 
 def test_speculation_beats_plain_straggler():

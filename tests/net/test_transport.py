@@ -10,6 +10,7 @@ import pytest
 import repro
 from repro.hw.specs import NetworkSpec
 from repro.net import Network
+from repro.net.transport import TrafficMeter
 from repro.simt import Simulator
 
 FAST = NetworkSpec(name="test", bandwidth=100e6, latency=0.001)
@@ -20,15 +21,16 @@ ONE = 2.0 + 0.001
 def test_single_transfer_time():
     sim = Simulator()
     net = Network(sim, FAST, 2)
+    meter = TrafficMeter()
 
     def proc(sim):
-        yield from net.send(0, 1, 100_000_000)
+        yield from net.send(0, 1, 100_000_000, meter=meter)
 
     sim.process(proc(sim))
     sim.run()
     assert sim.now == pytest.approx(ONE)
-    assert net.bytes_moved == 100_000_000
-    assert len(net.transfers) == 1
+    assert net.bytes_moved == meter.bytes_moved == 100_000_000
+    assert meter.transfers == 1
     assert net.time_for(100_000_000) == pytest.approx(ONE)
 
 
