@@ -306,6 +306,12 @@ def _config(args, **kw: Any) -> JobConfig:
 def _check_artifact_flags(args) -> None:
     if args.metrics_out and args.metrics_interval is None:
         raise SystemExit("--metrics-out requires --metrics-interval")
+    if args.metrics_interval is not None:
+        from repro.obs.telemetry import valid_interval
+        try:
+            valid_interval(args.metrics_interval)
+        except ValueError as exc:
+            raise SystemExit(f"--metrics-interval: {exc}")
 
 
 def _write_artifacts(args, *, timeline, telemetry=None,

@@ -298,9 +298,9 @@ class JobExecution:
 
         if session.telemetry is not None:
             from repro.obs.telemetry import register_membership_gauges
-            register_membership_gauges(session.telemetry, health,
-                                       coordinator=self.coordinator,
-                                       job=name)
+            self._membership_gauges = register_membership_gauges(
+                session.telemetry, health, coordinator=self.coordinator,
+                job=name)
 
     def _open_backend(self, inputs: Dict[str, bytes],
                       backend: Optional[StorageBackend]) -> StorageBackend:
@@ -463,6 +463,10 @@ class JobExecution:
         self.t_end = sim.now
         if not self.job_done.triggered:
             self.job_done.succeed(None)
+        if self.session.telemetry is not None:
+            # Membership is frozen since ``shuffle_done`` and the control
+            # plane since the line above: one last sample, then no more.
+            self.session.telemetry.retire(self._membership_gauges)
 
     # -- results -----------------------------------------------------------
     @property

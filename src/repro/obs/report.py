@@ -168,7 +168,6 @@ class PipelineReport:
         if tele is None:
             return []
         t0, t1 = window or (float("-inf"), float("inf"))
-        points = tele.series()
         out: List[Dict[str, Any]] = []
         for metric in tele.registry.sorted_metrics():
             capacity = getattr(metric, "capacity", None)
@@ -180,8 +179,7 @@ class PipelineReport:
             if self.node is not None and labels.get("node",
                                                     self.node) != self.node:
                 continue
-            levels = [v / capacity
-                      for t, v in points.get((metric.name, metric.labels), ())
+            levels = [v / capacity for t, v in tele.points(metric)
                       if t0 <= t <= t1]
             if not levels:
                 continue

@@ -33,14 +33,15 @@ import json
 import math
 import os
 import re
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-from repro.simt.trace import GroupedLog
+from bisect import bisect_right
+from itertools import accumulate, groupby
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "Telemetry",
     "DEFAULT_WAIT_BOUNDS", "ensure_parent_dir", "write_json",
-    "render_series",
+    "render_series", "valid_interval",
     "write_metrics_jsonl", "write_openmetrics", "write_metrics",
     "openmetrics_text", "validate_openmetrics",
     "register_membership_gauges",
@@ -101,10 +102,19 @@ class Metric:
         self.help = help
         #: what every sample row of the series carries as ``row["labels"]``
         self._row_labels: Dict[str, str] = dict(labels)
+        #: the series' column in its :class:`Telemetry` hub: ``_values[i]``
+        #: is what :meth:`_snapshot` read at tick ``_first + i`` (``None``
+        #: until the first tick after registration)
+        self._first: Optional[int] = None
+        self._values: List[Any] = []
 
     @property
     def label_dict(self) -> Dict[str, str]:
         return dict(self._row_labels)
+
+    def _snapshot(self) -> Any:
+        """What one tick stores for the series."""
+        return self.value       # type: ignore[attr-defined]
 
     def series(self) -> str:
         return render_series(self.name, self.labels)
@@ -173,6 +183,7 @@ class Histogram(Metric):
         if list(bounds) != sorted(set(bounds)):
             raise ValueError("histogram bounds must be strictly increasing")
         self.bounds = bounds
+        self._les = tuple(_fmt_value(b) for b in bounds) + ("+Inf",)
         self._counts = [0] * (len(bounds) + 1)  # last = +Inf overflow
         self.sum: float = 0.0
         self.count: int = 0
@@ -188,13 +199,10 @@ class Histogram(Metric):
 
     def cumulative_buckets(self) -> List[Tuple[str, int]]:
         """``(le, cumulative count)`` pairs ending with ``+Inf``."""
-        out: List[Tuple[str, int]] = []
-        running = 0
-        for bound, n in zip(self.bounds, self._counts):
-            running += n
-            out.append((_fmt_value(bound), running))
-        out.append(("+Inf", self.count))
-        return out
+        return list(zip(self._les, accumulate(self._counts)))
+
+    def _snapshot(self) -> Tuple[int, float, Tuple[int, ...]]:
+        return self.count, self.sum, tuple(accumulate(self._counts))
 
 
 class MetricsRegistry:
@@ -267,20 +275,81 @@ class MetricsRegistry:
         return len(self._metrics)
 
 
-def _file_samples(rows: Sequence[Dict[str, Any]], groups: Dict) -> None:
-    """``(metric, labels) -> [(t, value), ...]`` of counter/gauge rows."""
-    # The rows of a series share one label dict (alive while ``rows`` is),
-    # so its identity finds the series without sorting the labels again.
-    found: Dict[Tuple[str, int], List[Tuple[float, float]]] = {}
-    for row in rows:
-        if row["type"] == "histogram":
-            continue
-        labels = row["labels"]
-        points = found.get((row["metric"], id(labels)))
-        if points is None:
-            points = found[row["metric"], id(labels)] = groups.setdefault(
-                (row["metric"], _label_key(labels)), [])
-        points.append((row["t"], row["value"]))
+def valid_interval(interval: float) -> float:
+    """``interval`` as the sampler's period, or a :class:`ValueError`.
+
+    NaN would send the sampler's timeouts backwards in time and ``inf``
+    would never tick, so both are refused with the non-positive values.
+    """
+    interval = float(interval)
+    if not 0 < interval < math.inf:
+        raise ValueError("metrics interval must be a finite number of "
+                         f"simulated seconds > 0, not {interval!r}")
+    return interval
+
+
+def _row(metric: Metric, tick: int, t: float) -> Dict[str, Any]:
+    """The sample row of ``metric`` at ``tick``; a series that is no
+    longer fed holds its final value."""
+    values = metric._values
+    held = tick - metric._first
+    value = values[held] if held < len(values) else values[-1]
+    row: Dict[str, Any] = {
+        "t": t,
+        "metric": metric.name,
+        "type": metric.kind,
+        "labels": metric._row_labels,
+    }
+    if metric.kind == "histogram":
+        row["count"], row["sum"], cumulative = value
+        row["buckets"] = dict(zip(metric._les, cumulative))
+    else:
+        row["value"] = value
+    return row
+
+
+class _SampleRows(Sequence):
+    """:attr:`Telemetry.samples`: the hub's columns read as sample rows.
+
+    Tick-major, ``(name, labels)``-sorted within a tick, a series
+    appearing from the first tick after its registration.  Rows are built
+    when asked for — ``len()`` builds none — and the rows of one series
+    share its ``labels`` dict, so treat them as read-only.
+    """
+
+    __slots__ = ("_tele",)
+
+    def __init__(self, tele: "Telemetry"):
+        self._tele = tele
+
+    def __len__(self) -> int:
+        through = self._tele._rows_through
+        return through[-1] if through else 0
+
+    def of(self, metrics: Iterable[Metric]) -> Iterator[Dict[str, Any]]:
+        """The rows of ``metrics`` (a run of the export order)."""
+        metrics = list(metrics)
+        for tick, t in enumerate(self._tele.ticks):
+            for metric in metrics:
+                if metric._first <= tick:
+                    yield _row(metric, tick, t)
+
+    def __iter__(self) -> Iterator[Dict[str, Any]]:
+        return self.of(self._tele._sampled)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        tele = self._tele
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("sample row index out of range")
+        through = tele._rows_through
+        tick = bisect_right(through, index)
+        present = [m for m in tele._sampled if m._first <= tick]
+        return _row(present[index - (through[tick - 1] if tick else 0)],
+                    tick, tele.ticks[tick])
 
 
 class Telemetry:
@@ -290,20 +359,28 @@ class Telemetry:
     is set, hangs it off the shared ``Timeline`` (so every instrumented
     layer can reach it without signature changes), calls :meth:`start`
     before the job and :meth:`stop` when the orchestrator finishes.
-    Samples land in :attr:`samples` as plain dict rows, tick-major and
-    series-sorted within a tick — already in export order.  Append-only;
-    the rows of one series share a single ``labels`` dict, so read-only.
+
+    Storage is one column per series: a tick appends one value to the
+    column of every series still being fed and allocates nothing else.
+    :attr:`samples` reads the columns back as the dict rows the exports
+    are made of (see :class:`_SampleRows`); it is a read-only
+    ``Sequence``, not a ``list``.  A job that finished hands its per-job
+    gauges back through :meth:`retire`; they are probed once more and
+    then hold that value in every later row without being probed again.
     """
 
     def __init__(self, sim, interval: float):
-        if interval <= 0:
-            raise ValueError("metrics interval must be > 0 simulated seconds")
         self.sim = sim
-        self.interval = float(interval)
+        self.interval = valid_interval(interval)
         self.registry = MetricsRegistry()
-        self.samples: List[Dict[str, Any]] = []
-        self._index = GroupedLog(_file_samples)
         self.ticks: List[float] = []
+        self.samples = _SampleRows(self)
+        self._sampled: List[Metric] = []    # series with a column, export order
+        self._live: List[Metric] = []       # ... the ones a tick still feeds
+        self._rows_through: List[int] = []  # len(samples) after each tick
+        self._releases: Dict[Metric, int] = {}
+        self._retiring: List[Gauge] = []
+        self._retired: Set[Metric] = set()
         self._stopped = False
         self._started = False
 
@@ -314,13 +391,35 @@ class Telemetry:
     def gauge(self, name: str, help: str = "",
               probe: Optional[Callable[[], float]] = None,
               capacity: Optional[float] = None, **labels: Any) -> Gauge:
-        return self.registry.gauge(name, help, probe=probe,
-                                   capacity=capacity, **labels)
+        gauge = self.registry.gauge(name, help, probe=probe,
+                                    capacity=capacity, **labels)
+        if probe is not None and gauge in self._retired:
+            # A later job registering under a finished one's name: the
+            # series held its final value meanwhile and is fed again.
+            self._retired.remove(gauge)
+            values = gauge._values
+            values.extend([values[-1]] * (len(self.ticks) - gauge._first
+                                          - len(values)))
+            self._feed_the_unretired()
+        return gauge
 
     def histogram(self, name: str, help: str = "",
                   bounds: Sequence[float] = DEFAULT_WAIT_BOUNDS,
                   **labels: Any) -> Histogram:
         return self.registry.histogram(name, help, bounds=bounds, **labels)
+
+    def retire(self, gauges: Iterable[Gauge]) -> None:
+        """The caller is done with ``gauges`` and nothing will move what
+        its probes read: take one last value at the next tick (or
+        :meth:`stop`), then stop probing.  A gauge several registrants
+        share retires when the last of them has let go."""
+        for gauge in gauges:
+            self._releases[gauge] = self._releases.get(gauge, 0) + 1
+            self._retiring.append(gauge)
+
+    def _feed_the_unretired(self) -> None:
+        retired = self._retired
+        self._live = [m for m in self._sampled if m not in retired]
 
     # -- sampling ---------------------------------------------------------
     def start(self) -> None:
@@ -359,54 +458,81 @@ class Telemetry:
                 return
 
     def sample(self) -> None:
-        """Snapshot every registered series at the current virtual time."""
+        """Snapshot every live series at the current virtual time.
+
+        At an instant that already has a tick the tick is brought up to
+        date in place: what happened since the sampler ran belongs to
+        it, and a :meth:`stop` landing on a tick must not report stale
+        finals.
+        """
         t = self.sim.now
-        if self.ticks and t <= self.ticks[-1]:
-            return
-        self.ticks.append(t)
-        for metric in self.registry.sorted_metrics():
-            row: Dict[str, Any] = {
-                "t": t,
-                "metric": metric.name,
-                "type": metric.kind,
-                "labels": metric._row_labels,
-            }
-            if isinstance(metric, Histogram):
-                row["count"] = metric.count
-                row["sum"] = metric.sum
-                row["buckets"] = {le: n
-                                  for le, n in metric.cumulative_buckets()}
-            else:
-                row["value"] = metric.value
-            self.samples.append(row)
+        ticks = self.ticks
+        if ticks and t <= ticks[-1]:
+            for metric in self._live:
+                metric._values[-1] = metric._snapshot()
+        else:
+            if len(self._sampled) != len(self.registry):
+                self._sampled = self.registry.sorted_metrics()
+                for metric in self._sampled:
+                    if metric._first is None:
+                        metric._first = len(ticks)
+                self._feed_the_unretired()
+            ticks.append(t)
+            for metric in self._live:
+                metric._values.append(metric._snapshot())
+            self._rows_through.append(len(self.samples) + len(self._sampled))
+        if self._retiring:
+            releases = self._releases
+            self._retired.update(g for g in self._retiring
+                                 if releases[g] >= len(g._probes))
+            self._retiring.clear()
+            self._feed_the_unretired()
 
     # -- series queries ---------------------------------------------------
+    def points(self, metric: Metric) -> List[Tuple[float, Any]]:
+        """``[(t, value), ...]`` of one series, one point per tick since
+        its first (``[]`` if it has not been sampled)."""
+        if metric._first is None:
+            return []
+        ticks = self.ticks[metric._first:]
+        values = metric._values
+        points = list(zip(ticks, values))
+        if len(values) < len(ticks):        # retired: holds its final value
+            final = values[-1]
+            points += [(t, final) for t in ticks[len(values):]]
+        return points
+
+    def _scalar_series(self) -> List[Metric]:
+        return [m for m in self._sampled if m.kind != "histogram"]
+
     def series(self) -> Dict[Tuple[str, LabelKey], List[Tuple[float, float]]]:
-        """``(name, labels) -> [(t, value), ...]`` for counters/gauges."""
-        return {key: list(points) for key, points
-                in self._index.groups(self.samples).items()}
+        """``(name, labels) -> [(t, value), ...]`` for counters/gauges,
+        in first-sampled order."""
+        return {(m.name, m.labels): self.points(m)
+                for m in sorted(self._scalar_series(),
+                                key=lambda m: m._first)}
 
     def final_values(self) -> Dict[str, float]:
         """Last sampled value of every counter/gauge series."""
-        return {render_series(name, labels): pts[-1][1]
-                for (name, labels), pts in sorted(self.series().items())}
+        return {m.series(): m._values[-1] for m in self._scalar_series()}
 
     def rates(self) -> Dict[str, List[Tuple[float, float]]]:
         """Per-interval rates of every counter series (units/sim-second)."""
         out: Dict[str, List[Tuple[float, float]]] = {}
-        for (name, labels), pts in sorted(self.series().items()):
-            if self.registry.kind_of(name) != "counter":
+        for metric in self._sampled:
+            if metric.kind != "counter":
                 continue
-            rows = [(t1, (v1 - v0) / (t1 - t0))
-                    for (t0, v0), (t1, v1) in zip(pts, pts[1:]) if t1 > t0]
-            out[render_series(name, labels)] = rows
+            pts = self.points(metric)
+            out[metric.series()] = [
+                (t1, (v1 - v0) / (t1 - t0))
+                for (t0, v0), (t1, v1) in zip(pts, pts[1:]) if t1 > t0]
         return out
 
 
 # -- membership gauges -----------------------------------------------------
 
 def register_membership_gauges(tele: Telemetry, health,
-                               coordinator=None, **labels: Any) -> None:
+                               coordinator=None, **labels: Any) -> List[Gauge]:
     """Register the elastic-membership gauge family for one job.
 
     ``health`` is the job's :class:`~repro.core.faults.ClusterHealth`;
@@ -414,28 +540,35 @@ def register_membership_gauges(tele: Telemetry, health,
     when control-plane replication is on.  These are the saturation-side
     counterpart of the per-node CPU gauges: an auto-scaler reads CPU
     busy fractions to *decide* and these gauges to *see what it did*.
+    Returns the gauges, for the job to :meth:`~Telemetry.retire` when it
+    finishes and its membership is frozen.
     """
-    tele.gauge("glasswing_membership_active_nodes",
-               help="nodes currently active in the job",
-               probe=lambda: float(len(health.alive_nodes)),
-               capacity=float(health.n_nodes), **labels)
-    tele.gauge("glasswing_membership_standby_nodes",
-               help="hardware nodes not (yet) part of the job",
-               probe=lambda: float(len(health.inactive)), **labels)
-    tele.gauge("glasswing_membership_departed_nodes",
-               help="nodes drained out of the job",
-               probe=lambda: float(len(health.departed_at)), **labels)
-    tele.gauge("glasswing_membership_dead_nodes",
-               help="nodes lost to crashes",
-               probe=lambda: float(len(health.dead_at)), **labels)
+    gauges = [
+        tele.gauge("glasswing_membership_active_nodes",
+                   help="nodes currently active in the job",
+                   probe=lambda: float(len(health.alive_nodes)),
+                   capacity=float(health.n_nodes), **labels),
+        tele.gauge("glasswing_membership_standby_nodes",
+                   help="hardware nodes not (yet) part of the job",
+                   probe=lambda: float(len(health.inactive)), **labels),
+        tele.gauge("glasswing_membership_departed_nodes",
+                   help="nodes drained out of the job",
+                   probe=lambda: float(len(health.departed_at)), **labels),
+        tele.gauge("glasswing_membership_dead_nodes",
+                   help="nodes lost to crashes",
+                   probe=lambda: float(len(health.dead_at)), **labels),
+    ]
     if coordinator is not None:
-        tele.gauge("glasswing_coordinator_alive_replicas",
-                   help="surviving control-plane replicas",
-                   probe=lambda: float(len(coordinator.alive_replicas())),
-                   capacity=float(len(coordinator.replicas)), **labels)
-        tele.gauge("glasswing_coordinator_epoch",
-                   help="leadership epoch (bumps on every failover)",
-                   probe=lambda: float(coordinator.epoch), **labels)
+        gauges += [
+            tele.gauge("glasswing_coordinator_alive_replicas",
+                       help="surviving control-plane replicas",
+                       probe=lambda: float(len(coordinator.alive_replicas())),
+                       capacity=float(len(coordinator.replicas)), **labels),
+            tele.gauge("glasswing_coordinator_epoch",
+                       help="leadership epoch (bumps on every failover)",
+                       probe=lambda: float(coordinator.epoch), **labels),
+        ]
+    return gauges
 
 
 # -- export ---------------------------------------------------------------
@@ -480,23 +613,19 @@ def openmetrics_text(telemetry: Telemetry) -> str:
     ``_bucket``/``_count``/``_sum`` triplet.  Ends with ``# EOF``.
     """
     registry = telemetry.registry
-    by_family: Dict[str, List[Dict[str, Any]]] = {}
-    for row in telemetry.samples:
-        by_family.setdefault(row["metric"], []).append(row)
     lines: List[str] = []
-    for family in sorted(by_family):
+    # export order is (name, labels): a family is one run of it
+    for family, members in groupby(telemetry._sampled, lambda m: m.name):
         kind = registry.kind_of(family) or "gauge"
         lines.append(f"# TYPE {family} {kind}")
         help_text = registry.help_of(family)
         if help_text:
             lines.append(f"# HELP {family} {help_text}")
-        for row in by_family[family]:
+        for row in telemetry.samples.of(members):
             labels = _label_key(row["labels"])
             ts = _fmt_value(row["t"])
             if kind == "histogram":
-                for le, n in sorted(row["buckets"].items(),
-                                    key=lambda kv: float(kv[0].replace(
-                                        "+Inf", "inf"))):
+                for le, n in row["buckets"].items():    # in bound order
                     bucket_labels = _label_key(
                         dict(row["labels"], le=le))
                     lines.append(

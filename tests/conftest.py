@@ -37,3 +37,30 @@ def assert_outputs_match(got_pairs, ref_pairs, rtol=1e-4):
 @pytest.fixture
 def outputs_match():
     return assert_outputs_match
+
+
+@pytest.fixture
+def retired_gauges_hold(monkeypatch):
+    """Run the test with telemetry on in every session it builds and,
+    when it is over, probe each gauge its hub had stopped probing.
+
+    A finished job's membership gauges are sampled once more and then
+    read from their stored final value; that is only right if nothing
+    moves what their probes read after ``job_done`` — checked here in
+    the suites where membership does change.
+    """
+    from repro.core.engine import ClusterSession
+
+    hubs = []
+    plain_init = ClusterSession.__init__
+
+    def sampled_init(self, cluster_spec, metrics_interval=None):
+        plain_init(self, cluster_spec, metrics_interval or 5e-4)
+        hubs.append(self.telemetry)
+
+    monkeypatch.setattr(ClusterSession, "__init__", sampled_init)
+    yield hubs
+    for hub in hubs:
+        hub.stop()      # a DAG runner left open still owes the final sample
+        for gauge in hub._retired:
+            assert gauge.value == gauge._values[-1], gauge

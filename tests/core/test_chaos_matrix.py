@@ -26,6 +26,9 @@ from repro.storage.records import NO_COMPRESSION
 
 from tests.conftest import assert_outputs_match
 
+#: sampled, and what a finished job's retired gauges stored re-checked
+pytestmark = pytest.mark.usefixtures("retired_gauges_hold")
+
 NODES = 4
 HALF = NODES // 2
 SCHEDULERS = ("static-affinity", "dynamic-locality", "oplevel")

@@ -21,6 +21,9 @@ from repro.core.faults import FaultPlan, NodeCrash
 from repro.dag import DAG, DagRunner
 from repro.hw.presets import das4_cluster
 
+#: sampled, and what a finished job's retired gauges stored re-checked
+pytestmark = pytest.mark.usefixtures("retired_gauges_hold")
+
 NODES = 4
 
 

@@ -22,6 +22,9 @@ from repro.core.faults import FaultPlan, NodeCrash
 from repro.hw.presets import das4_cluster
 from repro.service import JobRequest, JobServer, JobSubmission, ServicePolicy
 
+#: sampled, and what a finished job's retired gauges stored re-checked
+pytestmark = pytest.mark.usefixtures("retired_gauges_hold")
+
 NODES = 4
 POLICIES = ("static-affinity", "dynamic-locality")
 DATA_PATH_KEYS = ("records_mapped", "pairs_emitted", "keys_reduced",

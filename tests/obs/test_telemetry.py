@@ -2,6 +2,8 @@
 
 import json
 import random
+import tempfile
+import tracemalloc
 
 import pytest
 
@@ -10,7 +12,8 @@ from repro.apps.datagen import teragen, wiki_text
 from repro.core import JobConfig, run_glasswing
 from repro.hw.presets import das4_cluster
 from repro.obs.report import aggregate_counters
-from repro.obs.telemetry import (Telemetry, ensure_parent_dir,
+from repro.obs.telemetry import (Histogram, Telemetry, _fmt_value,
+                                 _label_key, ensure_parent_dir,
                                  openmetrics_text, render_series,
                                  validate_openmetrics, write_metrics,
                                  write_metrics_jsonl, write_openmetrics)
@@ -146,6 +149,45 @@ def test_interval_must_be_positive():
         Telemetry(Simulator(), interval=0.0)
     with pytest.raises(ValueError):
         JobConfig(metrics_interval=-1.0)
+
+
+@pytest.mark.parametrize("interval", ["nan", "inf", "-inf"])
+def test_interval_must_be_finite(interval):
+    """NaN used to get as far as ``Simulator.step`` ("time went
+    backwards") and inf never sampled; both are named and refused."""
+    with pytest.raises(ValueError, match=interval.lstrip("-")):
+        Telemetry(Simulator(), interval=float(interval))
+    with pytest.raises(ValueError, match="metrics.interval"):
+        run_glasswing(WordCountApp(), {"wiki": b"a b\n"},
+                      das4_cluster(nodes=2),
+                      JobConfig(metrics_interval=float(interval)))
+
+
+def test_stop_on_a_tick_still_takes_the_final_snapshot():
+    """The sampler's tick at t = 1.0 runs before the event that ends the
+    job at t = 1.0; ``stop()`` must bring that tick up to date, not drop
+    the final values (and not add a row)."""
+    sim = Simulator()
+    tele = Telemetry(sim, interval=0.5)
+    counter = tele.counter("x")
+    tele.gauge("late_series")       # sampled: registered before the tick
+
+    def job(sim):
+        yield sim.timeout(0.75)
+        yield sim.timeout(0.25)
+        counter.inc(5)
+        tele.gauge("after_the_tick").set(1)     # never sampled
+        tele.stop()
+
+    tele.start()
+    sim.process(job(sim))
+    sim.run()
+    assert tele.ticks == [0.5, 1.0]
+    assert tele.final_values() == {"late_series": 0, "x": 5}
+    assert tele.series()[("x", ())] == [(0.5, 0), (1.0, 5)]
+    assert len(tele.samples) == 4
+    assert tele.samples[-1]["value"] == 5
+    assert "x_total 5 1.0" in openmetrics_text(tele)
 
 
 # ------------------------------------------------------------- exporters
@@ -436,15 +478,15 @@ def test_report_folds_in_telemetry():
     assert plain["phases"]["map"]["saturation"] == []
 
 
-# ------------------------------------------- the series index is invisible
-# series() / final_values() / rates() read a lazily grouped view of
-# ``samples``; each must answer what a full scan of the rows answers,
-# whenever the view was last brought up to date.
+# -------------------------------------- queries and rows tell one story
+# series() / final_values() / rates() read the columns and ``samples``
+# reads them back as rows; each query must answer what a full scan of
+# the rows answers, whenever it is asked.
 
-def scan_series(tele):
+def scan_series(rows):
     """The reference: ``Telemetry.series`` as the full scan it used to be."""
     out = {}
-    for row in tele.samples:
+    for row in rows:
         if row["type"] == "histogram":
             continue
         labels = tuple(sorted((k, str(v)) for k, v in row["labels"].items()))
@@ -453,8 +495,8 @@ def scan_series(tele):
     return out
 
 
-def assert_series_queries_match_a_scan(tele):
-    scanned = scan_series(tele)
+def assert_series_queries_match_a_scan(tele, rows=None):
+    scanned = scan_series(tele.samples if rows is None else rows)
     got = tele.series()
     assert got == scanned
     assert list(got) == list(scanned)           # first-seen order too
@@ -480,7 +522,7 @@ def check_series_index_is_invisible(seed):
     level = {"v": 0.0}
     tele.gauge("toy_depth", probe=lambda: level["v"], node="n0")
     counters = [tele.counter("toy_bytes", link="0->1")]
-    assert_series_queries_match_a_scan(tele)    # no rows, index never built
+    assert_series_queries_match_a_scan(tele)    # no rows yet
     for step in range(rng.randrange(1, 40)):
         op = rng.randrange(6)
         if op == 0:                             # a series registered mid-run
@@ -515,8 +557,8 @@ else:    # pragma: no cover - exercised only without hypothesis
 
 
 def test_sample_after_a_first_query_is_seen():
-    """The stale-index case spelled out, with a series registered between
-    the two ticks."""
+    """A query between two ticks holds nothing back from the next one,
+    with a series registered between the two ticks."""
     sim = Simulator()
     tele = Telemetry(sim, interval=1.0)
     counter = tele.counter("toy_bytes")
@@ -571,3 +613,188 @@ def test_single_probe_gauge_reads_like_a_sum_of_one():
     assert flag.value == 1 and type(flag.value) is int
     assert tele.gauge("toy_frac", probe=lambda: 0.25).value == 0.25
     assert tele.gauge("toy_unprobed").value == 0
+
+
+# ------------------------------------------ columns against the row log
+# The reference model: the dict-row log ``Telemetry`` used to keep —
+# every registered series probed at every tick, one dict per sample —
+# and the queries and exports as scans of it.  The hub stores columns
+# and stops feeding a retired gauge; nothing it answers may differ.
+
+class RowLog:
+    def __init__(self, tele):
+        self.tele, self.rows, self.ticks = tele, [], []
+
+    def sample(self):
+        t = self.tele.sim.now
+        if self.ticks and t <= self.ticks[-1]:
+            del self.rows[self.tick_start:]     # the tick is taken again
+        else:
+            self.ticks.append(t)
+            self.tick_start = len(self.rows)
+            self.metrics = self.tele.registry.sorted_metrics()
+        for metric in self.metrics:
+            row = {"t": t, "metric": metric.name, "type": metric.kind,
+                   "labels": metric.label_dict}
+            if isinstance(metric, Histogram):
+                row["count"] = metric.count
+                row["sum"] = metric.sum
+                row["buckets"] = dict(metric.cumulative_buckets())
+            else:
+                row["value"] = metric.value
+            self.rows.append(row)
+
+    def openmetrics(self):
+        registry = self.tele.registry
+        by_family = {}
+        for row in self.rows:
+            by_family.setdefault(row["metric"], []).append(row)
+        lines = []
+        for family in sorted(by_family):
+            kind = registry.kind_of(family)
+            lines.append(f"# TYPE {family} {kind}")
+            if registry.help_of(family):
+                lines.append(f"# HELP {family} {registry.help_of(family)}")
+            for row in by_family[family]:
+                labels, ts = _label_key(row["labels"]), _fmt_value(row["t"])
+                if kind == "histogram":
+                    for le, n in sorted(row["buckets"].items(),
+                                        key=lambda kv: float(kv[0])):
+                        lines.append(render_series(
+                            family + "_bucket",
+                            _label_key(dict(row["labels"], le=le)))
+                            + f" {n} {ts}")
+                    lines.append(render_series(family + "_count", labels)
+                                 + f" {row['count']} {ts}")
+                    lines.append(render_series(family + "_sum", labels)
+                                 + f" {_fmt_value(row['sum'])} {ts}")
+                else:
+                    name = family + ("_total" if kind == "counter" else "")
+                    lines.append(render_series(name, labels)
+                                 + f" {_fmt_value(row['value'])} {ts}")
+        return "\n".join(lines + ["# EOF"]) + "\n"
+
+
+def assert_hub_matches_the_row_log(tele, log):
+    rows = log.rows
+    assert list(tele.samples) == rows
+    assert len(tele.samples) == len(rows)
+    assert [tele.samples[i] for i in range(len(rows))] == rows
+    assert [tele.samples[-i] for i in range(1, len(rows) + 1)] == rows[::-1]
+    assert tele.samples[1:-1:2] == rows[1:-1:2]
+    with pytest.raises(IndexError):
+        tele.samples[len(rows)]
+    assert_series_queries_match_a_scan(tele, rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_metrics_jsonl(tele, f"{tmp}/m.jsonl")
+        assert open(path, encoding="utf-8").read() == "".join(
+            json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    assert openmetrics_text(tele) == log.openmetrics()
+    validate_openmetrics(openmetrics_text(tele))
+
+
+def drive_hub_and_row_log(ops):
+    """Run one schedule against both.  A "job" is what the engine's are:
+    a registrant of probed gauges under its name whose state nobody
+    moves once it has finished; a name may be registered again, while
+    its last holder is still running or after."""
+    sim = Simulator()
+    tele = Telemetry(sim, interval=1.0)
+    log = RowLog(tele)
+    running = {}                    # job name -> [(gauges, state), ...]
+
+    def tick():
+        tele.sample()
+        log.sample()
+
+    for op, who, amount in ops:
+        if op == "inc":
+            tele.counter("toy_bytes", help="bytes", link=who).inc(amount)
+        elif op == "set":
+            tele.gauge("toy_level", node=who).set(amount / 4)
+        elif op == "observe":
+            tele.histogram("toy_wait_seconds",
+                           bounds=(1.0, 4.0)).observe(amount / 2)
+        elif op == "start":
+            state = {"members": amount, "up": True}
+            gauges = [
+                tele.gauge("toy_members", capacity=16.0, job=who,
+                           probe=lambda state=state: state["members"]),
+                tele.gauge("toy_up", job=who,
+                           probe=lambda state=state: state["up"])]
+            running.setdefault(who, []).append((gauges, state))
+        elif op == "move" and running.get(who):
+            running[who][-1][1]["members"] += amount
+        elif op == "finish" and running.get(who):
+            gauges, state = running[who].pop()
+            state["up"] = False
+            tele.retire(gauges)
+        elif op == "tick":
+            sim.now += amount / 2           # 0: the instant is taken again
+            tick()
+        elif op == "check":
+            assert_hub_matches_the_row_log(tele, log)
+    tele.stop()
+    log.sample()
+    assert_hub_matches_the_row_log(tele, log)
+    return tele
+
+
+def test_a_finished_job_is_not_fed_and_a_namesake_revives_it():
+    tele = drive_hub_and_row_log([
+        ("start", 0, 4), ("tick", 0, 2), ("move", 0, 1), ("finish", 0, 0),
+        ("tick", 0, 2), ("tick", 0, 2), ("tick", 0, 0), ("check", 0, 0),
+        ("start", 0, 7), ("tick", 0, 2), ("move", 0, 2), ("tick", 0, 2),
+        ("finish", 0, 0), ("tick", 0, 2), ("tick", 0, 2)])
+    assert tele.series()[("toy_members", (("job", "0"),))] == [
+        (1.0, 4), (2.0, 5), (3.0, 5), (4.0, 12), (5.0, 14), (6.0, 14),
+        (7.0, 14)]
+    members = tele.registry.gauge("toy_members", job=0)
+    assert len(members._values) == 6        # seven ticks, the last not fed
+
+
+def test_a_gauge_two_running_jobs_share_outlives_the_first():
+    tele = drive_hub_and_row_log([
+        ("start", 1, 3), ("start", 1, 2), ("tick", 0, 2), ("finish", 1, 0),
+        ("tick", 0, 2), ("move", 1, 4), ("tick", 0, 2), ("finish", 1, 0),
+        ("tick", 0, 2), ("tick", 0, 2)])
+    assert tele.series()[("toy_members", (("job", "1"),))] == [
+        (1.0, 5), (2.0, 5), (3.0, 9), (4.0, 9), (5.0, 9)]
+    assert len(tele.registry.gauge("toy_members", job=1)._values) == 4
+
+
+if HAVE_HYPOTHESIS:
+
+    _OPS = st.one_of(
+        st.tuples(st.sampled_from(["inc", "set", "observe"]),
+                  st.integers(0, 2), st.integers(0, 9)),
+        st.tuples(st.sampled_from(["start", "move", "finish"]),
+                  st.integers(0, 1), st.integers(1, 9)),
+        st.tuples(st.just("tick"), st.just(0), st.integers(0, 2)),
+        st.tuples(st.just("check"), st.just(0), st.just(0)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_OPS, max_size=60))
+    def test_columns_answer_what_the_row_log_answers(ops):
+        drive_hub_and_row_log(ops)
+
+
+def test_len_of_samples_builds_no_row():
+    """perf's verifier takes ``len(samples)`` on every rep: arithmetic,
+    not 200,000 dicts."""
+    sim = Simulator()
+    tele = Telemetry(sim, interval=1.0)
+    for i in range(200):
+        tele.counter("toy_bytes", link=i)
+    for tick in range(1, 1001):
+        sim.now = float(tick)
+        tele.sample()
+    tracemalloc.start()
+    try:
+        n = len(tele.samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n == 200_000
+    assert peak < 64 * 1024
+    assert tele.samples[-1]["t"] == 1000.0
