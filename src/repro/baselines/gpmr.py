@@ -34,8 +34,8 @@ from repro.simt.trace import Timeline
 from repro.core.api import MapReduceApp
 from repro.core.coordinator import make_splits
 from repro.core.costs import DEFAULT_HOST_COSTS, HostCosts, sort_seconds
-from repro.core.io import make_backend
 from repro.core.splitread import read_split_records
+from repro.storage.backend import make_backend
 from repro.storage.records import FixedRecordFormat
 
 __all__ = ["GPMRConfig", "GPMRResult", "run_gpmr"]
@@ -117,8 +117,7 @@ def run_gpmr(app: MapReduceApp, inputs: Dict[str, bytes],
         chunks = []
         for split in assignment[node_id]:
             if config.skip_input_io:
-                data = yield from _free_read(backend, node_id, split, app)
-                chunks.append(data)
+                chunks.append(_free_read(inputs, split, app))
             else:
                 records, nbytes = yield from read_split_records(
                     backend, node_id, split, app.record_format)
@@ -213,11 +212,8 @@ def _send(cluster: Cluster, src: int, dst: int, nbytes: int) -> Generator:
     yield from cluster.network.send(src, dst, nbytes)
 
 
-def _free_read(backend, node_id: int, split, app) -> Generator:
-    """Read the split's bytes without charging I/O time (GPMR's MM
+def _free_read(inputs: Dict[str, bytes], split, app):
+    """The split's records without charging I/O time (GPMR's MM
     generates its input on the fly and excludes generation time)."""
-    fs = backend.node_fs[node_id]
-    data = fs._files[split.path][split.offset:split.offset + split.length]
-    records = app.record_format.split_records(data)
-    return records, split.length
-    yield  # pragma: no cover - keeps this a generator
+    data = inputs[split.path][split.offset:split.offset + split.length]
+    return app.record_format.split_records(data), split.length

@@ -31,10 +31,11 @@ from repro.simt.core import Event, Simulator
 from repro.simt.trace import Timeline
 
 from repro.core.api import MapReduceApp
-from repro.core.coordinator import Split, assign_splits, make_splits
+from repro.core.coordinator import Split, make_splits
 from repro.core.costs import DEFAULT_HOST_COSTS, HostCosts, sort_seconds
-from repro.core.io import make_backend
+from repro.core.sched.affinity import affinity_assign
 from repro.core.splitread import read_split_records
+from repro.storage.backend import make_backend
 from repro.storage.records import CompressionModel, FixedRecordFormat
 
 __all__ = ["HadoopConfig", "HadoopResult", "run_hadoop"]
@@ -127,7 +128,7 @@ class _HadoopJob:
         self.reduce_slots = config.reduce_slots
         self.n_reducers = n * self.reduce_slots
         # Task queue: data-local first via the shared affinity assigner.
-        self.pending: Dict[int, List[Split]] = assign_splits(splits, backend, n)
+        self.pending: Dict[int, List[Split]] = affinity_assign(splits, backend, n)
         self.total_maps = len(splits)
         self.maps_done = 0
         self.map_phase_end: Optional[float] = None

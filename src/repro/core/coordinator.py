@@ -1,13 +1,12 @@
-"""Job coordination: input splitting, affinity-aware assignment, and the
-shuffle registry behind node-crash recovery.
+"""Job coordination: input splitting and the shuffle registry behind
+node-crash recovery.
 
 "Glasswing's job coordinator is like Hadoop's: both use a dedicated master
 node; Glasswing's scheduler considers file affinity in its job
-allocation."  Splits are sized by the job's chunk size; when the backend
-exposes block locations, each split goes to the least-loaded node holding
-a replica of its first byte, otherwise round-robin.  Assignment can be
-restricted to a subset of nodes — the recovery path reschedules a dead
-node's splits onto the survivors while still honouring affinity.
+allocation."  Splits are sized by the job's chunk size; assigning them to
+nodes (least-loaded replica holder first, round-robin without locality)
+is :func:`repro.core.sched.affinity.affinity_assign`, shared by every
+scheduling policy, the recovery path and the Hadoop baseline.
 
 The :class:`ShuffleRegistry` is the coordinator's global view of the
 shuffle: which node owns each partition (re-assignable after a crash),
@@ -24,9 +23,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.data import SortedRun
-from repro.core.io import StorageBackend
+from repro.storage.backend import StorageBackend
 
-__all__ = ["Split", "make_splits", "assign_splits", "ShuffleRegistry"]
+__all__ = ["Split", "make_splits", "ShuffleRegistry"]
 
 
 @dataclass(frozen=True)
@@ -63,21 +62,6 @@ def make_splits(backend: StorageBackend, paths: Sequence[str],
             splits.append(Split(len(splits), path, offset, length))
             offset += length
     return splits
-
-
-def assign_splits(splits: Sequence[Split], backend: StorageBackend,
-                  n_nodes: int,
-                  allowed: Optional[Sequence[int]] = None
-                  ) -> Dict[int, List[Split]]:
-    """Map each split to a node, preferring replica holders (affinity).
-
-    The affinity logic itself lives in :mod:`repro.core.sched.affinity`
-    (it is shared by every scheduling policy); this wrapper survives as
-    the coordinator-level entry point for callers that want a one-shot
-    static assignment (e.g. the Hadoop baseline).
-    """
-    from repro.core.sched.affinity import affinity_assign
-    return affinity_assign(splits, backend, n_nodes, allowed=allowed)
 
 
 class ShuffleRegistry:

@@ -47,7 +47,6 @@ from repro.core.coordinator import ShuffleRegistry, make_splits
 from repro.core.costs import DEFAULT_HOST_COSTS, HostCosts
 from repro.core.faults import ClusterHealth, FaultPlan
 from repro.core.intermediate import IntermediateManager
-from repro.core.io import DFSBackend, StorageBackend, make_backend
 from repro.core.map_phase import MapPhase
 from repro.core.membership import (CoordinatorGroup, ElasticController,
                                    ElasticPolicy)
@@ -55,10 +54,11 @@ from repro.core.metrics import JobMetrics
 from repro.core.recovery import SpeculationController, run_recovery
 from repro.core.reduce_phase import ReducePhase
 from repro.core.sched import make_scheduler
+from repro.storage.backend import StorageBackend, make_backend
 from repro.storage.records import FixedRecordFormat
 
 __all__ = ["run_glasswing", "GlasswingResult", "ClusterSession",
-           "JobExecution"]
+           "JobExecution", "open_backend"]
 
 
 @dataclass
@@ -109,6 +109,18 @@ class GlasswingResult:
         :mod:`repro.obs.report` for the schema)."""
         from repro.obs.report import build_job_report
         return build_job_report(self)
+
+
+def open_backend(config: JobConfig, cluster: Cluster,
+                 active: Sequence[int]) -> StorageBackend:
+    """The empty storage a job (or a DAG's sequence of jobs) configured by
+    ``config`` runs on, ``active`` being its initially-active node ids:
+    input placement follows them, because standby hardware must never
+    hold an input replica the baseline run depends on."""
+    return make_backend(
+        config.storage, cluster, block_size=config.chunk_size,
+        replication=config.input_replication,
+        placement_nodes=active if len(active) < len(cluster) else None)
 
 
 class ClusterSession:
@@ -304,20 +316,11 @@ class JobExecution:
 
     def _open_backend(self, inputs: Dict[str, bytes],
                       backend: Optional[StorageBackend]) -> StorageBackend:
-        """The job's storage with ``inputs`` installed and, for a DFS,
-        reads and replica traffic under the job's health view and meter."""
-        config = self.config
+        """The job's storage with ``inputs`` installed, bound to the job's
+        health view and meter."""
         if backend is None:
-            backend_kwargs = {}
-            if config.storage == "dfs":
-                backend_kwargs = dict(block_size=config.chunk_size,
-                                      replication=config.input_replication)
-                if len(self.initial_active) < len(self.cluster):
-                    # Standby hardware must never hold input replicas the
-                    # baseline run depends on.
-                    backend_kwargs["placement_nodes"] = self.initial_active
-            backend = make_backend(config.storage, self.cluster,
-                                   **backend_kwargs)
+            backend = open_backend(self.config, self.cluster,
+                                   self.initial_active)
             for path, data in inputs.items():
                 backend.install(path, data)
             backend.purge_caches()
@@ -330,12 +333,7 @@ class JobExecution:
             for path, data in inputs.items():
                 if not backend.exists(path):
                     backend.install(path, data)
-        # A cache-aside wrapper (repro.storage.cache) exposes the real
-        # backend as ``.base``; the DFS wiring must reach through it.
-        base_backend = getattr(backend, "base", backend)
-        if isinstance(base_backend, DFSBackend):
-            base_backend.dfs.health = self.health
-            base_backend.dfs.meter = self.meter
+        backend.bind(self.health, self.meter)
         return backend
 
     def add_node(self, node_id: int, owned_pids: List[int]) -> List[MapPhase]:

@@ -413,9 +413,7 @@ def join(job, node: Optional[int]):
         return
     health.activate(node, job.sim.now)
     _record(job, "join", node)
-    cache = getattr(job.backend, "mark_rejoined", None)
-    if cache is not None:
-        cache(node)
+    job.backend.mark_rejoined(node)
     job.scheduler.node_joined(node)
     # A joiner owns no shuffle partitions (the partition space stays
     # pinned to the initial active set) — it contributes map/merge
@@ -448,6 +446,4 @@ def leave(job, node: Optional[int]):
     job.scheduler.node_left(node)
     # Evict the departing node's cache-aside entries (its RAM left
     # with it); its *disk* state deliberately survives.
-    cache = getattr(job.backend, "mark_departed", None)
-    if cache is not None:
-        cache(node)
+    job.backend.mark_departed(node)

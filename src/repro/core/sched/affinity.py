@@ -18,8 +18,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.core.coordinator import Split
-    from repro.core.io import StorageBackend
-    from repro.storage.dfs import BlockLocation
+    from repro.storage.backend import BlockLocation, StorageBackend
 
 __all__ = ["affinity_assign", "replica_holders", "holders_by_split"]
 

@@ -52,7 +52,7 @@ from repro.core.sched.affinity import holders_by_split
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.coordinator import ShuffleRegistry, Split
-    from repro.core.io import StorageBackend
+    from repro.storage.backend import StorageBackend
 
 __all__ = ["Scheduler"]
 

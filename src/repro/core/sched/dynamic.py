@@ -17,7 +17,7 @@ from repro.core.sched.base import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.coordinator import ShuffleRegistry, Split
-    from repro.core.io import StorageBackend
+    from repro.storage.backend import StorageBackend
 
 __all__ = ["DynamicLocalityScheduler"]
 

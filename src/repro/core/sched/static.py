@@ -19,7 +19,7 @@ from repro.core.sched.base import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.coordinator import Split
-    from repro.core.io import StorageBackend
+    from repro.storage.backend import StorageBackend
 
 __all__ = ["StaticAffinityScheduler"]
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 from typing import Generator, List, Optional
 
 from repro.hw.specs import KiB
+from repro.storage.backend import StorageBackend
 from repro.storage.records import FixedRecordFormat, TextRecordFormat
 
 from repro.core.coordinator import Split
-from repro.core.io import StorageBackend
 
 __all__ = ["split_text_lines", "read_split_records", "LOOKAHEAD",
            "RecordTooLong"]

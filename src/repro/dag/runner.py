@@ -31,9 +31,10 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.config import JobConfig
 from repro.core.coordinator import make_splits
 from repro.core.costs import DEFAULT_HOST_COSTS, HostCosts
-from repro.core.engine import ClusterSession, GlasswingResult, JobExecution
+from repro.core.engine import (ClusterSession, GlasswingResult, JobExecution,
+                               open_backend)
 from repro.core.faults import FaultPlan
-from repro.core.io import make_backend
+from repro.core.membership import initial_active
 from repro.hw.specs import ClusterSpec
 from repro.storage.cache import CacheAsideBackend
 from repro.storage.records import FixedRecordFormat
@@ -103,8 +104,10 @@ class DagRunner:
     """Executes DAG rounds on one long-lived session with cached inputs.
 
     ``config`` is the default :class:`JobConfig` (a stage's own config
-    overrides it, except ``storage``/``chunk_size``/``input_replication``
-    which are backend-level and fixed at the first run).
+    overrides it, except ``storage``/``chunk_size``/``input_replication``/
+    ``active_nodes`` which are backend-level and fixed at construction:
+    input placement follows the runner's initially-active set, so a stage
+    naming a different set is rejected with :class:`DagError`).
     ``cache_capacity`` bounds the cache-aside layer in bytes (LRU);
     ``None`` leaves it unbounded.
     """
@@ -120,6 +123,8 @@ class DagRunner:
                     else self.config.metrics_interval)
         self.session = ClusterSession(cluster_spec,
                                       metrics_interval=interval)
+        self._active = initial_active(len(self.session.cluster),
+                                      self.config.active_nodes)
         self.backend: Optional[CacheAsideBackend] = None
         self._cache_capacity = cache_capacity
         self._fingerprints: Dict[str, Tuple[int, int]] = {}
@@ -131,15 +136,9 @@ class DagRunner:
     # -- storage ------------------------------------------------------------
     def _ensure_backend(self) -> CacheAsideBackend:
         if self.backend is None:
-            config = self.config
-            kwargs = {}
-            if config.storage == "dfs":
-                kwargs = dict(block_size=config.chunk_size,
-                              replication=config.input_replication)
-            base = make_backend(config.storage, self.session.cluster,
-                                **kwargs)
             self.backend = CacheAsideBackend(
-                base, capacity_bytes=self._cache_capacity,
+                open_backend(self.config, self.session.cluster, self._active),
+                capacity_bytes=self._cache_capacity,
                 sim=self.session.sim, timeline=self.session.timeline)
         return self.backend
 
@@ -240,6 +239,12 @@ class DagRunner:
         session = self.session
         backend = self._ensure_backend()
         config = stage.config or self.config
+        if initial_active(len(session.cluster),
+                          config.active_nodes) != self._active:
+            raise DagError(
+                f"stage {stage.name!r}: active_nodes={config.active_nodes!r} "
+                f"differs from the runner's {self.config.active_nodes!r}; "
+                f"input placement is fixed to the runner's active set")
         app = stage.make_app(broadcast)
         record_size = (app.record_format.record_size
                        if isinstance(app.record_format, FixedRecordFormat)

@@ -2,11 +2,17 @@
 
 Glasswing requires map and reduce functions to be OpenCL kernels; since no
 OpenCL implementation is available offline, this package provides the same
-*shape* of API (platforms, contexts, in-order command queues with events,
-device buffers, NDRange kernel launches) over the device models of
-:mod:`repro.hw`.  Kernels are real Python/numpy callables — they compute
-real output — while their *duration* is charged to the virtual clock via a
-per-device analytical cost model.
+*shape* of API (devices, contexts, device buffers, a kernel cost model)
+over the device models of :mod:`repro.hw`.  Kernels are real Python/numpy
+callables — they compute real output — while their *duration* is charged
+to the virtual clock via a per-device analytical cost model.
+
+The engines drive a device through three calls only —
+:meth:`Device.execute_cost` (charge a launch whose data transformation
+ran host-side, as ``MapReduceApp.map_batch`` + ``map_cost`` do),
+:meth:`Device.transfer` and :meth:`Context.alloc_buffer` / ``release``.
+:class:`Kernel`, :class:`CommandQueue` and :class:`OCLEvent` are an
+in-order queue layer over the same device that no engine uses.
 
 Key correspondences with real OpenCL:
 
@@ -19,7 +25,7 @@ Key correspondences with real OpenCL:
   bounding the pipeline's buffering level on small-memory GPUs.
 """
 
-from repro.ocl.kernel import Kernel, KernelCost, NDRange
+from repro.ocl.kernel import Kernel, KernelCost
 from repro.ocl.runtime import (
     Buffer,
     CommandQueue,
@@ -37,7 +43,6 @@ __all__ = [
     "Device",
     "Kernel",
     "KernelCost",
-    "NDRange",
     "OCLError",
     "OCLEvent",
     "OutOfDeviceMemory",

@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.hw.specs import DeviceSpec
 
-__all__ = ["KernelCost", "NDRange", "Kernel"]
+__all__ = ["KernelCost", "Kernel"]
 
 
 @dataclass(frozen=True)
@@ -65,22 +65,6 @@ class KernelCost:
             atomic_intensity=max(self.atomic_intensity, other.atomic_intensity),
             launches=self.launches + other.launches,
         )
-
-
-@dataclass(frozen=True)
-class NDRange:
-    """Launch geometry: global/local work sizes (1-D, as Glasswing uses)."""
-
-    global_size: int
-    local_size: int = 64
-
-    def __post_init__(self) -> None:
-        if self.global_size < 1 or self.local_size < 1:
-            raise ValueError("work sizes must be positive")
-
-    @property
-    def work_groups(self) -> int:
-        return -(-self.global_size // self.local_size)
 
 
 class Kernel:

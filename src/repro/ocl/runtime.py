@@ -151,10 +151,6 @@ class Device:
         finally:
             self._dma_engine.release()
 
-    def kernel_time(self, kernel: Kernel, args: Dict[str, Any]) -> float:
-        """Uncontended duration estimate of one launch."""
-        return kernel.cost(self.spec, args).time_on(self.spec)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Device {self.spec.name!r} on node {self.node.node_id}>"
 

@@ -1,4 +1,4 @@
-"""Cache-aside read caching over a :class:`~repro.core.io.StorageBackend`.
+"""Cache-aside read caching over a :class:`~repro.storage.backend.StorageBackend`.
 
 The DAG engine (:mod:`repro.dag`) runs many MapReduce rounds on one
 long-lived cluster session, and iterative workloads (K-Means, PageRank)
@@ -36,9 +36,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
-from repro.storage.dfs import BlockLocation
-
-from repro.core.io import StorageBackend
+from repro.storage.backend import BlockLocation, StorageBackend
 
 __all__ = ["CacheAsideBackend"]
 
@@ -207,6 +205,9 @@ class CacheAsideBackend(StorageBackend):
         }
 
     # -- delegation ---------------------------------------------------------
+    def bind(self, health: Any, meter: Any) -> None:
+        self.base.bind(health, meter)
+
     def write_chunk(self, node_id: int, nbytes: int,
                     replication: int) -> Generator:
         """Output writes are never cached; delegate at full cost."""

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.hw.node import Cluster
 from repro.hw.specs import MiB
+from repro.storage.backend import BlockLocation, StorageBackend
 from repro.storage.localfs import FileNotFound, LocalFS
 
-__all__ = ["DFS", "BlockLocation", "JNIOverhead"]
+__all__ = ["DFS", "JNIOverhead"]
 
 
 @dataclass(frozen=True)
@@ -34,15 +35,6 @@ class JNIOverhead:
         return self.per_call + nbytes / self.copy_bw
 
 
-@dataclass(frozen=True)
-class BlockLocation:
-    """One block's extent within its file and the nodes holding replicas."""
-
-    offset: int
-    length: int
-    replicas: Tuple[int, ...]
-
-
 @dataclass
 class _Block:
     block_id: int
@@ -54,7 +46,7 @@ class _Block:
         return f".dfs/blk_{self.block_id}"
 
 
-class DFS:
+class DFS(StorageBackend):
     """The distributed file system deployed over a cluster.
 
     Parameters
@@ -65,15 +57,15 @@ class DFS:
         Block granularity (the paper uses HDFS defaults; tests scale it
         down alongside the data).
     replication:
-        Default replica count for new files (clamped to the node count).
+        Replica count of installed files (clamped to the placement pool).
     jni:
         Access overhead model; pass ``None`` for native access (used when
         modelling Glasswing's direct local-FS mode for comparison).
     placement_nodes:
-        When set, new blocks are placed only on these nodes (an elastic
-        job's initially-active subset) — standby hardware joining later
-        must never be a replica holder the baseline run depended on.
-        ``None`` places over the whole cluster, the classic behavior.
+        When set, installed blocks are placed only on these nodes (an
+        elastic job's initially-active subset) — standby hardware joining
+        later must never be a replica holder the baseline run depended
+        on.  ``None`` places over the whole cluster, the classic behavior.
     """
 
     def __init__(self, cluster: Cluster, block_size: int = 8 * MiB,
@@ -87,35 +79,28 @@ class DFS:
         self.block_size = block_size
         self.replication = replication
         self.jni = jni
-        if placement_nodes is not None:
-            placement_nodes = sorted(set(placement_nodes))
-            if not placement_nodes or any(
-                    not (0 <= n < len(cluster)) for n in placement_nodes):
+        if placement_nodes is None:
+            pool = list(range(len(cluster)))
+        else:
+            pool = sorted(set(placement_nodes))
+            if not pool or any(not (0 <= n < len(cluster)) for n in pool):
                 raise ValueError(
-                    f"placement nodes {placement_nodes} outside the cluster")
-        self.placement_nodes = placement_nodes
+                    f"placement nodes {pool} outside the cluster")
+        self._pool = pool
         self.node_fs: List[LocalFS] = [LocalFS(node) for node in cluster]
         self._meta: Dict[str, List[_Block]] = {}
         self._block_ids = itertools.count()
-        #: optional ClusterHealth view; when set, reads are served only
-        #: from replicas on live nodes (a crashed node's disk is gone)
+        #: the owning job's ClusterHealth and TrafficMeter, see :meth:`bind`
         self.health = None
-        #: optional :class:`~repro.net.transport.TrafficMeter`; when this
-        #: DFS belongs to one tenant of a shared cluster, its block
-        #: traffic is attributed to that tenant
         self.meter = None
 
-    def _replica_alive(self, node: int) -> bool:
-        """Can this replica still serve reads?  A *departed* (drained)
-        node can — decommissioned disks stay readable until the job ends
-        — so prefer the health view's ``storage_alive`` when it has one;
-        a crashed node's disk is gone either way."""
-        if self.health is None:
-            return True
-        can_serve = getattr(self.health, "storage_alive", None)
-        if can_serve is not None:
-            return can_serve(node)
-        return self.health.alive(node)
+    def bind(self, health: Any, meter: Any) -> None:
+        """Reads are served only from replicas ``health`` says can still
+        serve (a crashed node's disk is gone), output replicas go only to
+        live nodes, and block traffic is attributed to ``meter`` — the one
+        tenant of a shared cluster this DFS belongs to."""
+        self.health = health
+        self.meter = meter
 
     # -- namespace -----------------------------------------------------------
     def exists(self, path: str) -> bool:
@@ -125,17 +110,14 @@ class DFS:
         self._require(path)
         return sum(b.length for b in self._meta[path])
 
-    def listdir(self, prefix: str = "") -> List[str]:
-        return sorted(p for p in self._meta if p.startswith(prefix))
-
-    def delete(self, path: str) -> None:
+    def remove(self, path: str) -> None:
         self._require(path)
         for block in self._meta.pop(path):
             for replica in block.replicas:
                 if self.node_fs[replica].exists(block.local_path):
                     self.node_fs[replica].delete(block.local_path)
 
-    def block_locations(self, path: str) -> List[BlockLocation]:
+    def locations(self, path: str) -> List[BlockLocation]:
         """Block extents + replica holders, for affinity scheduling."""
         self._require(path)
         locations = []
@@ -151,57 +133,77 @@ class DFS:
             fs.purge_cache()
 
     # -- write path ----------------------------------------------------------
-    def create(self, path: str, data: bytes, writer: int,
-               replication: Optional[int] = None) -> Generator:
-        """Write ``data`` as a new file from node ``writer``.
-
-        Replicas are written through a pipeline per block: the writer's
-        local disk plus network pushes to the remaining replica nodes, all
-        overlapping (as HDFS's chained block pipeline does).
-        """
+    def install(self, path: str, data: bytes) -> None:
+        """Zero-time block placement: cut ``data`` into blocks and put
+        every replica on its holder's volume."""
         if self.exists(path):
             raise FileExistsError(path)
-        self._check_node(writer)
-        pool = self.placement_nodes if self.placement_nodes is not None \
-            else list(range(len(self.cluster)))
-        rep = min(replication or self.replication, len(pool))
+        rep = min(self.replication, len(self._pool))
         blocks: List[_Block] = []
-        sim = self.cluster.sim
         for start in range(0, max(len(data), 1), self.block_size):
             chunk = data[start:start + self.block_size]
             block = _Block(next(self._block_ids), len(chunk),
-                           self._place_replicas(writer, rep, len(blocks)))
-            blocks.append(block)
-            yield from self._jni_charge(writer, len(chunk))
-            writes = []
+                           self._place_replicas(len(blocks), rep))
             for replica in block.replicas:
-                writes.append(sim.process(
-                    self._write_replica(writer, replica, block, chunk),
-                    name=f"dfs-write-{block.block_id}-{replica}"))
-            yield sim.all_of(writes)
+                self.node_fs[replica].install(block.local_path, chunk)
+            blocks.append(block)
         self._meta[path] = blocks
 
-    def _write_replica(self, writer: int, replica: int, block: _Block,
-                       chunk: bytes) -> Generator:
+    def _place_replicas(self, block_index: int, rep: int) -> Tuple[int, ...]:
+        """First replicas rotate over the placement pool (the initially
+        active subset for elastic jobs, the whole cluster otherwise, so an
+        elastic baseline never depends on standby hardware); the rest
+        spread round-robin from a start that shifts with the block."""
+        pool = self._pool
+        pos = block_index % len(pool)
+        replicas = [pool[pos]]
+        candidate = (pos + 1 + block_index) % len(pool)
+        while len(replicas) < rep:
+            if pool[candidate] not in replicas:
+                replicas.append(pool[candidate])
+            candidate = (candidate + 1) % len(pool)
+        return tuple(replicas)
+
+    def write_chunk(self, node_id: int, nbytes: int,
+                    replication: int) -> Generator:
+        """Replicated output append: local disk + pipelined remote copies.
+
+        Replica targets skip dead nodes (a crashed node's disk cannot
+        accept output), clamping to the surviving node count.
+        """
+        cluster = self.cluster
+        health = self.health
+        targets = [n for n in range(len(cluster))
+                   if health is None or health.alive(n)]
+        # Rotate so the writer (always alive) gets the first copy.
+        pivot = targets.index(node_id) if node_id in targets else 0
+        targets = targets[pivot:] + targets[:pivot]
+        rep = min(replication, len(targets))
+        yield from self._jni_charge(node_id, nbytes)
+        procs = [cluster.sim.process(
+            self._replica_write(node_id, targets[r], nbytes))
+            for r in range(rep)]
+        yield cluster.sim.all_of(procs)
+
+    def _replica_write(self, writer: int, replica: int,
+                       nbytes: int) -> Generator:
         if replica != writer:
-            yield from self.cluster.network.send(writer, replica, len(chunk),
+            yield from self.cluster.network.send(writer, replica, nbytes,
                                                  meter=self.meter)
-        yield from self.node_fs[replica].write(block.local_path, chunk)
+        yield from self.cluster[replica].disk.write(nbytes, stream="out")
 
     # -- read path -----------------------------------------------------------
-    def read(self, path: str, offset: int = 0, length: int = -1,
-             reader: int = 0) -> Generator:
-        """Read a byte range from node ``reader``; returns the bytes.
+    def read(self, node_id: int, path: str, offset: int,
+             length: int) -> Generator:
+        """Read a byte range from ``node_id``; returns the bytes.
 
         Each covered block is served from a local replica when available,
-        otherwise streamed from the closest (first) remote replica.
+        otherwise streamed from a remote one, and crosses the JNI boundary.
         """
         self._require(path)
-        self._check_node(reader)
-        total = self.size(path)
-        if length < 0:
-            length = total - offset
-        end = min(offset + length, total)
+        if not (0 <= node_id < len(self.cluster)):
+            raise ValueError(f"unknown node {node_id}")
+        end = min(offset + length, self.size(path))
         out = bytearray()
         block_start = 0
         for block in self._meta[path]:
@@ -210,7 +212,7 @@ class DFS:
                 lo = max(offset, block_start) - block_start
                 hi = min(end, block_end) - block_start
                 piece = yield from self._read_block(block, lo, hi - lo,
-                                                    reader, stream=path)
+                                                    node_id, stream=path)
                 out += piece
             block_start = block_end
             if block_start >= end:
@@ -219,7 +221,11 @@ class DFS:
 
     def _read_block(self, block: _Block, offset: int, length: int,
                     reader: int, stream: str = "") -> Generator:
-        live = [r for r in block.replicas if self._replica_alive(r)]
+        # A *departed* (drained) node's disk stays readable until the job
+        # ends; a crashed node's is gone.
+        health = self.health
+        live = [r for r in block.replicas
+                if health is None or health.storage_alive(r)]
         if not live:
             raise FileNotFound(
                 f"{block.local_path}: every replica holder "
@@ -247,39 +253,6 @@ class DFS:
             return
         yield self.cluster[node_id].host_work(
             1, self.jni.seconds_for(nbytes), tag="jni")
-
-    def _place_replicas(self, writer: int, rep: int, block_index: int
-                        ) -> Tuple[int, ...]:
-        """First replica local to the writer, the rest spread round-robin
-        over the placement pool (the whole cluster unless restricted)."""
-        if self.placement_nodes is None:
-            n = len(self.cluster)
-            replicas = [writer]
-            candidate = (writer + 1 + block_index) % n
-            while len(replicas) < rep:
-                if candidate not in replicas:
-                    replicas.append(candidate)
-                candidate = (candidate + 1) % n
-            return tuple(replicas)
-        pool = self.placement_nodes
-        if writer in pool:
-            replicas = [writer]
-            pos = pool.index(writer)
-        else:
-            # A writer outside the pool (e.g. a joined node writing job
-            # output) anchors at its nearest pool position instead.
-            pos = writer % len(pool)
-            replicas = [pool[pos]]
-        candidate = (pos + 1 + block_index) % len(pool)
-        while len(replicas) < rep:
-            if pool[candidate] not in replicas:
-                replicas.append(pool[candidate])
-            candidate = (candidate + 1) % len(pool)
-        return tuple(replicas)
-
-    def _check_node(self, node_id: int) -> None:
-        if not (0 <= node_id < len(self.cluster)):
-            raise ValueError(f"unknown node {node_id}")
 
     def _require(self, path: str) -> None:
         if path not in self._meta:

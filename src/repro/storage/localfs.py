@@ -60,6 +60,11 @@ class LocalFS:
         del self._files[path]
         self._cache.pop(path, None)
 
+    def install(self, path: str, blob: bytes) -> None:
+        """Place ``blob`` with zero simulated time, stored as is (input
+        placement is outside the paper's timings)."""
+        self._files[path] = blob
+
     def used_bytes(self) -> int:
         return sum(len(d) for d in self._files.values())
 

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.coordinator import Split, assign_splits, make_splits
-from repro.core.io import make_backend
+from repro.core.coordinator import Split, make_splits
+from repro.core.sched.affinity import affinity_assign
+from repro.storage.backend import make_backend
 from repro.hw import Cluster
 from repro.hw.presets import das4_cluster
 from repro.simt import Simulator
@@ -57,7 +58,7 @@ def test_affinity_assignment_prefers_replica_holders():
     sim, cluster, backend = make_dfs_backend(nodes=4, block_size=1000)
     backend.install("f", b"x" * 8000)
     splits = make_splits(backend, ["f"], chunk_size=1000)
-    assignment = assign_splits(splits, backend, 4)
+    assignment = affinity_assign(splits, backend, 4)
     locs = backend.locations("f")
     for node_id, assigned in assignment.items():
         for split in assigned:
@@ -70,7 +71,7 @@ def test_assignment_balances_load():
     sim, cluster, backend = make_dfs_backend(nodes=4, block_size=1000)
     backend.install("f", b"x" * 16000)
     splits = make_splits(backend, ["f"], chunk_size=1000)
-    assignment = assign_splits(splits, backend, 4)
+    assignment = affinity_assign(splits, backend, 4)
     sizes = [len(v) for v in assignment.values()]
     assert max(sizes) - min(sizes) <= 2
 
@@ -80,7 +81,7 @@ def test_round_robin_without_locality():
     local = make_backend("local", cluster)
     local.install("f", b"x" * 9000)
     splits = make_splits(local, ["f"], chunk_size=1000)
-    assignment = assign_splits(splits, local, 3)
+    assignment = affinity_assign(splits, local, 3)
     assert [len(v) for v in assignment.values()] == [3, 3, 3]
 
 
@@ -88,7 +89,7 @@ def test_every_split_assigned_exactly_once():
     sim, cluster, backend = make_dfs_backend(nodes=4)
     backend.install("f", b"x" * 12345)
     splits = make_splits(backend, ["f"], chunk_size=777)
-    assignment = assign_splits(splits, backend, 4)
+    assignment = affinity_assign(splits, backend, 4)
     seen = sorted(s.index for v in assignment.values() for s in v)
     assert seen == [s.index for s in splits]
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.io import DFSBackend, LocalBackend, make_backend
+from repro.storage import DFS, LocalBackend, make_backend
 from repro.hw import Cluster
 from repro.hw.presets import das4_cluster
 from repro.simt import Simulator
@@ -21,7 +21,7 @@ def drive(sim, gen):
 
 def test_factory_dispatch():
     sim, cluster = make_cluster()
-    assert isinstance(make_backend("dfs", cluster), DFSBackend)
+    assert isinstance(make_backend("dfs", cluster), DFS)
     assert isinstance(make_backend("local", cluster), LocalBackend)
     with pytest.raises(ValueError):
         make_backend("s3", cluster)

@@ -9,7 +9,7 @@ pick_helper) and the heterogeneous device-pool gate.
 import pytest
 
 from repro.core.coordinator import Split, make_splits
-from repro.core.io import make_backend
+from repro.storage.backend import make_backend
 from repro.core.sched import (SCHEDULER_NAMES, DynamicLocalityScheduler,
                               OpLevelScheduler, Scheduler,
                               StaticAffinityScheduler, affinity_assign,
@@ -17,7 +17,7 @@ from repro.core.sched import (SCHEDULER_NAMES, DynamicLocalityScheduler,
 from repro.hw import Cluster
 from repro.hw.presets import das4_cluster
 from repro.simt import Simulator
-from repro.storage.dfs import BlockLocation
+from repro.storage.backend import BlockLocation
 
 
 class StubBackend:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.io import StorageBackend
+from repro.storage.backend import StorageBackend
 from repro.storage.cache import CacheAsideBackend
 
 

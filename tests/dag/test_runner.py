@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.apps.datagen import prefix_values
+from repro.apps import WordCountApp
+from repro.apps.datagen import prefix_values, wiki_text
 from repro.apps.prefixsum import (RECORD_SIZE, PrefixBlockSumApp,
                                   exclusive_offsets)
 from repro.core import JobConfig
@@ -194,3 +195,34 @@ def test_runner_total_time_accumulates():
     b = runner.run(dag).total_time
     assert runner.total_time == pytest.approx(a + b)
     runner.close()  # telemetry stop is a no-op without metrics; no crash
+
+
+def wordcount_round(active_nodes, stage_config=None):
+    runner = DagRunner(das4_cluster(nodes=8),
+                       config=JobConfig(chunk_size=4096, storage="dfs",
+                                        active_nodes=active_nodes))
+    dag = DAG("wc")
+    dag.add_input("text", wiki_text(64 * 1024, seed=1))
+    dag.add_stage("count", WordCountApp(), ["text"], config=stage_config)
+    return runner.run(dag)
+
+
+def test_dag_on_a_cluster_with_standbys_places_input_on_the_active_nodes():
+    """Regression: the runner built its DFS without the initially-active
+    set, so blocks landed on standby nodes no job could read from and
+    the round died with ``every replica holder ... is dead``."""
+    everyone = wordcount_round(None)
+    two_active = wordcount_round(2)
+    assert two_active.outputs["count"] == everyone.outputs["count"]
+    assert len(two_active.outputs["count"]) == 569
+    (run,) = two_active.stage_runs
+    assert run.result.stats["leaked_buffer_slots"] == 0
+
+
+def test_stage_active_nodes_must_match_the_runner():
+    with pytest.raises(DagError, match="'count'.*active_nodes"):
+        wordcount_round(2, stage_config=JobConfig(
+            chunk_size=4096, storage="dfs", active_nodes=4))
+    # "Every node", spelled as the count, is the same set.
+    wordcount_round(None, stage_config=JobConfig(
+        chunk_size=4096, storage="dfs", active_nodes=8))

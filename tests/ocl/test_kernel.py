@@ -1,9 +1,9 @@
-"""Tests for kernel cost model and NDRange."""
+"""Tests for the kernel cost model."""
 
 import pytest
 
 from repro.hw.presets import CPU_TYPE1, GTX480
-from repro.ocl import Kernel, KernelCost, NDRange
+from repro.ocl import Kernel, KernelCost
 
 
 def test_compute_bound_cost():
@@ -61,14 +61,6 @@ def test_cost_scaled_and_add():
     assert c.flops == 30
     assert c.launches == 2
     assert c.atomic_intensity == 0.2
-
-
-def test_ndrange_work_groups():
-    assert NDRange(1000, 64).work_groups == 16
-    assert NDRange(1024, 64).work_groups == 16
-    assert NDRange(1, 64).work_groups == 1
-    with pytest.raises(ValueError):
-        NDRange(0)
 
 
 def test_kernel_executes_real_function():

@@ -29,46 +29,38 @@ def make_devices(sim, node):
     return cpu, gpu
 
 
+def drive(sim, gen):
+    sim.process(gen)
+    sim.run()
+
+
 def test_cpu_kernel_runs_on_host_threads():
     sim, node = make_node()
     cpu, _ = make_devices(sim, node)
-    ctx = Context(sim, [cpu])
-    q = CommandQueue(ctx, cpu)
     # 19 GFLOP = 1 second on the full CPU device.
-    k = Kernel("work", lambda: "out", cost_fn=lambda d, a: KernelCost(flops=19e9))
-    ev = q.enqueue_kernel(k, {})
-    sim.run()
-    assert ev.result == "out"
-    assert ev.duration == pytest.approx(1.0 + node.spec.cpu_device.launch_overhead,
-                                        rel=1e-3)
+    drive(sim, cpu.execute_cost(KernelCost(flops=19e9)))
+    assert sim.now == pytest.approx(1.0 + cpu.spec.launch_overhead, rel=1e-3)
+    assert cpu.kernels_launched == 1
 
 
 def test_cpu_kernel_with_fewer_threads_is_slower():
     sim, node = make_node()
     cpu, _ = make_devices(sim, node)
-    ctx = Context(sim, [cpu])
-    q = CommandQueue(ctx, cpu)
-    k = Kernel("work", lambda: None, cost_fn=lambda d, a: KernelCost(flops=19e9))
-    ev = q.enqueue_kernel(k, {}, threads=4)  # 4 of 16 threads
-    sim.run()
-    assert ev.duration == pytest.approx(4.0, rel=1e-2)
+    drive(sim, cpu.execute_cost(KernelCost(flops=19e9), threads=4))  # of 16
+    assert sim.now == pytest.approx(4.0, rel=1e-2)
 
 
 def test_gpu_kernel_does_not_use_host_threads():
     sim, node = make_node()
-    cpu, gpu = make_devices(sim, node)
-    ctx = Context(sim, [cpu, gpu])
-    q = CommandQueue(ctx, gpu)
-    k = Kernel("work", lambda: None, cost_fn=lambda d, a: KernelCost(flops=380e9))
+    _, gpu = make_devices(sim, node)
     busy = []
 
     def watcher(sim):
         yield sim.timeout(0.5)
         busy.append(node.cpu.demand)
 
-    q.enqueue_kernel(k, {})
     sim.process(watcher(sim))
-    sim.run()
+    drive(sim, gpu.execute_cost(KernelCost(flops=380e9)))
     assert busy == [0]  # host threads idle during GPU kernel
     assert sim.now == pytest.approx(1.0 + gpu.spec.launch_overhead, rel=1e-3)
 
@@ -76,15 +68,10 @@ def test_gpu_kernel_does_not_use_host_threads():
 def test_gpu_kernels_serialize_on_exec_engine():
     sim, node = make_node()
     _, gpu = make_devices(sim, node)
-    ctx = Context(sim, [gpu])
-    q1 = CommandQueue(ctx, gpu)
-    q2 = CommandQueue(ctx, gpu)
-    k = Kernel("w", lambda: None, cost_fn=lambda d, a: KernelCost(flops=380e9))
-    e1 = q1.enqueue_kernel(k, {})
-    e2 = q2.enqueue_kernel(k, {})
-    sim.run()
-    # Two 1-second kernels from different queues share one device engine.
-    assert max(e1.ended, e2.ended) == pytest.approx(2.0, rel=1e-2)
+    sim.process(gpu.execute_cost(KernelCost(flops=380e9)))
+    drive(sim, gpu.execute_cost(KernelCost(flops=380e9)))
+    # Two 1-second launches from different pipelines share one engine.
+    assert sim.now == pytest.approx(2.0, rel=1e-2)
 
 
 def test_in_order_queue_serializes_commands():
@@ -102,25 +89,16 @@ def test_in_order_queue_serializes_commands():
 def test_transfer_time_h2d():
     sim, node = make_node()
     _, gpu = make_devices(sim, node)
-    ctx = Context(sim, [gpu])
-    q = CommandQueue(ctx, gpu)
-    buf = ctx.alloc_buffer(gpu, 55_000_000)
-    ev = q.enqueue_write(buf, payload=b"data", nbytes=55_000_000)
-    sim.run()
-    assert ev.duration == pytest.approx(0.01, rel=1e-2)  # 55MB / 5.5GB/s
-    assert buf.payload == b"data"
+    drive(sim, gpu.transfer(55_000_000, "h2d"))
+    assert sim.now == pytest.approx(0.01, rel=1e-2)  # 55MB / 5.5GB/s
     assert gpu.bytes_transferred == 55_000_000
 
 
 def test_unified_memory_transfer_is_free():
     sim, node = make_node()
     cpu, _ = make_devices(sim, node)
-    ctx = Context(sim, [cpu])
-    q = CommandQueue(ctx, cpu)
-    buf = ctx.alloc_buffer(cpu, 10**9)
-    ev = q.enqueue_write(buf, payload="x", nbytes=10**9)
-    sim.run()
-    assert ev.duration == 0.0
+    drive(sim, cpu.transfer(10**9, "h2d"))
+    assert sim.now == 0.0
 
 
 def test_read_returns_payload():

@@ -66,10 +66,3 @@ def test_transfer_direction_validated():
     sim.process(proc())
     with pytest.raises(ValueError):
         sim.run()
-
-
-def test_device_kernel_time_estimate():
-    sim, node, dev, ctx = make_ctx()
-    k = Kernel("w", lambda: None, cost_fn=lambda d, a: KernelCost(flops=380e9))
-    est = dev.kernel_time(k, {})
-    assert est == pytest.approx(1.0 + dev.spec.launch_overhead, rel=1e-3)

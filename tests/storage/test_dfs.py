@@ -26,70 +26,70 @@ def run(sim, gen):
 def test_create_read_round_trip():
     sim, cluster, dfs = make_dfs()
     data = bytes(range(256)) * 20  # 5120 bytes -> 6 blocks of 1000
-    run(sim, dfs.create("f", data, writer=0))
+    dfs.install("f", data)
+    assert sim.now == 0.0  # input placement is outside the timings
     assert dfs.size("f") == 5120
-    got = run(sim, dfs.read("f", reader=2))
+    got = run(sim, dfs.read(2, "f", 0, len(data)))
     assert got == data
 
 
 def test_read_arbitrary_ranges_cross_blocks():
     sim, cluster, dfs = make_dfs(block_size=100)
     data = bytes(i % 251 for i in range(1050))
-    run(sim, dfs.create("f", data, writer=1))
-    for (off, ln) in [(0, 50), (95, 10), (0, 1050), (999, 51), (100, 900)]:
-        assert run(sim, dfs.read("f", off, ln, reader=0)) == data[off:off + ln]
+    dfs.install("f", data)
+    for (off, ln) in [(0, 50), (95, 10), (0, 1050), (999, 51), (100, 900),
+                      (1000, 500)]:          # the last runs past the end
+        assert run(sim, dfs.read(0, "f", off, ln)) == data[off:off + ln]
 
 
 def test_block_locations_cover_file():
     sim, cluster, dfs = make_dfs(block_size=1000)
-    data = b"q" * 3500
-    run(sim, dfs.create("f", data, writer=0))
-    locs = dfs.block_locations("f")
+    dfs.install("f", b"q" * 3500)
+    locs = dfs.locations("f")
     assert [loc.length for loc in locs] == [1000, 1000, 1000, 500]
     assert [loc.offset for loc in locs] == [0, 1000, 2000, 3000]
     for loc in locs:
         assert len(loc.replicas) == 3
         assert len(set(loc.replicas)) == 3
-        assert loc.replicas[0] == 0  # first replica on writer
 
 
 def test_replication_clamped_to_cluster():
     sim, cluster, dfs = make_dfs(nodes=2, replication=3)
-    run(sim, dfs.create("f", b"x" * 100, writer=0))
-    assert len(dfs.block_locations("f")[0].replicas) == 2
+    dfs.install("f", b"x" * 100)
+    assert len(dfs.locations("f")[0].replicas) == 2
 
 
 def test_replication_one_stays_local():
     sim, cluster, dfs = make_dfs(replication=1)
-    run(sim, dfs.create("f", b"x" * 2500, writer=3))
-    for loc in dfs.block_locations("f"):
-        assert loc.replicas == (3,)
+    dfs.install("f", b"x" * 2500)
+    dfs.purge_caches()
+    for loc in dfs.locations("f"):
+        (holder,) = loc.replicas
+        run(sim, dfs.read(holder, "f", loc.offset, loc.length))
+    assert cluster.network.bytes_moved == 0  # each holder read its own block
 
 
 def test_replicas_spread_across_nodes():
     sim, cluster, dfs = make_dfs(nodes=4, block_size=100)
-    run(sim, dfs.create("f", b"x" * 400, writer=0))
-    second_replicas = {loc.replicas[1] for loc in dfs.block_locations("f")}
+    dfs.install("f", b"x" * 400)
+    second_replicas = {loc.replicas[1] for loc in dfs.locations("f")}
     assert len(second_replicas) > 1  # round-robin spreads the copies
 
 
 def test_local_read_faster_than_remote():
-    # replication=1 on node 0; compare reading from node 0 vs node 1.
-    sim1, c1, d1 = make_dfs(replication=1, jni=None)
+    # One block, replication=1: it sits on node 0; compare reading it
+    # from node 0 vs node 1.
     data = b"z" * 500_000
-    run(sim1, d1.create("f", data, writer=0))
-    d1.purge_caches()
-    t0 = sim1.now
-    run(sim1, d1.read("f", reader=0))
-    local_time = sim1.now - t0
-
-    sim2, c2, d2 = make_dfs(replication=1, jni=None)
-    run(sim2, d2.create("f", data, writer=0))
-    d2.purge_caches()
-    t0 = sim2.now
-    run(sim2, d2.read("f", reader=1))
-    remote_time = sim2.now - t0
-    assert remote_time > local_time
+    times = {}
+    for reader in (0, 1):
+        sim, cluster, dfs = make_dfs(replication=1, jni=None,
+                                     block_size=len(data))
+        dfs.install("f", data)
+        assert dfs.locations("f")[0].replicas == (0,)
+        dfs.purge_caches()
+        run(sim, dfs.read(reader, "f", 0, len(data)))
+        times[reader] = sim.now
+    assert times[1] > times[0]
 
 
 def test_jni_overhead_costs_time():
@@ -98,19 +98,18 @@ def test_jni_overhead_costs_time():
     for label, jni in [("native", None), ("jni", JNIOverhead(per_call=1e-3,
                                                              copy_bw=100e6))]:
         sim, cluster, dfs = make_dfs(jni=jni, block_size=100_000)
-        run(sim, dfs.create("f", data, writer=0))
+        dfs.install("f", data)
         dfs.purge_caches()
-        t0 = sim.now
-        run(sim, dfs.read("f", reader=0))
-        times[label] = sim.now - t0
+        run(sim, dfs.read(0, "f", 0, len(data)))
+        times[label] = sim.now
     assert times["jni"] > times["native"]
 
 
 def test_delete_removes_blocks():
     sim, cluster, dfs = make_dfs()
-    run(sim, dfs.create("f", b"x" * 2000, writer=0))
+    dfs.install("f", b"x" * 2000)
     assert dfs.node_fs[0].listdir(".dfs/")
-    dfs.delete("f")
+    dfs.remove("f")
     assert not dfs.exists("f")
     for fs in dfs.node_fs:
         assert not fs.listdir(".dfs/")
@@ -118,12 +117,9 @@ def test_delete_removes_blocks():
 
 def test_create_existing_path_rejected():
     sim, cluster, dfs = make_dfs()
-    run(sim, dfs.create("f", b"1", writer=0))
-    def creator():
-        yield from dfs.create("f", b"2", writer=0)
-    sim.process(creator())
+    dfs.install("f", b"1")
     with pytest.raises(FileExistsError):
-        sim.run()
+        dfs.install("f", b"2")
 
 
 def test_missing_file_raises():
@@ -131,15 +127,9 @@ def test_missing_file_raises():
     with pytest.raises(FileNotFound):
         dfs.size("ghost")
     with pytest.raises(FileNotFound):
-        dfs.block_locations("ghost")
-
-
-def test_listdir_prefix():
-    sim, cluster, dfs = make_dfs()
-    run(sim, dfs.create("in/part0", b"a", writer=0))
-    run(sim, dfs.create("in/part1", b"b", writer=1))
-    run(sim, dfs.create("out/part0", b"c", writer=2))
-    assert dfs.listdir("in/") == ["in/part0", "in/part1"]
+        dfs.locations("ghost")
+    with pytest.raises(FileNotFound):
+        dfs.remove("ghost")
 
 
 @settings(max_examples=25, deadline=None)
@@ -150,11 +140,10 @@ def test_listdir_prefix():
 def test_dfs_read_matches_slice_property(data, block_size, off_frac, len_frac):
     """Any (offset, length) read equals the equivalent bytes slice."""
     sim = Simulator()
-    from repro.hw.presets import das4_cluster as _c
-    cluster = Cluster(sim, _c(nodes=3))
+    cluster = Cluster(sim, das4_cluster(nodes=3))
     dfs = DFS(cluster, block_size=block_size, replication=2)
-    run(sim, dfs.create("f", data, writer=0))
+    dfs.install("f", data)
     off = int(off_frac * len(data))
     ln = int(len_frac * (len(data) - off))
-    got = run(sim, dfs.read("f", off, ln, reader=1))
+    got = run(sim, dfs.read(1, "f", off, ln))
     assert got == data[off:off + ln]
