@@ -12,7 +12,10 @@ inputs (see EXPERIMENTS.md for the scale mapping):
 * :func:`kmeans_points` — random single-precision observation vectors.
 * :func:`matmul_tasks` — tiled task records for the matrix multiply.
 
-Everything is seeded and reproducible.
+Everything is seeded and reproducible.  ``wiki_text`` reads its
+vocabulary from one bulk draw of the generator's uint32 stream, decoded
+by numpy's own bounded-integer rule; see :func:`_vocabulary` for that
+contract and the test that holds numpy to it.
 """
 
 from __future__ import annotations
@@ -37,24 +40,103 @@ TERA_RECORD = 100  # bytes: 10-byte key + 90-byte value
 
 _CONSONANTS = "bcdfghklmnprstvw"
 _VOWELS = "aeiou"
+_CONSONANT_BYTES = np.frombuffer(_CONSONANTS.encode(), dtype=np.uint8)
+_VOWEL_BYTES = np.frombuffer(_VOWELS.encode(), dtype=np.uint8)
+#: distinct words of 2-4 consonant+vowel syllables
+_WORD_SPACE = sum((len(_CONSONANTS) * len(_VOWELS)) ** s for s in (2, 3, 4))
+#: uint32s drawn per wanted word up front: a word costs 7 on average and
+#: about one word in seven repeats an earlier one at 20,000 words
+_DRAWS_PER_WORD = 9
+
+
+def _decode_words(block: np.ndarray) -> Tuple[List[bytes], List[int]]:
+    """The words the ``next_uint32`` stream ``block`` spells, in draw
+    order, and how many uint32s each has consumed through its end.
+
+    A word is one draw below 3 (its syllable count minus two), then a
+    consonant draw below 16 and a vowel draw below 5 per syllable, each
+    decoded by numpy's bounded-integer rule (Lemire): value
+    ``(x * r) >> 32``, where ``x`` is rejected, and the next uint32
+    read, while ``(x * r) % 2**32 < (2**32 - r) % r``.  For ``r = 3``
+    and ``r = 5`` that rejects exactly ``x == 0``; for ``r = 16`` it
+    rejects nothing.  A word the block cuts off is left out.
+    """
+    drawn = np.arange(len(block))       # block index of each draw kept
+    x = block.astype(np.uint64)
+    while True:
+        steps = (2 * ((x * 3) >> 32) + 5).tolist()      # 1 + 2 * syllables
+        n, p = len(steps), 0
+        walk: List[int] = []
+        while p < n:
+            walk.append(p)
+            p += steps[p]
+        if p > n:
+            p = walk.pop()              # the block cuts this word off
+        starts = np.array(walk, dtype=np.int64)
+        # Within a word, offset 0 is the count draw and even offsets are
+        # vowel draws: a 0 there is rejected and leaves the stream.
+        zero = np.flatnonzero(x[:p] == 0)
+        offset = zero - starts[np.searchsorted(starts, zero, "right") - 1]
+        rejected = zero[offset % 2 == 0]
+        if not len(rejected):
+            break
+        drawn = np.delete(drawn, rejected[0])
+        x = np.delete(x, rejected[0])
+    bounds = np.append(starts, p)
+    # Each word's positions read [count, consonant, vowel, ...]: the
+    # count draw becomes the separator in front of the word's letters.
+    offset = np.arange(p) - np.repeat(starts, np.diff(bounds))
+    x = x[:p]
+    text = np.where(offset % 2 == 1, _CONSONANT_BYTES[x >> 28],
+                    _VOWEL_BYTES[(x * 5) >> 32])
+    text[offset == 0] = ord(" ")
+    return text.tobytes().split(), (drawn[bounds[1:] - 1] + 1).tolist()
 
 
 def _vocabulary(size: int, rng: np.random.Generator) -> List[bytes]:
-    """Pronounceable pseudo-words, distinct, 4-12 characters."""
-    words = set()
-    while len(words) < size:
-        syllables = rng.integers(2, 5)
-        word = "".join(
-            _CONSONANTS[rng.integers(len(_CONSONANTS))] +
-            _VOWELS[rng.integers(len(_VOWELS))]
-            for _ in range(syllables))
-        words.add(word.encode())
-    return sorted(words)
+    """Pronounceable pseudo-words, distinct, 4-12 characters.
+
+    Draw contract: the words, their order and the state ``rng`` is left
+    in are exactly those of drawing word by word — ``rng.integers(2, 5)``
+    syllables, then ``rng.integers(16)`` and ``rng.integers(5)`` for each
+    one's consonant and vowel — until ``size`` distinct words are in
+    hand.  Those scalar draws each read one ``next_uint32`` of the bit
+    generator, plus one more per rejection; here one bulk
+    ``rng.integers(0, 2**32, dtype=np.uint32)`` reads the same stream
+    and :func:`_decode_words` applies numpy's rule to it.  The state is
+    then rewound and exactly the consumed count re-drawn, so later draws
+    on ``rng`` see what they always saw.  ``tests/apps/test_datagen.py``
+    keeps the word-by-word loop as the reference: if a numpy release
+    changes its bounded-integer rule, that test fails instead of the
+    inputs drifting.
+    """
+    if size < 1:
+        return []
+    saved = rng.bit_generator.state
+    block = np.empty(0, dtype=np.uint32)
+    want = _DRAWS_PER_WORD * size
+    while True:
+        block = np.concatenate([block, rng.integers(
+            0, 2**32, size=want - len(block), dtype=np.uint32)])
+        words, ends = _decode_words(block)
+        distinct = list(dict.fromkeys(words))
+        if len(distinct) >= size:
+            break
+        want *= 2
+    rng.bit_generator.state = saved
+    rng.integers(0, 2**32, size=ends[words.index(distinct[size - 1])],
+                 dtype=np.uint32)
+    return sorted(distinct[:size])
 
 
 def wiki_text(nbytes: int, seed: int = 7, vocab_size: int = 20_000,
               zipf_a: float = 1.5, line_words: int = 12) -> bytes:
     """Zipf-distributed text, newline-separated lines, ~``nbytes`` long."""
+    if not 1 <= vocab_size <= _WORD_SPACE:
+        raise ValueError(f"vocab_size must be between 1 and {_WORD_SPACE}, "
+                         f"not {vocab_size!r}")
+    if line_words < 1:
+        raise ValueError(f"line_words must be >= 1, not {line_words!r}")
     rng = np.random.default_rng(seed)
     vocab = np.array(_vocabulary(vocab_size, rng), dtype=object)
     rng.shuffle(vocab)  # decouple zipf rank from alphabetical order
@@ -62,10 +144,9 @@ def wiki_text(nbytes: int, seed: int = 7, vocab_size: int = 20_000,
     n_words = max(1, int(nbytes / avg_word))
     ranks = rng.zipf(zipf_a, size=n_words)
     ranks = np.minimum(ranks, vocab_size) - 1
-    words = vocab[ranks]
-    lines = []
-    for i in range(0, len(words), line_words):
-        lines.append(b" ".join(words[i:i + line_words]))
+    words = vocab[ranks].tolist()
+    lines = [b" ".join(words[i:i + line_words])
+             for i in range(0, len(words), line_words)]
     return b"\n".join(lines) + b"\n"
 
 

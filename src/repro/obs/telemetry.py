@@ -482,10 +482,13 @@ class Telemetry:
                 metric._values.append(metric._snapshot())
             self._rows_through.append(len(self.samples) + len(self._sampled))
         if self._retiring:
+            # A gauge retires once it holds its last value: one let go
+            # of before its first tick waits for that tick.
             releases = self._releases
-            self._retired.update(g for g in self._retiring
-                                 if releases[g] >= len(g._probes))
-            self._retiring.clear()
+            self._retired.update(
+                g for g in self._retiring
+                if g._values and releases[g] >= len(g._probes))
+            self._retiring = [g for g in self._retiring if not g._values]
             self._feed_the_unretired()
 
     # -- series queries ---------------------------------------------------

@@ -20,7 +20,7 @@ from repro.obs.telemetry import (Histogram, Telemetry, _fmt_value,
 from repro.simt import Simulator, Timeline
 
 try:
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import example, given, settings, strategies as st
     HAVE_HYPOTHESIS = True
 except ImportError:    # pragma: no cover - hypothesis is an optional extra
     HAVE_HYPOTHESIS = False
@@ -763,6 +763,19 @@ def test_a_gauge_two_running_jobs_share_outlives_the_first():
     assert len(tele.registry.gauge("toy_members", job=1)._values) == 4
 
 
+#: a job that starts and finishes between two samples of one instant
+RETIRED_BEFORE_FIRST_TICK = [
+    ("tick", 0, 0), ("start", 0, 1), ("finish", 0, 1), ("tick", 0, 0),
+    ("tick", 0, 1)]
+
+
+def test_a_job_retired_before_its_first_tick_is_sampled_once():
+    tele = drive_hub_and_row_log(RETIRED_BEFORE_FIRST_TICK)
+    assert tele.series()[("toy_up", (("job", "0"),))] == [(0.5, 0)]
+    assert tele.final_values()['toy_members{job="0"}'] == 1
+    assert len(tele.registry.gauge("toy_members", job=0)._values) == 1
+
+
 if HAVE_HYPOTHESIS:
 
     _OPS = st.one_of(
@@ -775,6 +788,7 @@ if HAVE_HYPOTHESIS:
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(_OPS, max_size=60))
+    @example(RETIRED_BEFORE_FIRST_TICK)
     def test_columns_answer_what_the_row_log_answers(ops):
         drive_hub_and_row_log(ops)
 
