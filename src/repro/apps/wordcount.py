@@ -7,12 +7,11 @@ combiner leverage (Table II) and for partitioner-thread tuning (Fig 4).
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import List, Sequence, Tuple
 
 from repro.hw.specs import DeviceSpec
 from repro.ocl.kernel import KernelCost
-from repro.storage.records import KVSchema, TextRecordFormat
+from repro.storage.records import KVSchema, PairColumns, TextRecordFormat
 
 from repro.core.api import MapReduceApp, sum_by_key
 
@@ -33,11 +32,12 @@ class WordCountApp(MapReduceApp):
     output_schema = KVSchema("wc-out", key_bytes=len, value_bytes=8)
     has_combiner = True
 
-    def map_batch(self, records: Sequence[bytes]) -> List[Tuple[bytes, int]]:
+    def map_batch(self, records: Sequence[bytes]) -> PairColumns:
         # One C-level split over the whole chunk: records are
         # newline-delimited, so joining on a separator preserves words.
+        # The emit is two columns, not one (word, 1) tuple per word.
         words = b"\n".join(records).split()
-        return list(zip(words, repeat(1)))
+        return PairColumns(words, [1] * len(words))
 
     def combine(self, key: bytes, values: List[int]) -> List[int]:
         return [sum(values)]

@@ -27,8 +27,8 @@ from typing import Any, List, Tuple
 
 from repro.hw.specs import DeviceSpec
 from repro.ocl.kernel import KernelCost
-from repro.core.api import MapReduceApp
-from repro.core.data import MapOutput
+from repro.core.api import MapReduceApp, pair_sort_key
+from repro.core.data import MapOutput, PairColumns
 
 __all__ = ["collect_map_output", "hash_contention", "COLLECTORS",
            "KeyInterner"]
@@ -96,7 +96,8 @@ def _hash_collect(app: MapReduceApp, device: DeviceSpec, pairs: List[Pair],
                   interner: KeyInterner | None = None
                   ) -> Tuple[MapOutput, KernelCost]:
     try:
-        n_unique = len({k for k, _ in pairs})
+        n_unique = len(set(pairs.keys) if isinstance(pairs, PairColumns)
+                       else {k for k, _ in pairs})
     except TypeError:
         _reject_unhashable_key(pairs)
         raise
@@ -114,7 +115,7 @@ def _hash_collect(app: MapReduceApp, device: DeviceSpec, pairs: List[Pair],
     else:
         # Compaction kernel: gather each key's values contiguously so the
         # partitioner need not walk the whole hash-table memory space.
-        out_pairs = sorted(pairs, key=lambda kv: app.sort_key(kv[0]))
+        out_pairs = sorted(pairs, key=pair_sort_key(app))
         raw_out = app.inter_schema.size_of(out_pairs)
         extra = extra + KernelCost(flops=2.0 * len(pairs),
                                    device_bytes=2.0 * raw_out,
@@ -152,6 +153,10 @@ def collect_map_output(collector: str, app: MapReduceApp, device: DeviceSpec,
                        interner: KeyInterner | None = None
                        ) -> Tuple[MapOutput, KernelCost]:
     """Run the configured collector over one kernel launch's emits.
+
+    ``pairs`` is what ``map_batch`` returned: a tuple list, or a
+    :class:`PairColumns` that the hash table reads column-wise and the
+    buffer pool passes through to the partitioner.
 
     ``interner`` (hash collector only) canonicalises repeated keys to one
     object across launches — a host-memory optimisation with no effect on

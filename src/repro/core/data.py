@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Tuple
+from typing import Any, List, Tuple, Union
 
-__all__ = ["Chunk", "MapOutput", "SortedRun", "KeyGroupChunk", "ReduceOutput"]
+from repro.storage.records import PairColumns
+
+__all__ = ["Chunk", "PairColumns", "MapOutput", "SortedRun", "KeyGroupChunk",
+           "ReduceOutput"]
 
 Pair = Tuple[Any, Any]
 
@@ -30,10 +33,11 @@ class Chunk:
 
 @dataclass
 class MapOutput:
-    """Result of one map-kernel launch, before partitioning."""
+    """Result of one map-kernel launch, before partitioning.  The buffer
+    collector passes a kernel's :class:`PairColumns` through as is."""
 
     chunk_index: int
-    pairs: List[Pair]
+    pairs: Union[List[Pair], PairColumns]
     raw_bytes: int          # serialized size of ``pairs``
     decode_items: int       # items the partitioner must decode individually
     seq: int = 0            # batch position, carried over from the Chunk

@@ -26,7 +26,7 @@ from repro.simt.core import Event, Simulator
 from repro.simt.resources import Store, StoreClosed
 from repro.simt.trace import Timeline
 
-from repro.core.api import MapReduceApp
+from repro.core.api import MapReduceApp, pair_sort_key
 from repro.core.config import JobConfig
 from repro.core.costs import DEFAULT_HOST_COSTS, HostCosts
 from repro.core.data import SortedRun
@@ -274,9 +274,8 @@ class IntermediateManager:
         flushes drain one run per partition."""
         if len(runs) == 1:
             return SortedRun(list(runs[0].pairs), runs[0].raw_bytes)
-        key = self.app.sort_key
         merged = sorted(itertools.chain.from_iterable(r.pairs for r in runs),
-                        key=lambda kv: key(kv[0]))
+                        key=pair_sort_key(self.app))
         return SortedRun(merged, sum(r.raw_bytes for r in runs))
 
     def _new_run_path(self, pid: int) -> str:

@@ -38,7 +38,7 @@ from repro.hw.specs import DeviceKind
 from repro.ocl.kernel import KernelCost
 from repro.ocl.runtime import Buffer, Context
 
-from repro.core.api import MapReduceApp
+from repro.core.api import MapReduceApp, pair_sort_key
 from repro.core.batching import apportion_bytes, resolve_batch_size
 from repro.core.data import KeyGroupChunk, ReduceOutput
 from repro.core.faults import TaskFailedError
@@ -58,6 +58,7 @@ class _ReduceItem:
     disk_bytes: int      # compressed bytes this chunk pulls off disk
     disk_raw: int        # their inflated size (decompression cost basis)
     merge_items: int     # pairs moved through the final merge for this chunk
+    n_values: int        # values over all groups (the grouping cost basis)
     #: kernel launches this item carries.  The modeled launch geometry is
     #: ``concurrent_keys * keys_per_thread`` keys per launch; when
     #: ``batch_size`` simulates a launch as several smaller items, only
@@ -186,6 +187,7 @@ class ReducePhase:
                     disk_bytes=d_stored,
                     disk_raw=d_raw,
                     merge_items=pairs_here * run_bits,
+                    n_values=pairs_here,
                     launches=launches, window_keys=wkeys,
                     window_id=w_id, last=w_last,
                 ))
@@ -211,8 +213,7 @@ class ReducePhase:
                                                stream=f"p{item.pid}")
             cpu = (self.config.compression.decompress_seconds(item.disk_raw)
                    + self.costs.merge_seconds(item.merge_items)
-                   + self.costs.group_seconds(
-                       sum(len(vs) for _, vs in item.groups)))
+                   + self.costs.group_seconds(item.n_values))
             if cpu:
                 yield self.node.host_work(1, cpu, tag="reduce.read")
             chunks.append(KeyGroupChunk(index=item.index, groups=item.groups,
@@ -284,8 +285,7 @@ class ReducePhase:
                                                stream=f"p{pid}.retry")
             cpu = (self.config.compression.decompress_seconds(item.disk_raw)
                    + self.costs.merge_seconds(item.merge_items)
-                   + self.costs.group_seconds(
-                       sum(len(vs) for _, vs in item.groups)))
+                   + self.costs.group_seconds(item.n_values))
             if cpu:
                 yield self.node.host_work(1, cpu, tag="reduce.retry")
             wasted = self.sim.now - start
@@ -340,9 +340,8 @@ def _merge_pairs(app: MapReduceApp, runs) -> List[Tuple[Any, Any]]:
     """
     if len(runs) == 1:
         return runs[0].pairs
-    sort_key = app.sort_key
     return list(heapq.merge(*[r.pairs for r in runs],
-                            key=lambda kv: sort_key(kv[0])))
+                            key=pair_sort_key(app)))
 
 
 def _group_pairs(pairs: List[Tuple[Any, Any]]) -> List[Tuple[Any, List[Any]]]:

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Iterable, List, Tuple, Union
+from typing import (Any, Callable, Iterable, Iterator, List, Sequence, Tuple,
+                    Union)
 
 __all__ = [
     "TextRecordFormat",
     "FixedRecordFormat",
+    "PairColumns",
     "KVSchema",
     "CompressionModel",
 ]
@@ -64,6 +66,35 @@ class FixedRecordFormat:
         return self.record_size
 
 
+# ------------------------------------------------------------- pair batches
+class PairColumns:
+    """A batch of key/value pairs held as two equal-length columns.
+
+    A map kernel may return its emits this way instead of as a list of
+    ``(key, value)`` tuples: ``keys[i]`` pairs with ``values[i]``, and no
+    per-pair tuple exists until something iterates the batch.  Consumers
+    that understand columns (``KVSchema.size_of``, the hash collector,
+    ``sum_by_key``, the partitioner) read them directly; to every other
+    consumer the batch is a sized iterable of ``(key, value)`` tuples.
+    """
+
+    __slots__ = ("keys", "values")
+
+    def __init__(self, keys: Sequence[Any], values: Sequence[Any]):
+        if len(keys) != len(values):
+            raise ValueError(
+                f"PairColumns needs equal-length columns, got {len(keys)} "
+                f"keys and {len(values)} values")
+        self.keys = keys
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self) -> Iterator[Tuple[Any, Any]]:
+        return zip(self.keys, self.values)
+
+
 # ------------------------------------------------------------- KV schemas
 #: serialized width of a key or value: a fixed byte count, or a function
 #: of the object (``len`` for raw bytes)
@@ -105,14 +136,20 @@ class KVSchema:
                 + (vb(value) if callable(vb) else vb) + _PAIR_OVERHEAD)
 
     def size_of(self, pairs: Iterable[Tuple[Any, Any]]) -> int:
-        """Total serialized size of a pair collection."""
-        if not hasattr(pairs, "__len__"):
-            pairs = list(pairs)     # an iterator is consumed exactly once
-        total = _PAIR_OVERHEAD * len(pairs)
-        for width, field in ((self.key_bytes, _KEY),
-                             (self.value_bytes, _VALUE)):
-            total += (sum(map(width, map(field, pairs))) if callable(width)
-                      else width * len(pairs))
+        """Total serialized size of a pair collection (tuples or
+        :class:`PairColumns`)."""
+        if isinstance(pairs, PairColumns):
+            keys, values = pairs.keys, pairs.values
+            n = len(keys)
+        else:
+            if not hasattr(pairs, "__len__"):
+                pairs = list(pairs)  # an iterator is consumed exactly once
+            keys, values = map(_KEY, pairs), map(_VALUE, pairs)
+            n = len(pairs)
+        total = _PAIR_OVERHEAD * n
+        for width, column in ((self.key_bytes, keys),
+                              (self.value_bytes, values)):
+            total += sum(map(width, column)) if callable(width) else width * n
         return total
 
 

@@ -15,8 +15,8 @@ from repro.hw.presets import CPU_TYPE1, GTX480
 def test_wc_map_batch():
     app = WordCountApp()
     pairs = app.map_batch([b"the quick fox", b"the dog"])
-    assert pairs == [(b"the", 1), (b"quick", 1), (b"fox", 1),
-                     (b"the", 1), (b"dog", 1)]
+    assert list(pairs) == [(b"the", 1), (b"quick", 1), (b"fox", 1),
+                           (b"the", 1), (b"dog", 1)]
 
 
 def test_wc_combine_and_reduce():

@@ -15,6 +15,7 @@ import sys
 from repro.apps.terasort import TeraSortApp
 from repro.apps.wordcount import WordCountApp
 from repro.core.collector import KeyInterner, collect_map_output
+from repro.core.data import PairColumns
 from repro.hw.presets import CPU_TYPE1
 
 KEYS = [b"word%03d" % i for i in range(100)]
@@ -62,9 +63,45 @@ def test_hash_collector_calls_scale_with_unique_keys_not_pairs():
     assert counts[0] == counts[1]
 
 
+def text_records(n_words):
+    """Records of ten words each, ``n_words`` words in all."""
+    words = [KEYS[i % len(KEYS)] for i in range(n_words)]
+    return [b" ".join(words[i:i + 10]) for i in range(0, n_words, 10)]
+
+
+def test_wordcount_emit_and_combine_calls_do_not_scale_with_words():
+    """The columnar emit end to end: map, then the hash table with its
+    combiner — no tuple per word, so no call per word either."""
+    app = WordCountApp()
+    counts = []
+    for n_words in (2_000, 20_000):
+        records = text_records(n_words)
+
+        def launch_and_collect():
+            return collect_map_output(
+                "hash", app, CPU_TYPE1, app.map_batch(records),
+                use_combiner=True, chunk_index=0, interner=KeyInterner())
+
+        calls, (out, _) = python_calls(launch_and_collect)
+        assert len(out.pairs) == len(KEYS)
+        assert sum(n for _, n in out.pairs) == n_words
+        counts.append(calls)
+    assert counts[0] == counts[1]
+
+
 def test_size_of_raises_no_call_beyond_its_own_frame():
     wc = launch(5_000)
     ts = [(b"k" * 10, b"v" * 90)] * 5_000
+    for schema, pairs in ((WordCountApp.inter_schema, wc),
+                          (TeraSortApp.inter_schema, ts)):
+        calls, size = python_calls(schema.size_of, pairs)
+        assert calls == 1
+        assert size == sum(schema.pair_bytes(k, v) for k, v in pairs)
+
+
+def test_size_of_columns_raises_no_call_beyond_its_own_frame():
+    wc = WordCountApp().map_batch(text_records(5_000))
+    ts = PairColumns([b"k" * 10] * 5_000, [b"v" * 90] * 5_000)
     for schema, pairs in ((WordCountApp.inter_schema, wc),
                           (TeraSortApp.inter_schema, ts)):
         calls, size = python_calls(schema.size_of, pairs)
