@@ -21,9 +21,10 @@ def test_fig2b_wc(benchmark):
     "TeraSort went 0.0176 -> 0.0312 s with the Hadoop column unchanged "
     "(0.0385 s), so the ratios read 1.06, 1.36, 1.33, 1.07, 1.23 where "
     "PR 2 read 1.15, 1.38, 1.40, 1.32, 2.18 and the final one must lie in "
-    "[1.5, 4.0] (paper: 2.7x).  Cause unverified; see EXPERIMENTS.md and "
-    "ROADMAP item 2(a), whose differential must restore the band.  Strict: "
-    "a repair, or a different breakage, turns this job red."))
+    "[1.5, 4.0] (paper: 2.7x).  Cause diagnosed in EXPERIMENTS.md and "
+    "ROADMAP item 1: the single pusher charges push_overhead x peers on "
+    "one thread; item 1's repair must restore the band.  Strict: a "
+    "repair, or a different breakage, turns this job red."))
 def test_fig2c_ts(benchmark):
     try:
         run_experiment(benchmark, fig2.ts_report)

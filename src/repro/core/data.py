@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 from typing import Any, List, Tuple, Union
 
 from repro.storage.records import PairColumns
@@ -11,6 +13,8 @@ __all__ = ["Chunk", "PairColumns", "MapOutput", "SortedRun", "KeyGroupChunk",
            "ReduceOutput"]
 
 Pair = Tuple[Any, Any]
+
+_VALUE = itemgetter(1)
 
 
 @dataclass
@@ -58,20 +62,35 @@ class SortedRun:
 
 @dataclass
 class KeyGroupChunk:
-    """Reduce input: up to ``concurrent_keys * keys_per_thread`` keys with
-    their grouped values, as produced by the final multi-way merge."""
+    """Reduce input: up to ``concurrent_keys * keys_per_thread`` keys, as
+    produced by the final multi-way merge.
+
+    ``pairs`` is the chunk's slice of the partition's merged pair list,
+    cut at key boundaries; ``sizes[i]`` is how many of those pairs the
+    chunk's ``i``-th key has.  A reducing kernel reads :attr:`groups`.
+    """
 
     index: int
-    groups: List[Tuple[Any, List[Any]]]
+    pairs: List[Pair]
+    sizes: List[int]
     nbytes: int
 
     @property
     def n_keys(self) -> int:
-        return len(self.groups)
+        return len(self.sizes)
 
     @property
     def n_values(self) -> int:
-        return sum(len(vs) for _, vs in self.groups)
+        return len(self.pairs)
+
+    @property
+    def groups(self) -> List[Tuple[Any, List[Any]]]:
+        """The chunk as ``(key, [values])`` entries, each key the first of
+        its run; built on every access, never stored."""
+        pairs = self.pairs
+        starts = list(accumulate(self.sizes, initial=0))
+        return [(pairs[a][0], list(map(_VALUE, pairs[a:b])))
+                for a, b in zip(starts, starts[1:])]
 
 
 @dataclass

@@ -3,9 +3,9 @@
 Stage bodies:
 
 1. **Input** — perform the last multi-way merge over a partition's runs
-   (memory-cached + on-disk) and emit chunks of grouped keys.  The reduce
-   reader "supplies the pipeline with a consistent view of the
-   intermediate data".
+   (memory-cached + on-disk) and emit chunks cut from the merged pairs at
+   key boundaries.  The reduce reader "supplies the pipeline with a
+   consistent view of the intermediate data".
 2. **Stage** / 4. **Retrieve** — host<->device transfers, disabled for
    unified memory.
 3. **Kernel** — reduce ``concurrent_keys`` keys in parallel, each kernel
@@ -31,7 +31,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import floordiv, itemgetter
 from typing import Any, Generator, List, Optional, Sequence, Tuple
 
 from repro.hw.specs import DeviceKind
@@ -53,12 +53,12 @@ class _ReduceItem:
 
     index: int
     pid: int
-    groups: List[Tuple[Any, List[Any]]]
-    nbytes: int          # serialized size of the groups (raw)
+    pairs: List[Tuple[Any, Any]]  # this chunk's slice of the merged pairs
+    sizes: List[int]     # values of each key in ``pairs``, in key order
+    nbytes: int          # serialized size of the pairs (raw)
     disk_bytes: int      # compressed bytes this chunk pulls off disk
     disk_raw: int        # their inflated size (decompression cost basis)
     merge_items: int     # pairs moved through the final merge for this chunk
-    n_values: int        # values over all groups (the grouping cost basis)
     #: kernel launches this item carries.  The modeled launch geometry is
     #: ``concurrent_keys * keys_per_thread`` keys per launch; when
     #: ``batch_size`` simulates a launch as several smaller items, only
@@ -73,6 +73,11 @@ class _ReduceItem:
     window_id: int = 0
     #: True for the window's final sub-item (it pays the output write)
     last: bool = True
+
+    @property
+    def n_values(self) -> int:
+        """Values over all keys (the grouping cost basis)."""
+        return len(self.pairs)
 
 
 class ReducePhase:
@@ -136,12 +141,15 @@ class ReducePhase:
     # -- planning ------------------------------------------------------------
     def _plan_items(self) -> List[_ReduceItem]:
         """Merge every owned partition (real data, zero sim time) and cut
-        the grouped stream into kernel-sized chunks.
+        the merged pair list into kernel-sized chunks at key boundaries.
 
-        The *costs* of this merging — disk reads, decompression, merge and
-        grouping CPU — are charged per chunk by the input stage, spreading
-        them exactly like the streaming reader the paper describes, so the
-        pipeline overlap is preserved.
+        A chunk is a slice of the merged list plus the value count of each
+        of its keys; no ``(key, [values])`` entry exists until a reducing
+        kernel asks for one (:attr:`KeyGroupChunk.groups`).  The *costs* of
+        this merging — disk reads, decompression, merge and grouping CPU —
+        are charged per chunk by the input stage, spreading them exactly
+        like the streaming reader the paper describes, so the pipeline
+        overlap is preserved.
         """
         cfg = self.config
         keys_per_chunk = cfg.concurrent_keys * cfg.keys_per_thread
@@ -160,34 +168,35 @@ class ReducePhase:
             runs, disk_bytes, disk_raw = self.manager.read_partition(pid)
             if not runs:
                 continue
-            groups = _group_pairs(_merge_pairs(self.app, runs))
+            pairs = _merge_pairs(self.app, runs)
+            sizes = _group_sizes(pairs)
+            # Keys [g0, g1) are the pairs [offsets[g0], offsets[g1]).
+            offsets = list(itertools.accumulate(sizes, initial=0))
             run_bits = max(1, len(runs)).bit_length()
-            parts: List[Tuple[List, int, int, int, bool]] = []
-            for wstart in range(0, len(groups), keys_per_chunk):
-                window = groups[wstart:wstart + keys_per_chunk]
-                for sstart in range(0, len(window), step):
-                    parts.append((window[sstart:sstart + step],
-                                  1 if sstart == 0 else 0, len(window),
-                                  wid, sstart + step >= len(window)))
+            parts: List[Tuple[int, int, int, int, int, bool]] = []
+            for wstart in range(0, len(sizes), keys_per_chunk):
+                wend = min(wstart + keys_per_chunk, len(sizes))
+                for sstart in range(wstart, wend, step):
+                    parts.append((sstart, min(sstart + step, wend),
+                                  1 if sstart == wstart else 0,
+                                  wend - wstart, wid, sstart + step >= wend))
                 wid += 1
-            weights = [sum(len(vs) for _, vs in part)
-                       for part, *_ in parts]
+            weights = [offsets[g1] - offsets[g0] for g0, g1, *_ in parts]
             # Largest-remainder apportionment: per-item disk shares sum
             # *exactly* to the partition's stored/raw bytes at any batch
             # size, so the disk counters are invariant under re-batching.
             disk_shares = apportion_bytes(disk_bytes, weights)
             raw_shares = apportion_bytes(disk_raw, weights)
-            for ((part, launches, wkeys, w_id, w_last), pairs_here,
+            for ((g0, g1, launches, wkeys, w_id, w_last), pairs_here,
                  d_stored, d_raw) in zip(parts, weights, disk_shares,
                                          raw_shares):
+                part = pairs[offsets[g0]:offsets[g1]]
                 items.append(_ReduceItem(
-                    index=index, pid=pid, groups=part,
-                    nbytes=self.app.inter_schema.size_of(
-                        (k, v) for k, vs in part for v in vs),
+                    index=index, pid=pid, pairs=part, sizes=sizes[g0:g1],
+                    nbytes=self.app.inter_schema.size_of(part),
                     disk_bytes=d_stored,
                     disk_raw=d_raw,
                     merge_items=pairs_here * run_bits,
-                    n_values=pairs_here,
                     launches=launches, window_keys=wkeys,
                     window_id=w_id, last=w_last,
                 ))
@@ -216,8 +225,8 @@ class ReducePhase:
                    + self.costs.group_seconds(item.n_values))
             if cpu:
                 yield self.node.host_work(1, cpu, tag="reduce.read")
-            chunks.append(KeyGroupChunk(index=item.index, groups=item.groups,
-                                        nbytes=item.nbytes))
+            chunks.append(KeyGroupChunk(index=item.index, pairs=item.pairs,
+                                        sizes=item.sizes, nbytes=item.nbytes))
         return chunks if len(chunks) > 1 else chunks[0]
 
     def _stage(self, chunk: KeyGroupChunk) -> Generator:
@@ -228,17 +237,17 @@ class ReducePhase:
         cfg = self.config
         item = self._items_by_index[chunk.index]
         # Real reduction.
-        out_pairs: List[Tuple[Any, Any]] = []
         if self.app.map_only_output:
-            for key, values in chunk.groups:
-                out_pairs.extend(zip(itertools.repeat(key), values))
+            # The merged pairs already are the output, in order.
+            out_pairs = chunk.pairs
             cost = KernelCost(launches=0)
         else:
+            out_pairs = []
             for key, values in chunk.groups:
                 out_pairs.extend(self.app.reduce(key, values))
             # Scratch-buffer relaunches for oversized value lists (§III-C).
-            relaunches = sum(len(vs) // cfg.max_values_per_launch
-                             for _, vs in chunk.groups)
+            relaunches = sum(map(floordiv, chunk.sizes,
+                                 itertools.repeat(cfg.max_values_per_launch)))
             base = self.app.reduce_cost(self.device.spec, chunk.n_keys,
                                         chunk.n_values)
             cost = KernelCost(flops=base.flops,
@@ -344,8 +353,13 @@ def _merge_pairs(app: MapReduceApp, runs) -> List[Tuple[Any, Any]]:
                             key=pair_sort_key(app)))
 
 
-def _group_pairs(pairs: List[Tuple[Any, Any]]) -> List[Tuple[Any, List[Any]]]:
-    """Group a sorted pair stream into (key, [values]) entries."""
-    value_of = itemgetter(1)
-    return [(key, list(map(value_of, vals)))
-            for key, vals in itertools.groupby(pairs, key=itemgetter(0))]
+def _group_sizes(pairs: List[Tuple[Any, Any]]) -> List[int]:
+    """Number of pairs in each run of equal keys of a sorted pair list, in
+    key order.
+
+    The runs are ``itertools.groupby``'s on the key — the same equality,
+    identity shortcut included, against the run's first key — counted in
+    one C-level pass with no Python call per key.
+    """
+    runs = map(itemgetter(1), itertools.groupby(pairs, key=itemgetter(0)))
+    return list(map(len, map(list, runs)))

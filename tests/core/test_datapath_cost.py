@@ -6,7 +6,10 @@ model "touched once" means one C-level pass per batch — ``map``, ``zip``,
 ``set``, ``sorted`` — and no Python-level call per pair.  ``sys.setprofile``
 sees every Python-level call (a generator resumption counts as one), so
 the number of ``call`` events a launch raises must depend on its unique
-keys and not on its pairs.
+keys and not on its pairs.  On the reduce side the same holds per key:
+planning a partition and running a map-only kernel over it raise no call
+per key, and a reducing kernel raises one — its ``app.reduce`` — per key
+of its chunk.
 """
 
 import gc
@@ -14,9 +17,12 @@ import sys
 
 from repro.apps.terasort import TeraSortApp
 from repro.apps.wordcount import WordCountApp
+from repro.core import JobConfig
 from repro.core.collector import KeyInterner, collect_map_output
-from repro.core.data import PairColumns
+from repro.core.data import PairColumns, SortedRun
 from repro.hw.presets import CPU_TYPE1
+
+from tests.core.test_reduce_phase import chunk_of, planning_phase
 
 KEYS = [b"word%03d" % i for i in range(100)]
 
@@ -82,6 +88,10 @@ def test_wordcount_emit_and_combine_calls_do_not_scale_with_words():
                 "hash", app, CPU_TYPE1, app.map_batch(records),
                 use_combiner=True, chunk_index=0, interner=KeyInterner())
 
+        # One untimed launch first: the combiner's ``Counter`` asks an ABC
+        # whether a list is a Mapping, and that answer is cached per
+        # process; without this the count depends on which test ran first.
+        launch_and_collect()
         calls, (out, _) = python_calls(launch_and_collect)
         assert len(out.pairs) == len(KEYS)
         assert sum(n for _, n in out.pairs) == n_words
@@ -126,3 +136,57 @@ def test_interner_sees_the_pairs_that_leave_the_collector():
             use_combiner=use_combiner, chunk_index=0, interner=interner)
         assert interner.calls == len(out.pairs)
         assert len(out.pairs) == (len(KEYS) if use_combiner else 2_000)
+
+
+# ------------------------------------------------------------ reduce side
+def one_run_partition(pairs):
+    """A partition holding one sorted run, the common case on a large
+    cluster (several runs merge through ``heapq.merge``, a Python
+    generator, which the gate leaves out)."""
+    return {0: ([SortedRun(pairs, raw_bytes=len(pairs))], 0, 0)}
+
+
+def test_terasort_reduce_calls_do_not_scale_with_keys():
+    """Planning plus every kernel call of one TeraSort partition: the
+    merged pairs are cut at key boundaries and emitted as they are."""
+    app = TeraSortApp([b"k" * 10])
+    # One launch window and one simulation item at both sizes.
+    config = JobConfig(concurrent_keys=1 << 15, keys_per_thread=1,
+                       batch_size=1 << 15)
+    counts = []
+    for n_keys in (2_000, 20_000):
+        pairs = [(b"%010d" % i, b"v" * 90) for i in range(n_keys)]
+        phase = planning_phase(app, config, one_run_partition(pairs))
+
+        def plan_and_reduce():
+            for window in phase._plan_items():
+                for item in window:
+                    for _ in phase._kernel(chunk_of(item)):
+                        pass
+
+        calls, _ = python_calls(plan_and_reduce)
+        assert phase.keys_reduced == n_keys
+        counts.append(calls)
+    assert counts[0] == counts[1]
+
+
+def test_reducing_kernel_calls_one_reduce_per_key_and_nothing_else():
+    """A reducing kernel builds its chunk's groups at kernel time; beyond
+    one ``app.reduce`` per key its calls are the same for every chunk,
+    whatever its key count or the partition's."""
+    app = WordCountApp()
+    config = JobConfig(concurrent_keys=64, keys_per_thread=4)  # 256 keys
+    beyond_reduce = set()
+    chunk_keys = set()
+    for n_keys in (2_000, 20_000):
+        pairs = [(b"w%06d" % i, 1) for i in range(n_keys) for _ in range(3)]
+        phase = planning_phase(app, config, one_run_partition(pairs))
+        for window in phase._plan_items():
+            for item in window:
+                chunk = chunk_of(item)
+                calls, _ = python_calls(lambda: list(phase._kernel(chunk)))
+                beyond_reduce.add(calls - chunk.n_keys)
+                chunk_keys.add(chunk.n_keys)
+        assert phase.keys_reduced == n_keys
+    assert chunk_keys == {256, 2_000 % 256, 20_000 % 256}
+    assert len(beyond_reduce) == 1
