@@ -4,7 +4,7 @@ This package implements the Glasswing MapReduce framework — a 5-stage
 pipeline that overlaps disk I/O, host<->device transfers, computation and
 network communication — together with every substrate the paper depends on:
 a discrete-event simulation kernel (:mod:`repro.simt`), hardware models
-(:mod:`repro.hw`), a miniature OpenCL-style runtime (:mod:`repro.ocl`),
+(:mod:`repro.hw`), the compute-device cost and memory model (:mod:`repro.ocl`),
 local and distributed storage (:mod:`repro.storage`), a network transport
 (:mod:`repro.net`), the Glasswing core (:mod:`repro.core`), Hadoop- and
 GPMR-style baselines (:mod:`repro.baselines`), the paper's five

@@ -338,7 +338,7 @@ def make_job(args) -> Tuple[MapReduceApp, Dict[str, bytes], JobConfig]:
     nbytes = int(args.megabytes * MiB)
     config = _config(
         args,
-        device=DeviceKind.GPU if args.device == "gpu" else DeviceKind.CPU,
+        device=DeviceKind(args.device),
         devices=(None if args.devices is None
                  else _parse_device_pool(args.devices)),
         buffering=args.buffering,
@@ -664,8 +664,8 @@ def main(argv=None) -> int:
         faults = make_faults(args, n_splits_hint=n_splits)
     except ValueError as exc:    # e.g. straggler factor < 1
         raise SystemExit(f"invalid fault schedule: {exc}")
-    cluster = _cluster(args, gpu=args.device == "gpu"
-                       or DeviceKind.GPU in (config.devices or ()))
+    cluster = _cluster(args, gpu=DeviceKind.GPU in (config.device,
+                                                    *(config.devices or ())))
     if args.app == "kmeans" and args.iterations > 1:
         if faults is not None:
             raise SystemExit(

@@ -413,7 +413,7 @@ class JobExecution:
             timeline.record("phase.recovery", "job", t_r, sim.now)
         timeline.record("phase.map", "job", t0, sim.now)
         for mp in self.map_phases:
-            mp.release_buffers()
+            mp.device_ctx.release_all()
         t1 = sim.now
         survivors = self.health.alive_nodes
         yield sim.all_of([sim.process(managers[i].finalize(),
@@ -456,7 +456,7 @@ class JobExecution:
         yield from self.coordinator.require_leader()
         timeline.record("phase.reduce", "job", t2, sim.now)
         for rp in reduce_phases:
-            rp.release_buffers()
+            rp.device_ctx.release_all()
         self.times = (t1 - t0, t2 - t1, sim.now - t2)
         self.t_end = sim.now
         if not self.job_done.triggered:

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Generator, List, Tuple
 
 from repro.hw.specs import DeviceKind
-from repro.ocl.runtime import Buffer, Context
 
 from repro.core.api import pair_sort_key
 from repro.core.batching import apportion_bytes, resolve_batch_size, \
@@ -51,7 +50,7 @@ from repro.core.coordinator import Split
 from repro.core.costs import sort_seconds
 from repro.core.data import Chunk, MapOutput, SortedRun
 from repro.core.faults import TaskFailedError
-from repro.core.pipeline import Pipeline
+from repro.core.pipeline import Pipeline, reserve_device_buffers
 from repro.core.splitread import read_split_records
 
 __all__ = ["MapPhase"]
@@ -120,18 +119,11 @@ class MapPhase:
         self._interner = KeyInterner() if config.collector == "hash" else None
         stage_fn = None if device.spec.unified_memory else self._stage
         retrieve_fn = None if device.spec.unified_memory else self._retrieve
-        # Real device-buffer allocation: the §III-D trade-off ("more
-        # buffers ... may be a limited resource for GPUs") is enforced by
-        # the OpenCL layer's memory accounting, not by a separate check.
-        self._ctx: Context | None = None
-        self._buffers: List[Buffer] = []
-        if not device.spec.unified_memory:
-            self._ctx = Context(sim, [device])
-            for group in ("in", "out"):
-                for i in range(config.buffering):
-                    self._buffers.append(self._ctx.alloc_buffer(
-                        device, config.chunk_size,
-                        name=f"{node.name}.map.{group}{i}"))
+        #: the device memory behind the pipeline's slots; the engine frees
+        #: it (``release_all``) when the map phase completes, before the
+        #: reduce phase allocates
+        self.device_ctx = reserve_device_buffers(
+            device, config.buffering, config.chunk_size, f"{node.name}.map")
         name = "map.recovery" if recovery else "map"
         if device_key is None:
             # Classic shape: one pipeline per node, pulling splits from
@@ -162,14 +154,6 @@ class MapPhase:
                 return
             self._splits_by_index[split.index] = split
             yield split
-
-    def release_buffers(self) -> None:
-        """Free the phase's device buffers (the engine calls this when
-        the map phase completes, before the reduce phase allocates)."""
-        if self._ctx is not None:
-            for buf in self._buffers:
-                self._ctx.release(buf)
-            self._buffers = []
 
     def run(self):
         """Start the pipeline; returns its completion event."""

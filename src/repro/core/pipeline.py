@@ -17,7 +17,8 @@ paper's §III-D interlock description, and elapsed time converging to the
 dominant stage (Tables II/III) is an emergent property.
 
 The Stage and Retrieve stages are pass-throughs when the device has
-unified memory (CPU devices), as in the paper.
+unified memory (CPU devices), as in the paper.  On a discrete device each
+slot is backed by a real device buffer (:func:`reserve_device_buffers`).
 """
 
 from __future__ import annotations
@@ -25,15 +26,36 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
+from repro.ocl.runtime import Context, Device
 from repro.simt.core import Interrupt, Simulator
 from repro.simt.resources import BufferPool, Store, StoreClosed
 from repro.simt.trace import Timeline
 
-__all__ = ["Pipeline", "StageFn"]
+__all__ = ["Pipeline", "StageFn", "reserve_device_buffers"]
 
 # A stage function receives the payload and yields simulation events,
 # returning the (possibly transformed) payload for the next stage.
 StageFn = Callable[[Any], Generator]
+
+
+def reserve_device_buffers(device: Device, buffering: int, nbytes: int,
+                           prefix: str) -> Context:
+    """Allocate the device memory behind a pipeline's slots.
+
+    A discrete device holds one ``nbytes`` buffer per input and per output
+    slot (``{prefix}.in0``, ..., ``{prefix}.out0``, ...), so the §III-D
+    trade-off ("more buffers ... may be a limited resource for GPUs") is
+    enforced by the device's memory accounting: ``OutOfDeviceMemory``
+    raises here, when the phase is built.  A unified-memory device copies
+    nothing and gets an empty context.  The owner frees every buffer with
+    :meth:`Context.release_all` once its phase is over.
+    """
+    ctx = Context(device.sim, [device])
+    if not device.spec.unified_memory:
+        for group in ("in", "out"):
+            for i in range(buffering):
+                ctx.alloc_buffer(device, nbytes, name=f"{prefix}.{group}{i}")
+    return ctx
 
 
 class Pipeline:

@@ -179,7 +179,7 @@ def run_recovery(job) -> Generator:
     if pushes:
         yield sim.all_of(pushes)
     for ph in phases:
-        ph.release_buffers()
+        ph.device_ctx.release_all()
     return n_repushed, len(reexec)
 
 

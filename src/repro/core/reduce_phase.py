@@ -36,13 +36,12 @@ from typing import Any, Generator, List, Optional, Sequence, Tuple
 
 from repro.hw.specs import DeviceKind
 from repro.ocl.kernel import KernelCost
-from repro.ocl.runtime import Buffer, Context
 
 from repro.core.api import MapReduceApp, pair_sort_key
 from repro.core.batching import apportion_bytes, resolve_batch_size
 from repro.core.data import KeyGroupChunk, ReduceOutput
 from repro.core.faults import TaskFailedError
-from repro.core.pipeline import Pipeline
+from repro.core.pipeline import Pipeline, reserve_device_buffers
 
 __all__ = ["ReducePhase"]
 
@@ -109,17 +108,10 @@ class ReducePhase:
         items = self._plan_items()
         stage_fn = None if device.spec.unified_memory else self._stage
         retrieve_fn = None if device.spec.unified_memory else self._retrieve
-        # Device buffers for the reduce pipeline's slots (real OpenCL
-        # memory accounting, as in the map phase).
-        self._ctx: "Context | None" = None
-        self._buffers: List[Buffer] = []
-        if not device.spec.unified_memory:
-            self._ctx = Context(sim, [device])
-            for group in ("in", "out"):
-                for i in range(config.buffering):
-                    self._buffers.append(self._ctx.alloc_buffer(
-                        device, config.chunk_size,
-                        name=f"{node.name}.reduce.{group}{i}"))
+        #: the device memory behind the pipeline's slots (see MapPhase)
+        self.device_ctx = reserve_device_buffers(
+            device, config.buffering, config.chunk_size,
+            f"{node.name}.reduce")
         self.pipeline = Pipeline(
             sim, timeline, name="reduce", instance=node.name,
             buffering=config.buffering, items=items,
@@ -130,13 +122,6 @@ class ReducePhase:
     def run(self):
         """Start the pipeline; returns its completion event."""
         return self.pipeline.run()
-
-    def release_buffers(self) -> None:
-        """Free the phase's device buffers."""
-        if self._ctx is not None:
-            for buf in self._buffers:
-                self._ctx.release(buf)
-            self._buffers = []
 
     # -- planning ------------------------------------------------------------
     def _plan_items(self) -> List[_ReduceItem]:

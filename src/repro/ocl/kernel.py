@@ -1,8 +1,8 @@
-"""Kernel abstraction and analytical cost model.
+"""Analytical kernel cost model.
 
-A :class:`Kernel` couples a real Python callable (the data transformation)
-with a :class:`KernelCost` describing the resources one launch consumes.
-The device translates the cost into virtual seconds::
+A :class:`KernelCost` describes the resources one kernel launch consumes;
+the application computes its data transformation host-side and the device
+translates the cost into virtual seconds::
 
     time = launch_overhead * launches
          + max(flops / device.flops, device_bytes / device.mem_bw)
@@ -18,11 +18,10 @@ with expensive atomics (GTX480).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Optional
 
 from repro.hw.specs import DeviceSpec
 
-__all__ = ["KernelCost", "Kernel"]
+__all__ = ["KernelCost"]
 
 
 @dataclass(frozen=True)
@@ -65,39 +64,3 @@ class KernelCost:
             atomic_intensity=max(self.atomic_intensity, other.atomic_intensity),
             launches=self.launches + other.launches,
         )
-
-
-class Kernel:
-    """A named device function: real computation + cost estimator.
-
-    Parameters
-    ----------
-    name:
-        Kernel identifier (for traces).
-    fn:
-        ``fn(**args) -> result`` — performs the real data transformation.
-    cost_fn:
-        ``cost_fn(device_spec, args) -> KernelCost`` — resources for one
-        launch over those args.  When omitted, a kernel costs one launch
-        overhead only (useful for control kernels such as compaction
-        markers in tests).
-    """
-
-    def __init__(self, name: str,
-                 fn: Callable[..., Any],
-                 cost_fn: Optional[Callable[[DeviceSpec, Dict[str, Any]], KernelCost]] = None):
-        self.name = name
-        self.fn = fn
-        self.cost_fn = cost_fn
-
-    def cost(self, device: DeviceSpec, args: Dict[str, Any]) -> KernelCost:
-        """Cost of one launch of this kernel with ``args`` on ``device``."""
-        if self.cost_fn is None:
-            return KernelCost()
-        return self.cost_fn(device, args)
-
-    def __call__(self, **args: Any) -> Any:
-        return self.fn(**args)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Kernel {self.name!r}>"

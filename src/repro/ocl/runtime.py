@@ -1,16 +1,15 @@
-"""Contexts, devices, buffers, command queues and events."""
+"""Devices, contexts and device-memory buffers."""
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Dict, Generator, Iterable, List, Optional
+from typing import Generator, Iterable, List, Optional
 
 from repro.hw.node import Node
 from repro.hw.specs import DeviceKind, DeviceSpec
-from repro.simt.core import Event, Interrupt, Simulator
+from repro.simt.core import Interrupt, Simulator
 from repro.simt.resources import Resource
 
-from repro.ocl.kernel import Kernel, KernelCost
+from repro.ocl.kernel import KernelCost
 
 __all__ = [
     "OCLError",
@@ -18,13 +17,11 @@ __all__ = [
     "Device",
     "Context",
     "Buffer",
-    "OCLEvent",
-    "CommandQueue",
 ]
 
 
 class OCLError(RuntimeError):
-    """Generic runtime error (invalid handle, bad enqueue, ...)."""
+    """Generic runtime error (foreign device, double release, ...)."""
 
 
 class OutOfDeviceMemory(OCLError):
@@ -76,35 +73,6 @@ class Device:
             raise
 
     # -- operations (process-style generators) -----------------------------
-    def run_kernel(self, kernel: Kernel, args: Dict[str, Any],
-                   threads: Optional[int] = None) -> Generator:
-        """Execute ``kernel`` with ``args``; yields until done, returns result.
-
-        ``threads`` overrides how many host threads a CPU-device launch
-        occupies (Glasswing's per-device tuning knob); ignored for
-        discrete devices, which always run kernels on their own engine.
-        """
-        cost = kernel.cost(self.spec, args)
-        duration = cost.time_on(self.spec)
-        result = kernel(**args)  # the real data transformation
-        self.kernels_launched += cost.launches
-        if self.spec.kind is DeviceKind.CPU:
-            # The cost model's duration assumes the full device; the total
-            # work in thread-seconds is therefore duration * compute_units.
-            # Running it over fewer threads (Glasswing's tuning knob)
-            # lengthens the launch proportionally via the fluid CPU model.
-            n = threads if threads is not None else self.spec.compute_units
-            n = max(1, min(n, self.node.cpu.capacity))
-            work = duration * self.spec.compute_units
-            yield self.node.cpu.run(n, work, tag=f"kernel:{kernel.name}")
-        else:
-            yield from self._acquire_engine(self._exec_engine)
-            try:
-                yield self.sim.timeout(duration)
-            finally:
-                self._exec_engine.release()
-        return result
-
     def execute_cost(self, cost: KernelCost,
                      threads: Optional[int] = None) -> Generator:
         """Charge the time of a launch whose real work ran host-side.
@@ -185,13 +153,18 @@ class Context:
         buf.released = True
         self._buffers.remove(buf)
 
+    def release_all(self) -> None:
+        """Free every live buffer, oldest first (a no-op once empty)."""
+        for buf in list(self._buffers):
+            self.release(buf)
+
     @property
     def live_buffers(self) -> int:
         return len(self._buffers)
 
 
 class Buffer:
-    """A device-memory allocation; carries arbitrary host-side payload."""
+    """A device-memory allocation."""
 
     def __init__(self, context: Context, device: Device, nbytes: int, name: str):
         self.context = context
@@ -199,124 +172,8 @@ class Buffer:
         self.nbytes = nbytes
         self.name = name
         self.released = False
-        self.payload: Any = None  # real data travelling through the pipeline
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "released" if self.released else f"{self.nbytes}B"
         return f"<Buffer {self.name!r} {state}>"
 
-
-class OCLEvent:
-    """Completion handle with OpenCL-style profiling timestamps."""
-
-    _ids = itertools.count()
-
-    def __init__(self, sim: Simulator, label: str = ""):
-        self.id = next(self._ids)
-        self.label = label
-        self.queued: float = sim.now
-        self.started: Optional[float] = None
-        self.ended: Optional[float] = None
-        self.result: Any = None
-        self._done = Event(sim)
-
-    @property
-    def done(self) -> Event:
-        """simt event fired on completion (yieldable from processes)."""
-        return self._done
-
-    @property
-    def complete(self) -> bool:
-        return self.ended is not None
-
-    @property
-    def duration(self) -> float:
-        if self.started is None or self.ended is None:
-            raise OCLError(f"event {self.label!r} has not completed")
-        return self.ended - self.started
-
-
-class CommandQueue:
-    """In-order command queue for one device.
-
-    Every enqueued command implicitly depends on the previously enqueued
-    command (in-order semantics) and on any explicit ``wait_for`` events.
-    """
-
-    def __init__(self, context: Context, device: Device):
-        if device not in context.devices:
-            raise OCLError("device not part of context")
-        self.context = context
-        self.device = device
-        self.sim = context.sim
-        self._tail: Optional[Event] = None
-
-    # -- enqueue operations -------------------------------------------------
-    def enqueue_kernel(self, kernel: Kernel, args: Dict[str, Any],
-                       wait_for: Optional[List[OCLEvent]] = None,
-                       threads: Optional[int] = None) -> OCLEvent:
-        """Launch ``kernel``; the returned event carries the kernel result."""
-        def op() -> Generator:
-            result = yield from self.device.run_kernel(kernel, args,
-                                                       threads=threads)
-            return result
-        return self._submit(op, label=f"kernel:{kernel.name}",
-                            wait_for=wait_for)
-
-    def enqueue_write(self, buf: Buffer, payload: Any, nbytes: int,
-                      wait_for: Optional[List[OCLEvent]] = None) -> OCLEvent:
-        """Host -> device copy of ``nbytes``; stores ``payload`` in ``buf``."""
-        self._check_buffer(buf)
-        def op() -> Generator:
-            yield from self.device.transfer(nbytes, "h2d")
-            buf.payload = payload
-            return payload
-        return self._submit(op, label=f"write:{buf.name}", wait_for=wait_for)
-
-    def enqueue_read(self, buf: Buffer, nbytes: int,
-                     wait_for: Optional[List[OCLEvent]] = None) -> OCLEvent:
-        """Device -> host copy; the event's result is the buffer payload."""
-        self._check_buffer(buf)
-        def op() -> Generator:
-            yield from self.device.transfer(nbytes, "d2h")
-            return buf.payload
-        return self._submit(op, label=f"read:{buf.name}", wait_for=wait_for)
-
-    def enqueue_marker(self) -> OCLEvent:
-        """Event that fires when all previously enqueued commands finish."""
-        def op() -> Generator:
-            return
-            yield  # pragma: no cover - makes this a generator
-        return self._submit(op, label="marker")
-
-    def finish(self) -> Event:
-        """simt event fired when the queue drains (clFinish)."""
-        return self.enqueue_marker().done
-
-    # -- internals -----------------------------------------------------------
-    def _check_buffer(self, buf: Buffer) -> None:
-        if buf.released:
-            raise OCLError(f"use of released buffer {buf.name!r}")
-        if buf.device is not self.device:
-            raise OCLError("buffer belongs to a different device")
-
-    def _submit(self, op, label: str,
-                wait_for: Optional[List[OCLEvent]] = None) -> OCLEvent:
-        ev = OCLEvent(self.sim, label=label)
-        deps: List[Event] = []
-        if self._tail is not None:
-            deps.append(self._tail)
-        for dep in (wait_for or []):
-            deps.append(dep.done)
-
-        def runner() -> Generator:
-            if deps:
-                yield self.sim.all_of(deps)
-            ev.started = self.sim.now
-            result = yield from op()
-            ev.ended = self.sim.now
-            ev.result = result
-            ev._done.succeed(result)
-
-        self._tail = self.sim.process(runner(), name=f"cq:{label}")
-        return ev

@@ -10,9 +10,12 @@ import pytest
 from repro.apps import WordCountApp, KMeansApp
 from repro.apps import datagen
 from repro.core import JobConfig, run_glasswing
+from repro.core.engine import ClusterSession, JobExecution
+from repro.core.faults import FaultPlan, NodeCrash
 from repro.hw.presets import das4_cluster
 from repro.hw.specs import DeviceKind, MiB
 from repro.ocl.runtime import OutOfDeviceMemory
+from repro.service import JobServer, JobSubmission, ServicePolicy
 
 CHUNK = 262_144
 
@@ -176,6 +179,56 @@ def test_triple_buffering_can_exhaust_gpu_memory():
                     device=DeviceKind.GPU, storage="local")
     with pytest.raises(OutOfDeviceMemory):
         run_glasswing(app, {"p": pts}, das4_cluster(nodes=1, gpu=True), cfg)
+
+
+def _gpu_kmeans(seed):
+    pts = datagen.kmeans_points(40_000, 4, seed=seed)
+    app = KMeansApp(datagen.kmeans_centers(64, 4, seed=seed + 1))
+    cfg = JobConfig(chunk_size=64 * 1024, storage="local",
+                    device=DeviceKind.GPU)
+    return app, {"p": pts}, cfg
+
+
+def _run_gpu_kmeans(faults=None):
+    session = ClusterSession(das4_cluster(nodes=4, gpu=True))
+    app, inputs, cfg = _gpu_kmeans(seed=31)
+    execution = JobExecution(session, app, inputs, config=cfg, faults=faults)
+    # The map pipelines reserve their slot buffers at construction.
+    assert all(dev.mem_used > 0 for dev in session._devices.values())
+    execution.start()
+    session.run()
+    return session, execution.result()
+
+
+@pytest.mark.parametrize("case", ["clean", "node-crash", "two-tenants"])
+def test_device_memory_is_returned(case):
+    """Every phase that reserves device buffers frees them: map and
+    reduce phases, a crashed node's map phase and the recovery wave that
+    re-executes its splits, and the jobs of a shared service session."""
+    if case == "two-tenants":
+        server = JobServer(das4_cluster(nodes=4, gpu=True),
+                           policy=ServicePolicy(max_running=2))
+        for n, seed in enumerate((31, 41)):
+            app, inputs, cfg = _gpu_kmeans(seed)
+            server.submit(JobSubmission(name=f"km{n}", app=app,
+                                        inputs=inputs, config=cfg))
+        result = server.run()
+        assert result.peak_running == 2
+        assert all(r.outcome == "completed" for r in result.records)
+        session = server.session
+    else:
+        faults = None
+        if case == "node-crash":
+            _, clean = _run_gpu_kmeans()
+            faults = FaultPlan(node_crashes=(
+                NodeCrash(node=1, at=clean.map_time / 2),))
+        session, res = _run_gpu_kmeans(faults)
+        if faults is not None:
+            assert res.stats["dead_nodes"] == [1]
+            assert res.stats["reexecuted_splits"] >= 1
+    devices = session._devices.values()
+    assert {dev.spec.kind for dev in devices} == {DeviceKind.GPU}
+    assert [dev.mem_used for dev in devices] == [0] * len(devices)
 
 
 def test_local_storage_faster_than_hdfs(wc_inputs):

@@ -180,7 +180,7 @@ def chunk_of(item) -> KeyGroupChunk:
                          sizes=item.sizes, nbytes=item.nbytes)
 
 
-def run_kernel(phase, item):
+def drive_kernel(phase, item):
     """Drive ``_kernel`` on ``item``'s chunk; returns it and the output."""
     chunk = chunk_of(item)
     kernel = phase._kernel(chunk)
@@ -311,7 +311,7 @@ def check_plan(rng, app_name, pool_name, shape, geometry):
         assert len(item.sizes) == ref.n_keys
         assert phase._items_by_index[item.index] is item
         assert phase._pid_by_index[item.index] == ref.pid
-        chunk, out = run_kernel(phase, item)
+        chunk, out = drive_kernel(phase, item)
         assert chunk.groups == ref.groups
         # A group's key is its run's first key object, as groupby's is.
         assert all(key is ref_key for (key, _), (ref_key, _)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hw.presets import CPU_TYPE1, GTX480
-from repro.ocl import Kernel, KernelCost
+from repro.ocl import KernelCost
 
 
 def test_compute_bound_cost():
@@ -61,21 +61,3 @@ def test_cost_scaled_and_add():
     assert c.flops == 30
     assert c.launches == 2
     assert c.atomic_intensity == 0.2
-
-
-def test_kernel_executes_real_function():
-    k = Kernel("double", lambda xs: [2 * x for x in xs])
-    assert k(xs=[1, 2, 3]) == [2, 4, 6]
-
-
-def test_kernel_default_cost_is_launch_only():
-    k = Kernel("noop", lambda: None)
-    assert k.cost(CPU_TYPE1, {}).flops == 0
-    assert k.cost(CPU_TYPE1, {}).launches == 1
-
-
-def test_kernel_custom_cost_fn():
-    k = Kernel("sized", lambda xs: sum(xs),
-               cost_fn=lambda dev, args: KernelCost(flops=len(args["xs"]) * 10.0))
-    cost = k.cost(CPU_TYPE1, {"xs": [0] * 100})
-    assert cost.flops == 1000.0

@@ -1,14 +1,12 @@
-"""Tests for the mini-OpenCL runtime: devices, buffers, queues, events."""
+"""Tests for the device model: launches, transfers, buffers."""
 
 import pytest
 
 from repro.hw import Node
 from repro.hw.presets import type1_node
 from repro.ocl import (
-    CommandQueue,
     Context,
     Device,
-    Kernel,
     KernelCost,
     OCLError,
     OutOfDeviceMemory,
@@ -74,18 +72,6 @@ def test_gpu_kernels_serialize_on_exec_engine():
     assert sim.now == pytest.approx(2.0, rel=1e-2)
 
 
-def test_in_order_queue_serializes_commands():
-    sim, node = make_node()
-    cpu, _ = make_devices(sim, node)
-    ctx = Context(sim, [cpu])
-    q = CommandQueue(ctx, cpu)
-    k = Kernel("w", lambda: None, cost_fn=lambda d, a: KernelCost(flops=19e9))
-    e1 = q.enqueue_kernel(k, {})
-    e2 = q.enqueue_kernel(k, {})
-    sim.run()
-    assert e2.started >= e1.ended
-
-
 def test_transfer_time_h2d():
     sim, node = make_node()
     _, gpu = make_devices(sim, node)
@@ -99,18 +85,6 @@ def test_unified_memory_transfer_is_free():
     cpu, _ = make_devices(sim, node)
     drive(sim, cpu.transfer(10**9, "h2d"))
     assert sim.now == 0.0
-
-
-def test_read_returns_payload():
-    sim, node = make_node()
-    _, gpu = make_devices(sim, node)
-    ctx = Context(sim, [gpu])
-    q = CommandQueue(ctx, gpu)
-    buf = ctx.alloc_buffer(gpu, 1000)
-    q.enqueue_write(buf, payload=[1, 2, 3], nbytes=1000)
-    ev = q.enqueue_read(buf, nbytes=1000)
-    sim.run()
-    assert ev.result == [1, 2, 3]
 
 
 def test_device_memory_exhaustion():
@@ -133,60 +107,6 @@ def test_buffer_release_returns_memory():
     assert gpu.mem_used == 0
     with pytest.raises(OCLError):
         ctx.release(buf)
-
-
-def test_released_buffer_rejected_by_queue():
-    sim, node = make_node()
-    _, gpu = make_devices(sim, node)
-    ctx = Context(sim, [gpu])
-    q = CommandQueue(ctx, gpu)
-    buf = ctx.alloc_buffer(gpu, 1000)
-    ctx.release(buf)
-    with pytest.raises(OCLError):
-        q.enqueue_write(buf, payload=None, nbytes=1000)
-
-
-def test_explicit_event_dependency():
-    sim, node = make_node()
-    cpu, gpu = make_devices(sim, node)
-    ctx = Context(sim, [cpu, gpu])
-    qc = CommandQueue(ctx, cpu)
-    qg = CommandQueue(ctx, gpu)
-    kc = Kernel("c", lambda: None, cost_fn=lambda d, a: KernelCost(flops=19e9))
-    kg = Kernel("g", lambda: None, cost_fn=lambda d, a: KernelCost(flops=380e9))
-    e1 = qc.enqueue_kernel(kc, {})
-    e2 = qg.enqueue_kernel(kg, {}, wait_for=[e1])
-    sim.run()
-    assert e2.started >= e1.ended
-
-
-def test_finish_marker():
-    sim, node = make_node()
-    cpu, _ = make_devices(sim, node)
-    ctx = Context(sim, [cpu])
-    q = CommandQueue(ctx, cpu)
-    k = Kernel("w", lambda: None, cost_fn=lambda d, a: KernelCost(flops=19e9))
-    q.enqueue_kernel(k, {})
-    done = []
-
-    def proc(sim):
-        yield q.finish()
-        done.append(sim.now)
-
-    sim.process(proc(sim))
-    sim.run()
-    assert done[0] >= 1.0
-
-
-def test_incomplete_event_duration_raises():
-    sim, node = make_node()
-    cpu, _ = make_devices(sim, node)
-    ctx = Context(sim, [cpu])
-    q = CommandQueue(ctx, cpu)
-    k = Kernel("w", lambda: None, cost_fn=lambda d, a: KernelCost(flops=19e9))
-    ev = q.enqueue_kernel(k, {})
-    with pytest.raises(OCLError):
-        _ = ev.duration
 
 
 def test_context_requires_devices():

@@ -5,7 +5,7 @@ import pytest
 from repro.hw import Disk, Node
 from repro.hw.presets import type1_node
 from repro.hw.specs import DeviceKind, DiskSpec
-from repro.ocl import CommandQueue, Context, Device, Kernel, KernelCost
+from repro.ocl import Context, Device
 from repro.simt import Simulator
 
 
@@ -35,20 +35,6 @@ def test_context_live_buffers_accounting():
     assert ctx.live_buffers == 1
     ctx.release(b)
     assert ctx.live_buffers == 0
-
-
-def test_ocl_event_profiling_fields():
-    sim, node, dev, ctx = make_ctx()
-    q = CommandQueue(ctx, dev)
-    k = Kernel("w", lambda: 42, cost_fn=lambda d, a: KernelCost(flops=380e9))
-    ev = q.enqueue_kernel(k, {})
-    assert not ev.complete
-    assert ev.queued == 0.0
-    sim.run()
-    assert ev.complete
-    assert ev.result == 42
-    assert ev.started is not None and ev.ended > ev.started
-    assert ev.duration == pytest.approx(ev.ended - ev.started)
 
 
 def test_negative_buffer_size_rejected():
