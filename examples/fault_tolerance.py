@@ -13,7 +13,7 @@ from repro.apps import WordCountApp
 from repro.apps.datagen import wiki_text
 from repro.baselines.reference import canonical_output, run_reference
 from repro.core import JobConfig, run_glasswing
-from repro.core.faults import FaultInjector, FaultPlan, NodeCrash
+from repro.core.faults import FaultPlan, NodeCrash
 from repro.hw.presets import das4_cluster
 
 APP = WordCountApp()
@@ -37,8 +37,8 @@ def main() -> None:
     print(f"clean run: {clean.job_time:.4f} simulated seconds")
 
     # -- 1. map-task crashes + re-execution -----------------------------
-    faults = FaultInjector(fail_counts={0: 1, 3: 1, 7: 3},
-                           progress_at_failure=0.6)
+    faults = FaultPlan(map_failures={0: 1, 3: 1, 7: 3},
+                       progress_at_failure=0.6)
     failed = run(faults=faults)
     print(f"\n[1] {faults.total_failures} map-task crashes: "
           f"{failed.job_time:.4f} s "

@@ -28,11 +28,11 @@ Modules:
 from repro.core.api import MapReduceApp
 from repro.core.config import JobConfig
 from repro.core.engine import GlasswingResult, run_glasswing
-from repro.core.faults import (ClusterHealth, FaultInjector, FaultPlan,
-                               NodeCrash, TaskFailedError)
+from repro.core.faults import (ClusterHealth, FaultPlan, NodeCrash,
+                               TaskFailedError)
 
 __all__ = [
     "JobConfig", "MapReduceApp", "GlasswingResult", "run_glasswing",
-    "FaultPlan", "FaultInjector", "NodeCrash", "ClusterHealth",
+    "FaultPlan", "NodeCrash", "ClusterHealth",
     "TaskFailedError",
 ]

@@ -143,8 +143,9 @@ class JobConfig:
             raise ValueError("backoff_base must be >= 0")
         if self.speculation_factor <= 1.0:
             raise ValueError("speculation_factor must be > 1")
-        if self.metrics_interval is not None and self.metrics_interval <= 0:
-            raise ValueError("metrics_interval must be > 0 (or None)")
+        if self.metrics_interval is not None:
+            from repro.obs.telemetry import valid_interval
+            valid_interval(self.metrics_interval)
         if self.active_nodes is not None and self.active_nodes < 1:
             raise ValueError("active_nodes must be >= 1 (or None for all)")
         if self.coordinator_replicas < 1:

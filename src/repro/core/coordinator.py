@@ -125,10 +125,6 @@ class ShuffleRegistry:
                      buckets: Dict[int, SortedRun]) -> None:
         self.durable[(node, split)] = buckets
 
-    def executed_splits(self, node: int) -> List[int]:
-        """Splits whose map output is durable on ``node``'s local disk."""
-        return sorted(s for (n, s) in self.durable if n == node)
-
     # -- recovery planning -------------------------------------------------
     def recovery_plan(self, all_splits: Sequence[Split], alive, durable_alive
                       ) -> Tuple[Dict[Tuple[int, int], List[Tuple[int, int, SortedRun]]],

@@ -36,9 +36,6 @@ from a seed (:meth:`FaultPlan.seeded`).  The headline guarantee, locked
 in by ``tests/core/test_fault_matrix.py``: any fault schedule produces
 output identical to the fault-free run, at a gracefully degraded job
 time.
-
-:class:`FaultInjector` is the original, map-only deterministic plan; it
-remains as a thin alias over :class:`FaultPlan` for compatibility.
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ from repro.core.membership import initial_active
 
 __all__ = [
     "FaultPlan",
-    "FaultInjector",
     "TaskFailure",
     "NodeCrash",
     "NodeJoin",
@@ -240,12 +236,6 @@ class FaultPlan:
             if len(explicit) != len(set(explicit)):
                 raise ValueError(f"duplicate explicit node in {label}")
 
-    @property
-    def has_membership_events(self) -> bool:
-        """True when the plan schedules any join/leave/coordinator event."""
-        return bool(self.node_joins or self.node_leaves
-                    or self.coordinator_crashes)
-
     def check_nodes(self, n_nodes: int) -> None:
         """Raise ``ValueError`` when an event names a node an
         ``n_nodes``-node cluster does not have (a plan is written before
@@ -275,12 +265,6 @@ class FaultPlan:
     def slowdown_for(self, split_index: int) -> float:
         """Kernel slowdown factor of a straggling map task (1.0 = healthy)."""
         return self.stragglers.get(split_index, 1.0)
-
-    @property
-    def failure_count(self) -> int:
-        """Total task failures this plan will inject (excl. node crashes)."""
-        return (sum(self.map_failures.values())
-                + sum(self.reduce_failures.values()))
 
     # -- bookkeeping (written by the phases at crash time) -----------------
     def record(self, split_index: int, attempt: int, node: str,
@@ -365,31 +349,6 @@ class FaultPlan:
                    coordinator_crashes=coord)
 
 
-class FaultInjector(FaultPlan):
-    """Deterministic map-only failure plan (the original §III-E interface).
-
-    ``fail_counts`` maps ``split_index -> number of failures``: a task
-    scheduled for ``k`` failures crashes on its first ``k`` attempts and
-    succeeds on attempt ``k``.  Kept as a compatibility alias over
-    :class:`FaultPlan`.
-    """
-
-    def __init__(self, fail_counts: Dict[int, int] | None = None,
-                 progress_at_failure: ProgressSpec = 0.5,
-                 failures: List[TaskFailure] | None = None):
-        super().__init__(map_failures=dict(fail_counts or {}),
-                         progress_at_failure=progress_at_failure,
-                         failures=failures if failures is not None else [])
-
-    @property
-    def fail_counts(self) -> Dict[int, int]:
-        return self.map_failures
-
-    def should_fail(self, split_index: int, attempt: int) -> bool:
-        """True when this attempt of this split is destined to crash."""
-        return self.should_fail_map(split_index, attempt)
-
-
 class ClusterHealth:
     """Liveness and membership of the cluster's nodes during one job.
 
@@ -450,10 +409,6 @@ class ClusterHealth:
             raise ValueError(f"node {node} is not a standby")
         self.inactive.discard(node)
         self.joined_at.setdefault(node, at)
-
-    @property
-    def any_dead(self) -> bool:
-        return bool(self.dead_at)
 
     @property
     def needs_recovery(self) -> bool:

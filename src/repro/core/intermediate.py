@@ -301,11 +301,3 @@ class IntermediateManager:
 
     def disk_run_count(self, pid: int) -> int:
         return len(self._disk_runs[pid])
-
-    def total_pairs(self) -> int:
-        n = 0
-        for runs in self._mem_runs.values():
-            n += sum(len(r.pairs) for r in runs)
-        for drs in self._disk_runs.values():
-            n += sum(len(dr.pairs) for dr in drs)
-        return n

@@ -17,7 +17,7 @@ module adds the three missing pieces:
 
 * :class:`ElasticPolicy` / :class:`ElasticController` — auto-scaling-
   group style scale-out/in driven by the PR4 telemetry saturation
-  signal (mean CPU busy fraction over the active nodes), with
+  signal (mean CPU busy fraction over the active nodes), with fixed
   high/low watermarks and a cooldown so one load spike does not flap
   the pool.
 
@@ -194,35 +194,18 @@ class CoordinatorGroup:
 
 @dataclass(frozen=True)
 class ElasticPolicy:
-    """Auto-scaling-group policy for one job's elastic node pool.
-
-    The controller samples the mean CPU busy fraction over the active
-    nodes every ``interval`` simulated seconds; sustained saturation
-    above ``high_watermark`` joins the lowest-id standby, idling below
-    ``low_watermark`` drains the highest-id active node, and
-    ``cooldown`` spaces consecutive scale actions so one sample spike
-    cannot flap the pool.
-    """
+    """Auto-scaling-group bounds for one job's elastic node pool: the
+    :class:`ElasticController` keeps between ``min_nodes`` and
+    ``max_nodes`` (``None``: every node) active."""
 
     min_nodes: int = 1
     max_nodes: Optional[int] = None
-    high_watermark: float = 0.85
-    low_watermark: float = 0.15
-    interval: float = 0.02
-    cooldown: float = 0.05
 
     def __post_init__(self) -> None:
         if self.min_nodes < 1:
             raise ValueError("min_nodes must be >= 1")
         if self.max_nodes is not None and self.max_nodes < self.min_nodes:
             raise ValueError("max_nodes must be >= min_nodes")
-        if not (0.0 <= self.low_watermark < self.high_watermark <= 1.0):
-            raise ValueError(
-                "watermarks must satisfy 0 <= low < high <= 1")
-        if self.interval <= 0:
-            raise ValueError("interval must be > 0")
-        if self.cooldown < 0:
-            raise ValueError("cooldown must be >= 0")
 
 
 class ElasticController:
@@ -233,7 +216,19 @@ class ElasticController:
     action goes through the job's join/leave path, so controller-driven
     scaling is indistinguishable from a fault-plan schedule — and
     equally output-invariant.
+
+    It samples the mean CPU busy fraction over the active nodes every
+    :attr:`INTERVAL` simulated seconds; saturation at or above
+    :attr:`HIGH_WATERMARK` joins the lowest-id standby, idling at or
+    below :attr:`LOW_WATERMARK` drains the highest-id active node, and
+    :attr:`COOLDOWN` spaces consecutive scale actions so one sample
+    spike cannot flap the pool.
     """
+
+    HIGH_WATERMARK = 0.85
+    LOW_WATERMARK = 0.15
+    INTERVAL = 0.02
+    COOLDOWN = 0.05
 
     def __init__(self, execution, policy: ElasticPolicy):
         self.execution = execution
@@ -252,24 +247,24 @@ class ElasticController:
         sim = self.execution.sim
         policy = self.policy
         stop = self.execution.shuffle_done
-        last_action = -policy.cooldown - 1.0
+        last_action = -self.COOLDOWN - 1.0
         while True:
-            idx, _ = yield sim.any_of([sim.timeout(policy.interval), stop])
+            idx, _ = yield sim.any_of([sim.timeout(self.INTERVAL), stop])
             if idx != 0:
                 return
             health = self.execution.health
             active = len(health.alive_nodes)
-            if sim.now - last_action < policy.cooldown:
+            if sim.now - last_action < self.COOLDOWN:
                 continue
             busy = self._mean_busy()
             cap = (policy.max_nodes if policy.max_nodes is not None
                    else health.n_nodes)
-            if (busy >= policy.high_watermark and active < cap
+            if (busy >= self.HIGH_WATERMARK and active < cap
                     and health.inactive):
                 self.execution.inject_join(None)
                 self.scale_outs += 1
                 last_action = sim.now
-            elif busy <= policy.low_watermark and active > policy.min_nodes:
+            elif busy <= self.LOW_WATERMARK and active > policy.min_nodes:
                 self.execution.inject_leave(None)
                 self.scale_ins += 1
                 last_action = sim.now

@@ -12,15 +12,10 @@ from typing import Dict, Optional
 
 from repro.simt.trace import Timeline
 
-__all__ = ["JobMetrics", "MAP_STAGES", "REDUCE_STAGES", "stages_for"]
+__all__ = ["JobMetrics", "STAGES"]
 
-MAP_STAGES = ("input", "stage", "kernel", "retrieve", "output")
-REDUCE_STAGES = ("input", "stage", "kernel", "retrieve", "output")
-
-
-def stages_for(phase: str):
-    """The stage tuple of a phase (``map``, ``map.recovery`` or ``reduce``)."""
-    return REDUCE_STAGES if phase.startswith("reduce") else MAP_STAGES
+#: the pipeline stages of every phase (map, map.recovery and reduce)
+STAGES = ("input", "stage", "kernel", "retrieve", "output")
 
 
 @dataclass
@@ -50,7 +45,7 @@ class JobMetrics:
                   ) -> Dict[str, float]:
         """Stage -> active time for one phase (the Tables II/III rows)."""
         return {stage: self.stage_time(phase, stage, node)
-                for stage in stages_for(phase)}
+                for stage in STAGES}
 
     # -- phase-level -----------------------------------------------------------
     def phase_elapsed(self, phase: str) -> float:

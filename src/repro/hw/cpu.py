@@ -105,10 +105,6 @@ class FluidCPU:
             return 1.0
         return self.capacity / self._demand
 
-    def rate_of(self, task: _Task) -> float:
-        """Current execution rate (thread-seconds/second) of ``task``."""
-        return task.threads * self._share()
-
     # -- internals -----------------------------------------------------------
     def _advance(self) -> None:
         """Charge elapsed virtual time against every active task."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Tuple
 
 __all__ = [
     "DeviceKind",
@@ -162,13 +162,6 @@ class NodeSpec:
     def has_device(self, kind: DeviceKind) -> bool:
         """True when a device of ``kind`` is attached."""
         return any(d.kind is kind for d in self.devices)
-
-    def device_pool(self, kinds: Sequence[DeviceKind]
-                    ) -> Tuple[DeviceSpec, ...]:
-        """Resolve a heterogeneous pool spec (e.g. ``(CPU, GPU)``) to the
-        node's devices, validating every kind is attached — the per-node
-        multi-device configuration of :attr:`JobConfig.devices`."""
-        return tuple(self.device(kind) for kind in kinds)
 
 
 @dataclass(frozen=True)

@@ -69,8 +69,7 @@ def _category_sort_key(category: str):
 
 
 def _flow_events(timeline: Timeline, pids: Dict[str, int],
-                 tids: Dict[str, int],
-                 time_scale: float) -> List[Dict[str, Any]]:
+                 tids: Dict[str, int]) -> List[Dict[str, Any]]:
     """Shuffle flow arrows: each delivered ``map.push`` span links to the
     receiving node's next merge span (``"s"`` start at the push, ``"f"``
     finish at the merge), so cross-node causality renders as arrows.
@@ -108,18 +107,17 @@ def _flow_events(timeline: Timeline, pids: Dict[str, int],
         flow_id += 1
         common = {"name": "shuffle", "cat": "flow", "id": flow_id}
         events.append({**common, "ph": "s",
-                       "ts": span.end * time_scale,
+                       "ts": span.end * TIME_SCALE,
                        "pid": pids[_instance_name(span)],
                        "tid": tids[span.category]})
         events.append({**common, "ph": "f", "bp": "e",
-                       "ts": max(target.start, span.end) * time_scale,
+                       "ts": max(target.start, span.end) * TIME_SCALE,
                        "pid": pids[lane],
                        "tid": tids[target.category]})
     return events
 
 
-def chrome_trace_events(timeline: Timeline,
-                        time_scale: float = TIME_SCALE) -> List[Dict[str, Any]]:
+def chrome_trace_events(timeline: Timeline) -> List[Dict[str, Any]]:
     """The flat trace-event list for ``timeline`` (metadata + spans)."""
     instances = sorted({_instance_name(s) for s in timeline.spans})
     pids = {name: i + 1 for i, name in enumerate(instances)}
@@ -143,13 +141,13 @@ def chrome_trace_events(timeline: Timeline,
             "name": span.category,
             "cat": span.category.split(".", 1)[0],
             "ph": "X",
-            "ts": span.start * time_scale,
-            "dur": span.duration * time_scale,
+            "ts": span.start * TIME_SCALE,
+            "dur": span.duration * TIME_SCALE,
             "pid": pids[_instance_name(span)],
             "tid": tids[span.category],
             "args": {k: _json_safe(v) for k, v in span.meta.items()},
         })
-    events.extend(_flow_events(timeline, pids, tids, time_scale))
+    events.extend(_flow_events(timeline, pids, tids))
     return events
 
 

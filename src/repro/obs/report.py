@@ -143,13 +143,6 @@ class PipelineReport:
         return attribution
 
     # -- sampled-telemetry analysis ----------------------------------------
-    def interval_rates(self) -> Dict[str, List[Tuple[float, float]]]:
-        """Per-interval rates of every sampled counter series
-        (``{} `` without telemetry)."""
-        if self.telemetry is None:
-            return {}
-        return self.telemetry.rates()
-
     def saturation(self) -> List[Dict[str, Any]]:
         """Capacity-bearing gauges relevant to this phase/node, ranked by
         mean fill level over the phase window.

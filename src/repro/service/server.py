@@ -174,10 +174,10 @@ class ServiceResult:
                 return record
         raise KeyError(name)
 
-    def to_report(self, include_jobs: bool = True) -> Dict[str, Any]:
+    def to_report(self) -> Dict[str, Any]:
         """Structured service report with per-job sections."""
         percentiles = self.latency_percentiles()
-        report: Dict[str, Any] = {
+        return {
             "schema": "glasswing-service-report/1",
             "policy": {
                 "queue_capacity": self.policy.queue_capacity,
@@ -193,10 +193,8 @@ class ServiceResult:
             "peak_running": self.peak_running,
             "peak_queue_depth": self.peak_queue_depth,
             "leaked_buffer_slots": self.leaked_buffer_slots,
+            "jobs": [r.summary() for r in self.records],
         }
-        if include_jobs:
-            report["jobs"] = [r.summary() for r in self.records]
-        return report
 
 
 class JobServer:

@@ -30,6 +30,10 @@ __all__ = ["JobRequest", "TRACE_KINDS", "synthetic_trace", "load_trace",
 
 #: app kinds a trace row may name (the paper's text/sort/iterative mix)
 TRACE_KINDS = ("wordcount", "terasort", "kmeans")
+#: who submits a synthetic row, and at which priority (class 1 twice as
+#: likely as 0 or 2)
+_TENANTS = ("alice", "bob", "carol")
+_PRIORITIES = (0, 1, 1, 2)
 
 _TERA_RECORD = 100
 _KMEANS_DIMS = 4
@@ -91,16 +95,14 @@ def synthetic_trace(n_jobs: int, seed: int = 0,
                     mean_interarrival: float = 0.002,
                     nbytes_choices: Sequence[int] = (16 * 1024, 32 * 1024,
                                                      64 * 1024),
-                    tenants: Sequence[str] = ("alice", "bob", "carol"),
-                    priorities: Sequence[int] = (0, 1, 1, 2),
                     kinds: Sequence[str] = TRACE_KINDS) -> List[JobRequest]:
     """A seeded mixed-workload arrival trace of ``n_jobs`` requests.
 
     Arrivals are Poisson (exponential interarrival at
     ``mean_interarrival`` virtual seconds); kind, size, tenant and
-    priority are drawn uniformly per job from the given choices
-    (``priorities`` may repeat entries to weight classes).  Everything is
-    derived from ``seed``, so the same call always yields the same trace.
+    priority are drawn uniformly per job from the given choices and the
+    module's tenant and priority tuples.  Everything is derived from
+    ``seed``, so the same call always yields the same trace.
     """
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")
@@ -113,8 +115,8 @@ def synthetic_trace(n_jobs: int, seed: int = 0,
             name=f"job{i:04d}",
             kind=rng.choice(list(kinds)),
             submit_at=at,
-            tenant=rng.choice(list(tenants)),
-            priority=rng.choice(list(priorities)),
+            tenant=rng.choice(_TENANTS),
+            priority=rng.choice(_PRIORITIES),
             nbytes=rng.choice(list(nbytes_choices)),
             seed=seed * 100_003 + i,
         ))

@@ -27,7 +27,7 @@ from repro.simt.core import (
     Simulator,
     Timeout,
 )
-from repro.simt.resources import BufferPool, Resource, Semaphore, Store
+from repro.simt.resources import BufferPool, Resource, Store
 from repro.simt.trace import Span, Timeline
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "Interrupt",
     "Process",
     "Resource",
-    "Semaphore",
     "SimulationError",
     "Simulator",
     "Span",

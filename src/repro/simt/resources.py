@@ -1,4 +1,4 @@
-"""Synchronisation primitives: token pools, channels, semaphores, buffer pools.
+"""Synchronisation primitives: token pools, channels, buffer pools.
 
 These model the contended resources of a cluster node:
 
@@ -9,7 +9,6 @@ These model the contended resources of a cluster node:
   host cores) emerge from queueing rather than hand-coded penalties.
 * :class:`Store` — FIFO channel with optional capacity; pipeline stages
   are connected by stores.
-* :class:`Semaphore` — counting semaphore.
 * :class:`BufferPool` — a pool of indexed buffers; the Glasswing pipeline's
   single/double/triple buffering is a :class:`BufferPool` of 1/2/3 slots
   shared by a stage group.
@@ -22,7 +21,7 @@ from typing import Any, Deque, Optional
 
 from repro.simt.core import Event, SimulationError, Simulator
 
-__all__ = ["Resource", "Store", "Semaphore", "BufferPool"]
+__all__ = ["Resource", "Store", "BufferPool"]
 
 
 class Resource:
@@ -209,25 +208,6 @@ class StoreClosed(Exception):
     def __init__(self, name: str):
         super().__init__(f"store {name!r} closed")
         self.store_name = name
-
-
-class Semaphore:
-    """Counting semaphore built on :class:`Resource` (``down``/``up``)."""
-
-    def __init__(self, sim: Simulator, value: int, name: str = "sem"):
-        self._res = Resource(sim, value, name=name)
-
-    def down(self) -> Event:
-        """P(): event fires once a unit is obtained."""
-        return self._res.acquire(1)
-
-    def up(self) -> None:
-        """V(): return a unit."""
-        self._res.release(1)
-
-    @property
-    def value(self) -> int:
-        return self._res.available
 
 
 class BufferPool:

@@ -122,21 +122,25 @@ class Timeline:
         """Add a wait edge owned by span ``(category, name)``.
 
         Zero- and negative-length waits are dropped (the caller blocked
-        for no virtual time, so there is nothing to attribute).  When a
-        telemetry hub is attached, the wait also feeds the
+        for no virtual time, so there is nothing to attribute).  When
+        :meth:`_wait_hub` names a telemetry hub, the wait also feeds its
         ``glasswing_wait_seconds`` counter labelled by class.
         """
         if end - start <= 0.0:
             return None
         edge = WaitEdge(wait_class, resource, category, name, start, end, meta)
         self.waits.append(edge)
-        tele = self.telemetry
+        tele = self._wait_hub()
         if tele is not None:
             tele.counter(
                 "glasswing_wait_seconds",
                 help="virtual seconds blocked, by wait class",
                 **{"class": wait_class}).inc(edge.duration)
         return edge
+
+    def _wait_hub(self) -> Optional[Any]:
+        """The telemetry hub that counts this timeline's waits."""
+        return self.telemetry
 
     def _group(self, category: str,
                name: Optional[str] = None) -> Sequence[Span]:
@@ -192,27 +196,6 @@ class Timeline:
             total += cur_end - cur_start
         return total
 
-    def first_start(self, category: str) -> float:
-        """Earliest start in category (``inf`` when empty)."""
-        return min((s.start for s in self._group(category)),
-                   default=float("inf"))
-
-    def last_end(self, category: str) -> float:
-        """Latest end in category (0 when empty)."""
-        return max((s.end for s in self._group(category)), default=0.0)
-
-    def merge(self, other: "Timeline") -> None:
-        """Absorb another timeline's spans (e.g. per-node sub-timelines)."""
-        self.spans.extend(other.spans)
-        self.waits.extend(other.waits)
-
-    def breakdown(self, prefix: str = "") -> Dict[str, float]:
-        """Occupied time per category, filtered by prefix; sorted dict."""
-        return {
-            cat: self.occupied_time(cat)
-            for cat in self.categories() if cat.startswith(prefix)
-        }
-
     def fork(self, label: str) -> "TimelineFork":
         """A per-tenant view of this timeline (see :class:`TimelineFork`)."""
         return TimelineFork(self, label)
@@ -255,13 +238,11 @@ class TimelineFork(Timeline):
                                    start, end, **meta)
         if edge is not None:
             self.parent.waits.append(edge)
-            # The fork has no hub of its own (see the class docstring), so
-            # feed the session-level wait counter through the parent.
-            tele = (self.parent.telemetry
-                    if self.telemetry is None else None)
-            if tele is not None:
-                tele.counter(
-                    "glasswing_wait_seconds",
-                    help="virtual seconds blocked, by wait class",
-                    **{"class": wait_class}).inc(edge.duration)
         return edge
+
+    def _wait_hub(self) -> Optional[Any]:
+        # The fork has no hub of its own (see the class docstring), so its
+        # waits feed the session-level wait counter through the parent.
+        if self.telemetry is not None:
+            return self.telemetry
+        return self.parent.telemetry

@@ -61,3 +61,11 @@ def test_with_override():
 def test_chunk_size_validation():
     with pytest.raises(ValueError):
         JobConfig(chunk_size=0)
+
+
+@pytest.mark.parametrize("interval", [float("nan"), float("inf"), 0.0, -1.0])
+def test_metrics_interval_follows_the_sampler_rule(interval):
+    """The config refuses every interval the sampler would: NaN sends
+    the sampler backwards in time and inf never ticks."""
+    with pytest.raises(ValueError, match="metrics.interval"):
+        JobConfig(metrics_interval=interval)

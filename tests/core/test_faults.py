@@ -6,7 +6,7 @@ from repro.apps import WordCountApp
 from repro.apps.datagen import wiki_text
 from repro.baselines.reference import run_reference
 from repro.core import JobConfig, run_glasswing
-from repro.core.faults import FaultInjector, FaultPlan, NodeCrash
+from repro.core.faults import FaultPlan, NodeCrash
 from repro.hw.presets import das4_cluster
 
 from tests.conftest import assert_outputs_match
@@ -26,22 +26,22 @@ def run(inputs, faults=None, **cfg):
 
 def test_injector_validation():
     with pytest.raises(ValueError):
-        FaultInjector(progress_at_failure=1.5)
+        FaultPlan(progress_at_failure=1.5)
     with pytest.raises(ValueError):
-        FaultInjector(fail_counts={0: -1})
+        FaultPlan(map_failures={0: -1})
 
 
 def test_injector_plan_semantics():
-    inj = FaultInjector(fail_counts={3: 2})
-    assert inj.should_fail(3, 0)
-    assert inj.should_fail(3, 1)
-    assert not inj.should_fail(3, 2)
-    assert not inj.should_fail(0, 0)
+    inj = FaultPlan(map_failures={3: 2})
+    assert inj.should_fail_map(3, 0)
+    assert inj.should_fail_map(3, 1)
+    assert not inj.should_fail_map(3, 2)
+    assert not inj.should_fail_map(0, 0)
 
 
 def test_output_correct_despite_failures(inputs):
     ref = run_reference(WordCountApp(), inputs)
-    faults = FaultInjector(fail_counts={0: 1, 2: 2, 5: 1})
+    faults = FaultPlan(map_failures={0: 1, 2: 2, 5: 1})
     res = run(inputs, faults=faults)
     assert_outputs_match(res.output_pairs(), ref)
     assert faults.total_failures == 4
@@ -49,14 +49,14 @@ def test_output_correct_despite_failures(inputs):
 
 def test_failures_cost_time(inputs):
     clean = run(inputs)
-    faults = FaultInjector(fail_counts={i: 1 for i in range(6)})
+    faults = FaultPlan(map_failures={i: 1 for i in range(6)})
     failed = run(inputs, faults=faults)
     assert failed.job_time > clean.job_time
     assert faults.wasted_seconds > 0
 
 
 def test_failures_recorded_in_timeline(inputs):
-    faults = FaultInjector(fail_counts={1: 3})
+    faults = FaultPlan(map_failures={1: 3})
     res = run(inputs, faults=faults)
     spans = res.timeline.by_category("map.task_failure")
     assert len(spans) == 3
@@ -66,12 +66,12 @@ def test_failures_recorded_in_timeline(inputs):
 
 def test_failure_free_plan_is_noop(inputs):
     clean = run(inputs)
-    with_empty = run(inputs, faults=FaultInjector())
+    with_empty = run(inputs, faults=FaultPlan())
     assert with_empty.job_time == pytest.approx(clean.job_time)
 
 
 def test_zero_progress_failures_waste_nothing(inputs):
-    faults = FaultInjector(fail_counts={0: 1}, progress_at_failure=0.0)
+    faults = FaultPlan(map_failures={0: 1}, progress_at_failure=0.0)
     run(inputs, faults=faults)
     # A task that dies instantly wastes (almost) no kernel time.
     assert faults.wasted_seconds < 1e-3
@@ -115,8 +115,8 @@ def test_per_failure_progress_controls_wasted_time(inputs):
     """Two failures at [0.0, then ~full] progress waste strictly more than
     two instant deaths — the wasted-work accounting sees each failure's
     own progress, not one global scalar."""
-    cheap = FaultInjector(fail_counts={0: 2}, progress_at_failure=[0.0, 0.0])
-    dear = FaultInjector(fail_counts={0: 2}, progress_at_failure=[0.0, 0.9])
+    cheap = FaultPlan(map_failures={0: 2}, progress_at_failure=[0.0, 0.0])
+    dear = FaultPlan(map_failures={0: 2}, progress_at_failure=[0.0, 0.9])
     run(inputs, faults=cheap)
     run(inputs, faults=dear)
     assert dear.wasted_seconds > cheap.wasted_seconds

@@ -55,13 +55,13 @@ class TestClusterHealth:
         assert not h.alive(3)
         assert h.storage_alive(3)        # durable spill stays readable
         assert h.departed_nodes == [3]
-        assert h.needs_recovery and not h.any_dead
+        assert h.needs_recovery and not h.dead_nodes
 
     def test_dead_is_neither(self):
         h = ClusterHealth(4)
         h.mark_dead(2, at=1.0)
         assert not h.alive(2) and not h.storage_alive(2)
-        assert h.any_dead and h.needs_recovery
+        assert h.dead_nodes and h.needs_recovery
 
     def test_standby_cannot_depart(self):
         h = ClusterHealth(4, active=[0, 1])
@@ -108,13 +108,6 @@ class TestMembershipFaults:
         # Two auto-resolved events are fine — they pick distinct nodes
         # at fire time.
         FaultPlan(node_joins=(NodeJoin(None, 0.1), NodeJoin(None, 0.2)))
-
-    def test_has_membership_events(self):
-        assert not FaultPlan().has_membership_events
-        assert FaultPlan(node_joins=(NodeJoin(None, 0.1),)).has_membership_events
-        assert FaultPlan(node_leaves=(NodeLeave(None, 0.1),)).has_membership_events
-        assert FaultPlan(
-            coordinator_crashes=(CoordinatorCrash(0.1),)).has_membership_events
 
     def test_seeded_membership_draws_do_not_shift_classic_schedule(self):
         """The membership draws are appended after the classic ones, so
@@ -290,10 +283,6 @@ class TestElasticPolicy:
     @pytest.mark.parametrize("kwargs", [
         dict(min_nodes=0),
         dict(min_nodes=4, max_nodes=2),
-        dict(low_watermark=0.9, high_watermark=0.5),
-        dict(high_watermark=1.5),
-        dict(interval=0.0),
-        dict(cooldown=-0.1),
     ])
     def test_invalid_policies_raise(self, kwargs):
         with pytest.raises(ValueError):

@@ -73,7 +73,7 @@ def test_empty_timeline():
 def test_breakdown_reads_the_requested_phase():
     """Regression: breakdown("reduce") must report reduce spans, not map.
 
-    The bug iterated MAP_STAGES categories regardless of ``phase``; with
+    The bug iterated the map categories regardless of ``phase``; with
     identical stage names the symptom was map numbers leaking into reduce
     rows whenever the two differed.
     """
@@ -83,10 +83,3 @@ def test_breakdown_reads_the_requested_phase():
     assert bd["kernel"] == 1.0          # reduce.kernel [8,9], not map's 3.0
     assert bd["input"] == 0.0           # no reduce.input recorded
     assert m.stage_sum("reduce", "node0") == 1.0
-
-
-def test_stages_for_recognises_phase_families():
-    from repro.core.metrics import MAP_STAGES, REDUCE_STAGES, stages_for
-    assert stages_for("map") is MAP_STAGES
-    assert stages_for("map.recovery") is MAP_STAGES
-    assert stages_for("reduce") is REDUCE_STAGES

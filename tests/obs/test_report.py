@@ -149,7 +149,6 @@ def test_saturation_without_telemetry(wc_result):
     rep = PipelineReport(wc_result.timeline, phase="map")
     assert rep.saturation() == []
     assert rep.saturated_resource() is None
-    assert rep.interval_rates() == {}
     d = rep.to_dict()
     assert d["saturation"] == [] and d["saturated_resource"] is None
     json.dumps(d)

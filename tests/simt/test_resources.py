@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Store, Semaphore and BufferPool."""
+"""Unit tests for Resource, Store and BufferPool."""
 
 import pytest
 
-from repro.simt import BufferPool, Resource, Semaphore, Simulator, Store
+from repro.simt import BufferPool, Resource, Simulator, Store
 from repro.simt.core import SimulationError
 from repro.simt.resources import StoreClosed
 
@@ -243,27 +243,6 @@ def test_store_put_after_close_is_error():
     store.close()
     with pytest.raises(SimulationError):
         store.put("x")
-
-
-# --------------------------------------------------------------- Semaphore
-def test_semaphore_mutual_exclusion():
-    sim = Simulator()
-    sem = Semaphore(sim, 1)
-    inside = []
-
-    def critical(sim, name):
-        yield sem.down()
-        inside.append(name)
-        assert len(inside) == 1
-        yield sim.timeout(1.0)
-        inside.remove(name)
-        sem.up()
-
-    for name in "abc":
-        sim.process(critical(sim, name))
-    sim.run()
-    assert sim.now == 3.0
-    assert sem.value == 1
 
 
 # -------------------------------------------------------------- BufferPool
