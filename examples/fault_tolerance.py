@@ -37,16 +37,15 @@ def main() -> None:
     print(f"clean run: {clean.job_time:.4f} simulated seconds")
 
     # -- 1. map-task crashes + re-execution -----------------------------
-    faults = FaultPlan(map_failures={0: 1, 3: 1, 7: 3},
-                       progress_at_failure=0.6)
-    failed = run(faults=faults)
-    print(f"\n[1] {faults.total_failures} map-task crashes: "
+    failed = run(faults=FaultPlan(map_failures={0: 1, 3: 1, 7: 3},
+                                  progress_at_failure=0.6))
+    print(f"\n[1] {failed.stats['task_failures']} map-task crashes: "
           f"{failed.job_time:.4f} s "
           f"(+{failed.job_time - clean.job_time:.4f} s, "
-          f"{faults.wasted_seconds:.4f} s of kernel work discarded)")
-    for f in faults.failures:
-        print(f"    crash: split {f.split_index} attempt {f.attempt} "
-              f"on {f.node} at t={f.at:.4f}")
+          f"{failed.metrics.wasted_seconds:.4f} s of kernel work discarded)")
+    for f in failed.timeline.by_category("map.task_failure"):
+        print(f"    crash: split {f.meta['split']} attempt "
+              f"{f.meta['attempt']} on {f.name} at t={f.end:.4f}")
     verify(failed, reference)
 
     # -- 2. node crash + shuffle recovery --------------------------------

@@ -493,8 +493,6 @@ class JobExecution:
         repushed_runs, reexecuted_splits = self.recovery_stats
         map_phases = self.map_phases
         scheduler = self.scheduler
-        faults = self.faults
-        speculation = self.speculation
         stats = {
             "batch_size": (map_phases[0].batch_records
                            if map_phases else None),
@@ -523,9 +521,12 @@ class JobExecution:
                                   if self._elastic else 0),
             "repushed_runs": repushed_runs,
             "reexecuted_splits": reexecuted_splits,
-            "task_failures": faults.total_failures if faults else 0,
-            "speculative_launches": speculation.launches if speculation else 0,
-            "speculative_wins": speculation.wins if speculation else 0,
+            # Span counts, read only if there can be any (no index build).
+            "task_failures": metrics.task_failures if self.faults else 0,
+            "speculative_launches": (metrics.speculative_launches
+                                     if self.speculation else 0),
+            "speculative_wins": (metrics.speculative_wins
+                                 if self.speculation else 0),
             "scheduler": scheduler.name,
             "sched_placements": scheduler.placements,
             "sched_locality_hits": scheduler.locality_hits,

@@ -32,23 +32,24 @@ fault model covering the failures that dominate real clusters:
   ``ShuffleRegistry``/:class:`ClusterHealth` state.
 
 A :class:`FaultPlan` declares the schedule, either deterministically or
-from a seed (:meth:`FaultPlan.seeded`).  The headline guarantee, locked
-in by ``tests/core/test_fault_matrix.py``: any fault schedule produces
-output identical to the fault-free run, at a gracefully degraded job
-time.
+from a seed (:meth:`FaultPlan.seeded`); a run only reads it (what happened
+is the job's spans), so one plan can drive many runs.  The headline
+guarantee, locked in by ``tests/core/test_fault_matrix.py``: any fault
+schedule produces output identical to the fault-free run, at a
+gracefully degraded job time.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import (Dict, Generator, List, Mapping, Optional, Sequence, Set,
+                    Tuple, Union)
 
 from repro.core.membership import initial_active
 
 __all__ = [
     "FaultPlan",
-    "TaskFailure",
     "NodeCrash",
     "NodeJoin",
     "NodeLeave",
@@ -66,16 +67,23 @@ class TaskFailedError(RuntimeError):
     """A task exhausted ``JobConfig.max_attempts`` executions."""
 
 
-@dataclass(frozen=True)
-class TaskFailure:
-    """Record of one injected failure."""
-
-    split_index: int
-    attempt: int
-    node: str
-    at: float           # virtual time of the crash
-    wasted: float       # virtual seconds of discarded kernel work
-    kind: str = "map"   # "map" | "reduce"
+def end_crashed_attempt(phase, kind: str, task: str, start: float,
+                        attempt: int, **meta) -> Generator:
+    """Both phases' retry epilogue: record crashed ``attempt``'s
+    ``<kind>.task_failure`` span (``start`` to now), give up after
+    ``max_attempts``, else back off; returns the next attempt number."""
+    sim, config = phase.sim, phase.config
+    phase.timeline.record(f"{kind}.task_failure", phase.node.name, start,
+                          sim.now, **meta, attempt=attempt)
+    attempt += 1
+    if attempt >= config.max_attempts:
+        raise TaskFailedError(
+            f"{kind} task for {task} failed {attempt} attempts "
+            f"(max_attempts={config.max_attempts})")
+    backoff = config.backoff_base * (2 ** (attempt - 1))
+    if backoff > 0:
+        yield sim.timeout(backoff)
+    return attempt
 
 
 @dataclass(frozen=True)
@@ -211,7 +219,6 @@ class FaultPlan:
     node_joins: Tuple[NodeJoin, ...] = ()
     node_leaves: Tuple[NodeLeave, ...] = ()
     coordinator_crashes: Tuple[CoordinatorCrash, ...] = ()
-    failures: List[TaskFailure] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         _validate_progress(self.progress_at_failure)
@@ -265,23 +272,6 @@ class FaultPlan:
     def slowdown_for(self, split_index: int) -> float:
         """Kernel slowdown factor of a straggling map task (1.0 = healthy)."""
         return self.stragglers.get(split_index, 1.0)
-
-    # -- bookkeeping (written by the phases at crash time) -----------------
-    def record(self, split_index: int, attempt: int, node: str,
-               at: float, wasted: float, kind: str = "map") -> None:
-        """Log one crash (called by a phase at failure time)."""
-        self.failures.append(TaskFailure(split_index, attempt, node, at,
-                                         wasted, kind))
-
-    @property
-    def total_failures(self) -> int:
-        """Number of crashes injected so far."""
-        return len(self.failures)
-
-    @property
-    def wasted_seconds(self) -> float:
-        """Total virtual kernel time discarded by crashes."""
-        return sum(f.wasted for f in self.failures)
 
     # -- construction ------------------------------------------------------
     @classmethod

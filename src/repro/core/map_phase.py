@@ -41,6 +41,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Generator, List, Tuple
 
 from repro.hw.specs import DeviceKind
+from repro.simt.core import Interrupt
 
 from repro.core.api import pair_sort_key
 from repro.core.batching import apportion_bytes, resolve_batch_size, \
@@ -49,7 +50,7 @@ from repro.core.collector import KeyInterner, collect_map_output
 from repro.core.coordinator import Split
 from repro.core.costs import sort_seconds
 from repro.core.data import Chunk, MapOutput, SortedRun
-from repro.core.faults import TaskFailedError
+from repro.core.faults import end_crashed_attempt
 from repro.core.pipeline import Pipeline, reserve_device_buffers
 from repro.core.splitread import read_split_records
 
@@ -276,12 +277,19 @@ class MapPhase:
             split = self._splits_by_index[chunk.index]
             copy_start = sim.now
             copy = spec.launch_copy(split, helper)
-            idx2, _ = yield sim.any_of([local, copy])
+            try:
+                idx2, _ = yield sim.any_of([local, copy])
+            except Interrupt:
+                # This node crashed or left mid-race: the copy ran in vain.
+                self.timeline.record(
+                    "map.speculative", self.node.name, copy_start, sim.now,
+                    split=chunk.index, helper=helper, won=False,
+                    wasted=sim.now - copy_start)
+                raise
             copy_won = idx2 == 1
             loser = local if copy_won else copy
             if loser.is_alive:
                 loser.interrupt("lost the speculative race")
-            spec.finish(helper, copy_won)
             # The loser's burn: the whole primary run if the copy won,
             # else the copy's run so far.
             wasted = (sim.now - start) if copy_won else (sim.now - copy_start)
@@ -310,21 +318,9 @@ class MapPhase:
             partial = cost.scaled(progress)
             start = self.sim.now
             yield from self.device.execute_cost(partial)
-            wasted = self.sim.now - start
-            self.faults.record(chunk.index, attempt, self.node.name,
-                               self.sim.now, wasted, kind="map")
-            self.timeline.record("map.task_failure", self.node.name,
-                                 start, self.sim.now, split=chunk.index,
-                                 attempt=attempt)
-            attempt += 1
-            if attempt >= self.config.max_attempts:
-                raise TaskFailedError(
-                    f"map task for split {chunk.index} failed "
-                    f"{attempt} attempts (max_attempts="
-                    f"{self.config.max_attempts})")
-            backoff = self.config.backoff_base * (2 ** (attempt - 1))
-            if backoff > 0:
-                yield self.sim.timeout(backoff)
+            attempt = yield from end_crashed_attempt(
+                self, "map", f"split {chunk.index}", start, attempt,
+                split=chunk.index)
             # Reschedule: reload the split from (replicated) storage.
             split = self._splits_by_index[chunk.index]
             records, nbytes = yield from read_split_records(

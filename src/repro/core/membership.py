@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from inspect import isgenerator
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.simt.core import Event, Simulator
 from repro.simt.trace import Timeline
@@ -275,8 +275,9 @@ class ElasticPool:
 
     One pool per :class:`~repro.service.server.JobServer`; scale events
     move hardware nodes between the ``active`` and ``standby`` sets.
-    Running jobs are notified by the server; jobs dispatched later
-    snapshot :attr:`active` as their initial membership.
+    Running jobs are notified by the server, which records each scale
+    event as a ``svc.scale`` span; jobs dispatched later snapshot
+    :attr:`active` as their initial membership.
     """
 
     def __init__(self, n_nodes: int,
@@ -285,10 +286,8 @@ class ElasticPool:
         self.n_nodes = n_nodes
         self.active: List[int] = ids
         self.standby: List[int] = [n for n in range(n_nodes) if n not in ids]
-        self.events: List[Dict[str, Any]] = []
 
-    def scale_out(self, node: Optional[int] = None,
-                  at: float = 0.0) -> Optional[int]:
+    def scale_out(self, node: Optional[int] = None) -> Optional[int]:
         """Activate ``node`` (default: the lowest-id standby).  Returns
         the activated node, or ``None`` when nothing can join."""
         if node is None:
@@ -297,11 +296,9 @@ class ElasticPool:
             return None
         self.standby.remove(node)
         self.active = sorted(self.active + [node])
-        self.events.append({"kind": "scale-out", "node": node, "at": at})
         return node
 
-    def scale_in(self, node: Optional[int] = None,
-                 at: float = 0.0) -> Optional[int]:
+    def scale_in(self, node: Optional[int] = None) -> Optional[int]:
         """Drain ``node`` (default: the highest-id active node).  The
         pool never drains its last node.  Returns the drained node, or
         ``None`` when nothing can leave."""
@@ -313,7 +310,6 @@ class ElasticPool:
             return None
         self.active = [n for n in self.active if n != node]
         self.standby = sorted(self.standby + [node])
-        self.events.append({"kind": "scale-in", "node": node, "at": at})
         return node
 
 

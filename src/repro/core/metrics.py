@@ -47,34 +47,18 @@ class JobMetrics:
         return {stage: self.stage_time(phase, stage, node)
                 for stage in STAGES}
 
-    # -- phase-level -----------------------------------------------------------
-    def phase_elapsed(self, phase: str) -> float:
-        """Wall-clock extent of a phase across all nodes."""
-        return self.timeline.span_extent(f"{phase}.elapsed")
-
-    @property
-    def map_elapsed(self) -> float:
-        """Map-phase wall-clock extent across all nodes."""
-        return self.phase_elapsed("map")
-
-    @property
-    def reduce_elapsed(self) -> float:
-        """Reduce-phase wall-clock extent across all nodes."""
-        return self.phase_elapsed("reduce")
-
-    @property
-    def merge_delay(self) -> float:
-        """Maximum per-node merge delay (§III-B metric)."""
-        spans = self.timeline.by_category("merge.delay")
-        return max((s.duration for s in spans), default=0.0)
-
     # -- fault tolerance (§III-E) --------------------------------------------
+    @property
+    def task_failures(self) -> int:
+        """Crashed map and reduce task attempts."""
+        return (len(self.timeline.by_category("map.task_failure"))
+                + len(self.timeline.by_category("reduce.task_failure")))
+
     @property
     def reexecutions(self) -> int:
         """Task executions beyond the fault-free minimum: crashed map and
         reduce attempts plus whole splits re-executed after node loss."""
-        return (len(self.timeline.by_category("map.task_failure"))
-                + len(self.timeline.by_category("reduce.task_failure"))
+        return (self.task_failures
                 + len(self.timeline.by_category("recovery.reexec")))
 
     @property

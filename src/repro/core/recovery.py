@@ -37,9 +37,10 @@ class SpeculationController:
     """Straggler detection + speculative copy execution (one per job).
 
     The controller owns the cross-node view the map pipelines lack: mean
-    kernel duration (the straggler baseline), how many speculative copies
-    each node is currently running (for least-loaded helper choice), and
-    the win/launch counters the metrics layer reports.
+    kernel duration (the straggler baseline) and how many speculative
+    copies each node is currently running (for least-loaded helper
+    choice).  Launches and wins are ``map.speculative`` spans, which
+    :class:`~repro.core.metrics.JobMetrics` counts.
     """
 
     #: completed launches needed before the mean is trusted
@@ -51,8 +52,6 @@ class SpeculationController:
         self.config = job.config
         self.durations: List[float] = []
         self.active: Dict[int, int] = {n: 0 for n in range(len(job.cluster))}
-        self.launches = 0
-        self.wins = 0
         self._progress_waiters: List[Event] = []
 
     # -- straggler detection ----------------------------------------------
@@ -93,14 +92,9 @@ class SpeculationController:
     def launch_copy(self, split: Split, helper: int):
         """Start the speculative duplicate on ``helper``; returns its
         process (raced against the primary by the map phase)."""
-        self.launches += 1
         return self.sim.process(
             self._copy(split, helper),
             name=f"spec.s{split.index}.n{helper}")
-
-    def finish(self, helper: int, copy_won: bool) -> None:
-        if copy_won:
-            self.wins += 1
 
     def _copy(self, split: Split, helper: int) -> Generator:
         """Charge the duplicate's costs: re-read the split on the helper

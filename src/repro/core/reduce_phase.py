@@ -40,7 +40,7 @@ from repro.ocl.kernel import KernelCost
 from repro.core.api import MapReduceApp, pair_sort_key
 from repro.core.batching import apportion_bytes, resolve_batch_size
 from repro.core.data import KeyGroupChunk, ReduceOutput
-from repro.core.faults import TaskFailedError
+from repro.core.faults import end_crashed_attempt
 from repro.core.pipeline import Pipeline, reserve_device_buffers
 
 __all__ = ["ReducePhase"]
@@ -199,17 +199,21 @@ class ReducePhase:
         return windows
 
     # -- stage bodies ------------------------------------------------------------
+    def _fetch(self, item: _ReduceItem, stream: str, tag: str) -> Generator:
+        """Charge one item's input: its share of the partition off disk,
+        then the decompress/merge/group work."""
+        if item.disk_bytes:
+            yield from self.node.disk.read(item.disk_bytes, stream=stream)
+        cpu = (self.config.compression.decompress_seconds(item.disk_raw)
+               + self.costs.merge_seconds(item.merge_items)
+               + self.costs.group_seconds(item.n_values))
+        if cpu:
+            yield self.node.host_work(1, cpu, tag=tag)
+
     def _read(self, window: List[_ReduceItem]) -> Generator:
         chunks: List[KeyGroupChunk] = []
         for item in window:
-            if item.disk_bytes:
-                yield from self.node.disk.read(item.disk_bytes,
-                                               stream=f"p{item.pid}")
-            cpu = (self.config.compression.decompress_seconds(item.disk_raw)
-                   + self.costs.merge_seconds(item.merge_items)
-                   + self.costs.group_seconds(item.n_values))
-            if cpu:
-                yield self.node.host_work(1, cpu, tag="reduce.read")
+            yield from self._fetch(item, f"p{item.pid}", "reduce.read")
             chunks.append(KeyGroupChunk(index=item.index, pairs=item.pairs,
                                         sizes=item.sizes, nbytes=item.nbytes))
         return chunks if len(chunks) > 1 else chunks[0]
@@ -270,32 +274,11 @@ class ReducePhase:
             start = self.sim.now
             yield from self.device.execute_cost(cost.scaled(progress),
                                                 threads=threads)
-            # Restart: pull the chunk's share of the partition back off
-            # disk and redo the decompress/merge/group work the reader
-            # already charged once.
-            item = self._items_by_index[chunk.index]
-            if item.disk_bytes:
-                yield from self.node.disk.read(item.disk_bytes,
-                                               stream=f"p{pid}.retry")
-            cpu = (self.config.compression.decompress_seconds(item.disk_raw)
-                   + self.costs.merge_seconds(item.merge_items)
-                   + self.costs.group_seconds(item.n_values))
-            if cpu:
-                yield self.node.host_work(1, cpu, tag="reduce.retry")
-            wasted = self.sim.now - start
-            self.faults.record(pid, attempt, self.node.name, self.sim.now,
-                               wasted, kind="reduce")
-            self.timeline.record("reduce.task_failure", self.node.name,
-                                 start, self.sim.now, pid=pid,
-                                 attempt=attempt)
-            attempt += 1
-            if attempt >= self.config.max_attempts:
-                raise TaskFailedError(
-                    f"reduce task for partition {pid} failed {attempt} "
-                    f"attempts (max_attempts={self.config.max_attempts})")
-            backoff = self.config.backoff_base * (2 ** (attempt - 1))
-            if backoff > 0:
-                yield self.sim.timeout(backoff)
+            # Restart: fetch the chunk's input again, as the reader did.
+            yield from self._fetch(self._items_by_index[chunk.index],
+                                   f"p{pid}.retry", "reduce.retry")
+            attempt = yield from end_crashed_attempt(
+                self, "reduce", f"partition {pid}", start, attempt, pid=pid)
 
     def _retrieve(self, out: ReduceOutput) -> Generator:
         yield from self.device.transfer(out.nbytes, "d2h")

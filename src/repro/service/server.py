@@ -329,9 +329,9 @@ class JobServer:
         if at > 0:
             yield sim.timeout(at)
         if direction == "out":
-            picked = self.pool.scale_out(node=node, at=sim.now)
+            picked = self.pool.scale_out(node=node)
         else:
-            picked = self.pool.scale_in(node=node, at=sim.now)
+            picked = self.pool.scale_in(node=node)
         if picked is None:
             return
         self.session.timeline.record(

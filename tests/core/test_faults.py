@@ -1,5 +1,7 @@
 """Tests for task-failure injection and re-execution (§III-E extension)."""
 
+import json
+
 import pytest
 
 from repro.apps import WordCountApp
@@ -41,18 +43,16 @@ def test_injector_plan_semantics():
 
 def test_output_correct_despite_failures(inputs):
     ref = run_reference(WordCountApp(), inputs)
-    faults = FaultPlan(map_failures={0: 1, 2: 2, 5: 1})
-    res = run(inputs, faults=faults)
+    res = run(inputs, faults=FaultPlan(map_failures={0: 1, 2: 2, 5: 1}))
     assert_outputs_match(res.output_pairs(), ref)
-    assert faults.total_failures == 4
+    assert res.stats["task_failures"] == 4
 
 
 def test_failures_cost_time(inputs):
     clean = run(inputs)
-    faults = FaultPlan(map_failures={i: 1 for i in range(6)})
-    failed = run(inputs, faults=faults)
+    failed = run(inputs, faults=FaultPlan(map_failures={i: 1 for i in range(6)}))
     assert failed.job_time > clean.job_time
-    assert faults.wasted_seconds > 0
+    assert failed.metrics.wasted_seconds > 0
 
 
 def test_failures_recorded_in_timeline(inputs):
@@ -71,10 +71,10 @@ def test_failure_free_plan_is_noop(inputs):
 
 
 def test_zero_progress_failures_waste_nothing(inputs):
-    faults = FaultPlan(map_failures={0: 1}, progress_at_failure=0.0)
-    run(inputs, faults=faults)
+    res = run(inputs, faults=FaultPlan(map_failures={0: 1},
+                                       progress_at_failure=0.0))
     # A task that dies instantly wastes (almost) no kernel time.
-    assert faults.wasted_seconds < 1e-3
+    assert res.metrics.wasted_seconds < 1e-3
 
 
 # -- per-failure progress (the single-scalar generalisation) ----------------
@@ -115,12 +115,12 @@ def test_per_failure_progress_controls_wasted_time(inputs):
     """Two failures at [0.0, then ~full] progress waste strictly more than
     two instant deaths — the wasted-work accounting sees each failure's
     own progress, not one global scalar."""
-    cheap = FaultPlan(map_failures={0: 2}, progress_at_failure=[0.0, 0.0])
-    dear = FaultPlan(map_failures={0: 2}, progress_at_failure=[0.0, 0.9])
-    run(inputs, faults=cheap)
-    run(inputs, faults=dear)
-    assert dear.wasted_seconds > cheap.wasted_seconds
-    assert cheap.wasted_seconds < 1e-3
+    cheap = run(inputs, faults=FaultPlan(map_failures={0: 2},
+                                         progress_at_failure=[0.0, 0.0]))
+    dear = run(inputs, faults=FaultPlan(map_failures={0: 2},
+                                        progress_at_failure=[0.0, 0.9]))
+    assert dear.metrics.wasted_seconds > cheap.metrics.wasted_seconds
+    assert cheap.metrics.wasted_seconds < 1e-3
 
 
 def test_fault_plan_validation():
@@ -134,3 +134,44 @@ def test_fault_plan_validation():
         NodeCrash(node=-1, at=0.0)
     with pytest.raises(ValueError):
         NodeCrash(node=0, at=-1.0)
+
+
+# -- one fault ledger: the job's own spans ----------------------------------
+
+def test_reused_plan_counts_each_run_alone(inputs):
+    """A run only reads its plan, so running one plan twice gives two
+    identical jobs — counts and report bytes alike."""
+    plan = FaultPlan(map_failures={0: 1, 2: 2})
+    first, second = run(inputs, faults=plan), run(inputs, faults=plan)
+    assert first.stats["task_failures"] == second.stats["task_failures"] == 3
+    assert json.dumps(first.to_report()) == json.dumps(second.to_report())
+
+
+def test_clean_run_never_builds_the_span_index(inputs):
+    """``stats`` counts task failures and races only for a job that can
+    have any, so a clean job's result leaves the span index unbuilt."""
+    assert run(inputs).timeline._index._absorbed == 0
+
+
+def test_race_cut_short_by_a_crash_is_still_a_launch():
+    """Node 1 crashes while split 1's second race is running: the race
+    records its ``map.speculative`` span anyway (lost, its copy's run so
+    far wasted), so ``stats``, the report and the spans agree.  The
+    schedule is pinned to the placement it was found under."""
+    plan = FaultPlan.seeded(23, n_splits=8, n_nodes=4, n_partitions=32,
+                            map_rate=0.3, reduce_rate=0.2,
+                            straggler_rate=0.3, node_crash_count=2,
+                            crash_window=(0.0, 0.01))
+    res = run_glasswing(
+        WordCountApp(), {"wiki": wiki_text(1 << 20, seed=1)},
+        das4_cluster(nodes=4),
+        JobConfig(chunk_size=128 * 1024, speculative_execution=True,
+                  batch_size=500, scheduler="static-affinity"), faults=plan)
+    spans = res.timeline.by_category("map.speculative")
+    assert (res.stats["speculative_launches"]
+            == res.to_report()["faults"]["speculative_launches"]
+            == len(spans) == 2)
+    [crash] = res.timeline.by_category("node.crash", "node1")
+    cut = spans[-1]
+    assert (cut.name, cut.end, cut.meta["won"]) == ("node1", crash.end, False)
+    assert cut.meta["wasted"] == cut.duration > 0

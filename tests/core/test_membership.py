@@ -312,18 +312,15 @@ class TestElasticPool:
 
     def test_scale_out_prefers_lowest_standby(self):
         pool = ElasticPool(6, active=[0, 1])
-        assert pool.scale_out(at=1.0) == 2
-        assert pool.scale_out(node=5, at=2.0) == 5
+        assert pool.scale_out() == 2
+        assert pool.scale_out(node=5) == 5
         assert pool.active == [0, 1, 2, 5]
-        assert pool.events == [
-            {"kind": "scale-out", "node": 2, "at": 1.0},
-            {"kind": "scale-out", "node": 5, "at": 2.0},
-        ]
+        assert pool.standby == [3, 4]
 
     def test_scale_in_prefers_highest_active(self):
         pool = ElasticPool(4)
-        assert pool.scale_in(at=1.0) == 3
-        assert pool.scale_in(node=1, at=2.0) == 1
+        assert pool.scale_in() == 3
+        assert pool.scale_in(node=1) == 1
         assert pool.active == [0, 2]
         assert pool.standby == [1, 3]
 
@@ -336,14 +333,12 @@ class TestElasticPool:
         pool = ElasticPool(2)
         assert pool.scale_out() is None          # nothing on standby
         assert pool.scale_in(node=7) is None     # not active
-        assert pool.events == []
+        assert pool.active == [0, 1] and pool.standby == []
 
     def test_round_trip_is_deterministic(self):
         a, b = ElasticPool(8, active=4), ElasticPool(8, active=4)
-        for pool in (a, b):
-            pool.scale_out(at=0.1)
-            pool.scale_in(at=0.2)
-            pool.scale_out(at=0.3)
-        assert a.active == b.active
-        assert a.standby == b.standby
-        assert a.events == b.events
+        picked = [[pool.scale_out(), pool.scale_in(), pool.scale_out()]
+                  for pool in (a, b)]
+        assert picked == [[4, 4, 4], [4, 4, 4]]
+        assert a.active == b.active == [0, 1, 2, 3, 4]
+        assert a.standby == b.standby == [5, 6, 7]

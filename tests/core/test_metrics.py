@@ -47,17 +47,6 @@ def test_breakdown_has_all_stages():
     assert bd["input"] == 2.0
 
 
-def test_phase_elapsed_spans_all_nodes():
-    m = make_metrics()
-    assert m.map_elapsed == 6.5
-    assert m.reduce_elapsed == 1.5
-
-
-def test_merge_delay_is_max():
-    m = make_metrics()
-    assert m.merge_delay == 1.0
-
-
 def test_stage_sum():
     m = make_metrics()
     assert m.stage_sum("map", "node0") == pytest.approx(2.0 + 3.0 + 2.0)
@@ -65,8 +54,6 @@ def test_stage_sum():
 
 def test_empty_timeline():
     m = JobMetrics(Timeline(), n_nodes=1)
-    assert m.map_elapsed == 0.0
-    assert m.merge_delay == 0.0
     assert m.stage_time("map", "kernel") == 0.0
 
 

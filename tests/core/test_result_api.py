@@ -95,5 +95,6 @@ def test_metrics_accessible_from_result(result):
     assert bd["kernel"] > 0
     # result.map_time also covers the post-pipeline push drain, so the
     # pipelines' extent is a (close) lower bound.
-    assert result.metrics.map_elapsed <= result.map_time
-    assert result.metrics.map_elapsed >= 0.8 * result.map_time
+    map_elapsed = result.timeline.span_extent("map.elapsed")
+    assert map_elapsed <= result.map_time
+    assert map_elapsed >= 0.8 * result.map_time

@@ -39,8 +39,9 @@ def test_scale_out_reaches_every_running_tenant():
     result = server.run()
     assert len(result.completed) == 2
     assert server.pool.active == [0, 1, 2, 3]
-    assert server.pool.events == [{"kind": "scale-out", "node": 3,
-                                   "at": pytest.approx(2e-4)}]
+    scales = result.timeline.by_category("svc.scale")
+    assert [(s.meta["direction"], s.meta["node"], s.start)
+            for s in scales] == [("out", 3, pytest.approx(2e-4))]
     for name in ("alice-j", "bob-j"):
         res = result.job(name).result
         assert res.stats["joined_nodes"] == [3]
@@ -107,6 +108,7 @@ def test_later_dispatch_snapshots_the_scaled_pool():
 
 
 def test_scale_events_are_recorded_on_the_pool_ledger():
+    """The pool's scale history is the server's ``svc.scale`` spans."""
     server = make_server(active_nodes=2)
     server.submit(wc_job("j", seed=9))
     server.scale_out(at=1e-4)
@@ -114,9 +116,10 @@ def test_scale_events_are_recorded_on_the_pool_ledger():
     server.scale_in(at=3e-4, node=1)
     result = server.run()
     assert len(result.completed) == 1
-    assert [e["kind"] for e in server.pool.events] == \
-        ["scale-out", "scale-out", "scale-in"]
-    assert [e["node"] for e in server.pool.events] == [2, 3, 1]
+    scales = result.timeline.by_category("svc.scale")
+    assert [s.meta["direction"] for s in scales] == ["out", "out", "in"]
+    assert [s.meta["node"] for s in scales] == [2, 3, 1]
+    assert [s.meta["active"] for s in scales] == [3, 4, 3]
     assert server.pool.active == [0, 2, 3]
     assert server.pool.standby == [1]
 
