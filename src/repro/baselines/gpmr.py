@@ -36,7 +36,6 @@ from repro.core.coordinator import make_splits
 from repro.core.costs import DEFAULT_HOST_COSTS, HostCosts, sort_seconds
 from repro.core.splitread import read_split_records
 from repro.storage.backend import make_backend
-from repro.storage.records import FixedRecordFormat
 
 __all__ = ["GPMRConfig", "GPMRResult", "run_gpmr"]
 
@@ -97,10 +96,8 @@ def run_gpmr(app: MapReduceApp, inputs: Dict[str, bytes],
     for path, data in inputs.items():
         backend.install(path, data)
     backend.purge_caches()
-    record_size = (app.record_format.record_size
-                   if isinstance(app.record_format, FixedRecordFormat) else None)
     splits = make_splits(backend, sorted(inputs), config.chunk_size,
-                         record_size=record_size)
+                         record_size=app.record_format.record_size)
     # Static round-robin split ownership (input is replicated everywhere).
     assignment = {i: [s for s in splits if s.index % n == i]
                   for i in range(n)}

@@ -36,7 +36,7 @@ from repro.core.costs import DEFAULT_HOST_COSTS, HostCosts, sort_seconds
 from repro.core.sched.affinity import affinity_assign
 from repro.core.splitread import read_split_records
 from repro.storage.backend import make_backend
-from repro.storage.records import CompressionModel, FixedRecordFormat
+from repro.storage.records import CompressionModel
 
 __all__ = ["HadoopConfig", "HadoopResult", "run_hadoop"]
 
@@ -229,10 +229,8 @@ def run_hadoop(app: MapReduceApp, inputs: Dict[str, bytes],
     for path, data in inputs.items():
         backend.install(path, data)
     backend.purge_caches()
-    record_size = (app.record_format.record_size
-                   if isinstance(app.record_format, FixedRecordFormat) else None)
     splits = make_splits(backend, sorted(inputs), config.chunk_size,
-                         record_size=record_size)
+                         record_size=app.record_format.record_size)
     job = _HadoopJob(sim, cluster, app, config, backend, timeline, splits,
                      costs)
 

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.storage.records import FixedRecordFormat
-
 __all__ = ["autotune_batch_size", "resolve_batch_size", "slice_batches",
            "apportion_bytes"]
 
@@ -57,9 +55,7 @@ def resolve_batch_size(config, record_format) -> int:
     the app's record format."""
     if config.batch_size is not None:
         return config.batch_size
-    record_size = (record_format.record_size
-                   if isinstance(record_format, FixedRecordFormat) else None)
-    return autotune_batch_size(config.chunk_size, record_size)
+    return autotune_batch_size(config.chunk_size, record_format.record_size)
 
 
 def slice_batches(records: Sequence, batch_size: int) -> List[Sequence]:

@@ -55,7 +55,6 @@ from repro.core.recovery import SpeculationController, run_recovery
 from repro.core.reduce_phase import ReducePhase
 from repro.core.sched import make_scheduler
 from repro.storage.backend import StorageBackend, make_backend
-from repro.storage.records import FixedRecordFormat
 
 __all__ = ["run_glasswing", "GlasswingResult", "ClusterSession",
            "JobExecution", "open_backend"]
@@ -68,7 +67,7 @@ class GlasswingResult:
     app_name: str
     config: JobConfig
     n_nodes: int
-    job_time: float                       # total virtual seconds
+    job_time: float                       # the job's own virtual extent
     map_time: float                       # map-phase extent
     merge_delay: float                    # post-map merge completion time
     reduce_time: float                    # reduce-phase extent
@@ -120,7 +119,7 @@ def open_backend(config: JobConfig, cluster: Cluster,
     return make_backend(
         config.storage, cluster, block_size=config.chunk_size,
         replication=config.input_replication,
-        placement_nodes=active if len(active) < len(cluster) else None)
+        placement_nodes=active)
 
 
 class ClusterSession:
@@ -162,7 +161,9 @@ class ClusterSession:
         return dev
 
     def run(self) -> None:
-        """Drive the simulation to completion (telemetry bracketed)."""
+        """Drive the simulation to completion, sampling telemetry (the
+        hub's only starter: each run respawns a sampler the last drained
+        heap ended)."""
         if self.telemetry is not None:
             self.telemetry.start()
         self.sim.run()
@@ -251,11 +252,8 @@ class JobExecution:
             name=f"{name}.coord")
 
         if splits is None:
-            record_size = (app.record_format.record_size
-                           if isinstance(app.record_format, FixedRecordFormat)
-                           else None)
             splits = make_splits(backend, sorted(inputs), config.chunk_size,
-                                 record_size=record_size)
+                                 record_size=app.record_format.record_size)
         self.splits = splits
         self.scheduler = make_scheduler(
             config.scheduler, sim=sim, timeline=timeline)
@@ -294,7 +292,8 @@ class JobExecution:
         self.recovery_stats = (0, 0)     # (repushed runs, re-executed splits)
         #: (map, merge delay, reduce) extents, set when the job finished
         self.times: Optional[Tuple[float, float, float]] = None
-        self.t_end = 0.0
+        #: orchestrator end minus orchestrator start, set with ``times``
+        self.job_time = 0.0
 
         #: resolved when the map/shuffle window closes; node crashes,
         #: joins and leaves landing later are out of this model's scope
@@ -324,15 +323,10 @@ class JobExecution:
             for path, data in inputs.items():
                 backend.install(path, data)
             backend.purge_caches()
-        else:
-            # Session-lived backend shared by a *sequence* of jobs (the
-            # DAG/iterative path): inputs already installed in an earlier
-            # round stay put, and the caches are deliberately NOT purged —
-            # warm page caches and cache-aside entries across rounds are
-            # the point of sharing the backend.
-            for path, data in inputs.items():
-                if not backend.exists(path):
-                    backend.install(path, data)
+        # A session-lived backend shared by a *sequence* of jobs (the
+        # DAG/iterative path) arrives with every input installed, and its
+        # caches are deliberately NOT purged — warm page caches and
+        # cache-aside entries across rounds are the point of sharing it.
         backend.bind(self.health, self.meter)
         return backend
 
@@ -458,7 +452,7 @@ class JobExecution:
         for rp in reduce_phases:
             rp.device_ctx.release_all()
         self.times = (t1 - t0, t2 - t1, sim.now - t2)
-        self.t_end = sim.now
+        self.job_time = sim.now - t0
         if not self.job_done.triggered:
             self.job_done.succeed(None)
         if self.session.telemetry is not None:
@@ -541,11 +535,11 @@ class JobExecution:
         }
         # Pending fault-plan events (a crash timer that lost its race, a
         # speculation watchdog) can outlive the job in the event heap, so
-        # the job end time comes from the orchestrator, not the drained
+        # the job's extent comes from the orchestrator, not the drained
         # clock.
         return GlasswingResult(
             app_name=self.app.name, config=self.config, n_nodes=n,
-            job_time=self.t_end,
+            job_time=self.job_time,
             map_time=map_time, merge_delay=merge_delay,
             reduce_time=reduce_time,
             output=output, timeline=self.timeline, metrics=metrics,

@@ -2,7 +2,7 @@
 
 The paper's cluster is fixed-size with a single immortal coordinator;
 production clusters grow, shrink and lose their control plane.  This
-module adds the three missing pieces:
+module adds the missing pieces:
 
 * :class:`CoordinatorGroup` — a replicated control plane with
   deterministic leader election.  The data plane (pipelines, pushes,
@@ -15,16 +15,21 @@ module adds the three missing pieces:
   the :class:`~repro.core.faults.ClusterHealth` view) is shared, so a
   failover changes job *time* but never job *output*.
 
-* :class:`ElasticPolicy` / :class:`ElasticController` — auto-scaling-
-  group style scale-out/in driven by the PR4 telemetry saturation
-  signal (mean CPU busy fraction over the active nodes), with fixed
-  high/low watermarks and a cooldown so one load spike does not flap
-  the pool.
+* :func:`pick_join` / :func:`pick_leave` — the one scale rule: the
+  lowest-id standby joins, the highest-id active node leaves, and the
+  last node never leaves.  It has two triggers, and both reach it: a
+  *schedule* (a fault plan's ``NodeJoin``/``NodeLeave``, the service
+  layer's ``JobServer.scale_out``/``scale_in``, which picks for its
+  shared ``active``/``standby`` lists) and a *watermark*
+  (:class:`ElasticController`).
 
-* :class:`ElasticPool` — the service layer's shared view of which
-  hardware nodes are currently active; scale events update the pool and
-  are broadcast to every running job, while jobs dispatched later
-  snapshot the new active set.
+* :class:`ElasticPolicy` / :class:`ElasticController` — the watermark
+  trigger: auto-scaling-group style scale-out/in driven by the mean CPU
+  busy fraction over the active nodes, with fixed high/low watermarks
+  and a cooldown so one load spike does not flap the cluster.  The
+  policy stays a pure value (the job's bounds, like a fault plan is a
+  pure schedule); the controller holds one run's state.  Both act
+  through :func:`join`/:func:`leave` with ``node=None``.
 
 * the transitions themselves — :func:`crash`, :func:`join` and
   :func:`leave` change one job's membership, and :func:`arm` turns the
@@ -53,7 +58,8 @@ from repro.simt.core import Event, Simulator
 from repro.simt.trace import Timeline
 
 __all__ = ["CoordinatorGroup", "ElasticPolicy", "ElasticController",
-           "ElasticPool", "initial_active", "arm", "crash", "join", "leave"]
+           "initial_active", "pick_join", "pick_leave", "arm", "crash",
+           "join", "leave"]
 
 
 def initial_active(n_nodes: int,
@@ -270,47 +276,25 @@ class ElasticController:
                 last_action = sim.now
 
 
-class ElasticPool:
-    """The service layer's shared active-node ledger.
+def pick_join(standby: Sequence[int],
+              node: Optional[int] = None) -> Optional[int]:
+    """The node a scale-out activates: ``node`` if it stands by, else
+    (``None``) the lowest-id standby; ``None`` when nothing can join."""
+    if node is None:
+        return min(standby, default=None)
+    return node if node in standby else None
 
-    One pool per :class:`~repro.service.server.JobServer`; scale events
-    move hardware nodes between the ``active`` and ``standby`` sets.
-    Running jobs are notified by the server, which records each scale
-    event as a ``svc.scale`` span; jobs dispatched later snapshot
-    :attr:`active` as their initial membership.
-    """
 
-    def __init__(self, n_nodes: int,
-                 active: Union[int, Sequence[int], None] = None):
-        ids = initial_active(n_nodes, active)
-        self.n_nodes = n_nodes
-        self.active: List[int] = ids
-        self.standby: List[int] = [n for n in range(n_nodes) if n not in ids]
-
-    def scale_out(self, node: Optional[int] = None) -> Optional[int]:
-        """Activate ``node`` (default: the lowest-id standby).  Returns
-        the activated node, or ``None`` when nothing can join."""
-        if node is None:
-            node = self.standby[0] if self.standby else None
-        if node is None or node not in self.standby:
-            return None
-        self.standby.remove(node)
-        self.active = sorted(self.active + [node])
-        return node
-
-    def scale_in(self, node: Optional[int] = None) -> Optional[int]:
-        """Drain ``node`` (default: the highest-id active node).  The
-        pool never drains its last node.  Returns the drained node, or
-        ``None`` when nothing can leave."""
-        if len(self.active) <= 1:
-            return None
-        if node is None:
-            node = self.active[-1]
-        if node not in self.active:
-            return None
-        self.active = [n for n in self.active if n != node]
-        self.standby = sorted(self.standby + [node])
-        return node
+def pick_leave(active: Sequence[int],
+               node: Optional[int] = None) -> Optional[int]:
+    """The node a scale-in drains: ``node`` if it is active, else
+    (``None``) the highest-id active node; ``None`` when nothing can
+    leave — the last active node never does."""
+    if len(active) <= 1:
+        return None
+    if node is None:
+        return max(active)
+    return node if node in active else None
 
 
 # -- membership transitions of one job ---------------------------------------
@@ -396,11 +380,8 @@ def join(job, node: Optional[int]):
     yield from job.coordinator.require_leader()
     if job.shuffle_done.triggered:
         return
+    node = pick_join(health.inactive, node)
     if node is None:
-        if not health.inactive:
-            return
-        node = min(health.inactive)
-    elif node not in health.inactive:
         return
     health.activate(node, job.sim.now)
     _record(job, "join", node)
@@ -424,12 +405,10 @@ def leave(job, node: Optional[int]):
     if node is not None and node not in health.alive_nodes:
         return
     yield from job.coordinator.require_leader()
-    alive = health.alive_nodes
-    if job.shuffle_done.triggered or len(alive) <= 1:
+    if job.shuffle_done.triggered:
         return
+    node = pick_leave(health.alive_nodes, node)
     if node is None:
-        node = max(alive)
-    elif node not in alive:
         return
     health.mark_departed(node, job.sim.now)
     _record(job, "leave", node)

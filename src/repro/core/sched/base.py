@@ -21,9 +21,10 @@ and a private copy of the same affinity logic in the recovery path.  The
   interface is what makes joins zero engine change), and a leaving
   node's queued work flows back to the remaining actives;
 * **observability** — every placement leaves a zero-length
-  ``sched.place`` span on the timeline (exported to the Chrome trace),
-  locality hits/misses and a per-node placement histogram accumulate in
-  :meth:`stats`, and a live telemetry hub gets queue-depth gauges.
+  ``sched.place`` span on the timeline (exported to the Chrome trace,
+  and the source of ``PipelineReport.placement()``'s per-node
+  histogram), placement and locality hit/miss counters accumulate on the
+  scheduler, and a live telemetry hub gets queue-depth gauges.
 
 Heterogeneous device pools
 --------------------------
@@ -88,13 +89,10 @@ class Scheduler:
         self.n_nodes = 0
         self.active: List[int] = []
         self._backend: Optional["StorageBackend"] = None
-        self.joins = 0
-        self.leaves = 0
         self.placements = 0
         self.locality_hits = 0
         self.locality_misses = 0
         self.speculative_placements = 0
-        self.placements_by_node: Dict[str, int] = {}
         self._holders: Dict[int, frozenset] = {}
         self._pools: Dict[int, Dict[str, _PoolDevice]] = {}
         self._pool_waiters: Dict[int, List[Event]] = {}
@@ -132,14 +130,12 @@ class Scheduler:
         after."""
         if node_id not in self.active:
             self.active = sorted(set(self.active) | {node_id})
-        self.joins += 1
         self._node_joined(node_id)
 
     def node_left(self, node_id: int) -> None:
         """An active node is draining out: drop it from the active set
         and let the policy re-route its queued (not-yet-pulled) work."""
         self.active = [n for n in self.active if n != node_id]
-        self.leaves += 1
         self._node_left(node_id)
 
     def _node_joined(self, node_id: int) -> None:
@@ -308,8 +304,6 @@ class Scheduler:
                           split_index: Optional[int]) -> None:
         self.speculative_placements += 1
         name = f"node{node_id}"
-        self.placements_by_node[name] = \
-            self.placements_by_node.get(name, 0) + 1
         if self.timeline is not None and self.sim is not None:
             meta: Dict[str, Any] = dict(phase="speculative", policy=self.name)
             if split_index is not None:
@@ -330,8 +324,6 @@ class Scheduler:
                 self.locality_misses += 1
         self.placements += 1
         name = f"node{node_id}"
-        self.placements_by_node[name] = \
-            self.placements_by_node.get(name, 0) + 1
         if self.timeline is not None and self.sim is not None:
             meta: Dict[str, Any] = dict(split=split.index, phase=phase,
                                         policy=self.name)
@@ -348,8 +340,6 @@ class Scheduler:
         its owner, so these are locality hits by construction)."""
         name = f"node{node_id}"
         self.placements += len(pids)
-        self.placements_by_node[name] = \
-            self.placements_by_node.get(name, 0) + len(pids)
         if self.timeline is not None and self.sim is not None:
             meta: Dict[str, Any] = dict(phase="reduce", policy=self.name,
                                         partitions=len(pids))
@@ -366,21 +356,6 @@ class Scheduler:
         if not total:
             return None
         return self.locality_hits / total
-
-    def stats(self) -> Dict[str, Any]:
-        """Placement counters for the job's stats block / report."""
-        return {
-            "scheduler": self.name,
-            "sched_joins": self.joins,
-            "sched_leaves": self.leaves,
-            "placements": self.placements,
-            "locality_hits": self.locality_hits,
-            "locality_misses": self.locality_misses,
-            "locality_hit_rate": self.locality_hit_rate,
-            "speculative_placements": self.speculative_placements,
-            "placements_by_node": dict(sorted(
-                self.placements_by_node.items())),
-        }
 
     def _register_gauges(self) -> None:
         tele = getattr(self.timeline, "telemetry", None) \

@@ -37,7 +37,6 @@ from repro.core.faults import FaultPlan
 from repro.core.membership import initial_active
 from repro.hw.specs import ClusterSpec
 from repro.storage.cache import CacheAsideBackend
-from repro.storage.records import FixedRecordFormat
 
 from repro.dag.graph import DAG, DagError, Stage, StageOutput
 
@@ -246,10 +245,8 @@ class DagRunner:
                 f"differs from the runner's {self.config.active_nodes!r}; "
                 f"input placement is fixed to the runner's active set")
         app = stage.make_app(broadcast)
-        record_size = (app.record_format.record_size
-                       if isinstance(app.record_format, FixedRecordFormat)
-                       else None)
-        splits = self._splits_for(sorted(inputs), config, record_size)
+        splits = self._splits_for(sorted(inputs), config,
+                                  app.record_format.record_size)
         label = f"{stage.name}@r{round_no}"
         hit0, miss0 = backend.hit_bytes, backend.miss_bytes
         t0 = session.sim.now
@@ -259,15 +256,8 @@ class DagRunner:
             timeline=session.timeline.fork(label),
             backend=backend, splits=splits)
         execution.start()
-        if session.telemetry is not None:
-            # The sampler self-terminates when the heap drains between
-            # rounds; respawn it so every round is sampled.
-            session.telemetry.resume()
         session.run()
         result = execution.result()
-        # Session time is absolute; per-round job time is this round's
-        # extent (map/merge/reduce components are durations already).
-        result.job_time -= t0
         session.timeline.record("dag.stage", label, t0, session.sim.now,
                                 stage=stage.name, round=round_no)
         run = StageRun(stage=stage.name, round=round_no, label=label,

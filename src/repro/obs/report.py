@@ -22,13 +22,12 @@ import dataclasses
 from enum import Enum
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.metrics import STAGES as PIPELINE_STAGES
 from repro.obs.causal import causal_profile
 from repro.simt.trace import Timeline
 
 __all__ = ["PIPELINE_STAGES", "PipelineReport", "aggregate_counters",
            "build_job_report"]
-
-PIPELINE_STAGES = ("input", "stage", "kernel", "retrieve", "output")
 
 _EPS = 1e-12
 

@@ -382,7 +382,7 @@ class Telemetry:
         self._retiring: List[Gauge] = []
         self._retired: Set[Metric] = set()
         self._stopped = False
-        self._started = False
+        self._running = False
 
     # -- registration (delegates) ----------------------------------------
     def counter(self, name: str, help: str = "", **labels: Any) -> Counter:
@@ -423,21 +423,13 @@ class Telemetry:
 
     # -- sampling ---------------------------------------------------------
     def start(self) -> None:
-        """Spawn the sampler process (idempotent)."""
-        if not self._started:
-            self._started = True
-            self.sim.process(self._run(), name="telemetry.sampler")
-
-    def resume(self) -> None:
-        """Respawn the sampler after the event heap drained.
-
-        The sampler self-terminates when nothing else is pending (see
-        :meth:`_run`), which on a multi-round session happens at the end
-        of every round.  The DAG runner calls this before re-running the
-        simulator so later rounds keep sampling; a never-started or
-        stopped hub is a no-op.
-        """
-        if self._started and not self._stopped:
+        """Spawn the sampler process unless one is running or the hub is
+        stopped.  The sampler self-terminates when nothing else is
+        pending (see :meth:`_run`), which on a multi-round session
+        happens at the end of every round; the next round's start
+        spawns a fresh one."""
+        if not self._running and not self._stopped:
+            self._running = True
             self.sim.process(self._run(), name="telemetry.sampler")
 
     def stop(self) -> None:
@@ -449,13 +441,14 @@ class Telemetry:
         while True:
             yield self.sim.timeout(self.interval)
             if self._stopped:
-                return
+                break
             self.sample()
             # Nothing else pending: the job is either wedged or ended
             # without stop(); ticking on would keep the event loop alive
             # forever and mask the engine's deadlock detection.
             if self.sim.peek() == float("inf"):
-                return
+                break
+        self._running = False
 
     def sample(self) -> None:
         """Snapshot every live series at the current virtual time.

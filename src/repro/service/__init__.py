@@ -17,7 +17,6 @@ differential suite in ``tests/test_service_differential.py`` pins each
 app's concurrent output (and byte counters) to its solo run.
 """
 
-from repro.core.membership import ElasticPool
 from repro.service.admission import AdmissionQueue, ServicePolicy
 from repro.service.server import (JobRecord, JobServer, JobSubmission,
                                   ServiceResult)
@@ -25,7 +24,7 @@ from repro.service.trace import (JobRequest, dump_trace, load_trace,
                                  synthetic_trace)
 
 __all__ = [
-    "AdmissionQueue", "ServicePolicy", "ElasticPool",
+    "AdmissionQueue", "ServicePolicy",
     "JobServer", "JobSubmission", "JobRecord", "ServiceResult",
     "JobRequest", "synthetic_trace", "load_trace", "dump_trace",
 ]

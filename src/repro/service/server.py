@@ -36,7 +36,7 @@ from repro.core.config import JobConfig
 from repro.core.costs import DEFAULT_HOST_COSTS, HostCosts
 from repro.core.engine import ClusterSession, GlasswingResult, JobExecution
 from repro.core.faults import FaultPlan
-from repro.core.membership import ElasticPool, initial_active
+from repro.core.membership import initial_active, pick_join, pick_leave
 from repro.core.sched.crossjob import CrossJobArbiter
 from repro.hw.specs import ClusterSpec
 
@@ -120,7 +120,7 @@ class JobRecord:
         if self.outcome == "completed":
             row["latency"] = self.latency
             row["leaked_buffer_slots"] = self.leaked_buffer_slots
-            row["job_time"] = self.result.job_time - self.started_at
+            row["job_time"] = self.result.job_time
             row["network_bytes"] = self.result.stats["network_bytes"]
             row["scheduler"] = self.result.stats["scheduler"]
         return row
@@ -222,10 +222,11 @@ class JobServer:
         self.costs = costs
         self.session = ClusterSession(cluster_spec,
                                       metrics_interval=metrics_interval)
-        # Shared elastic pool: every tenant sees the same active/standby
-        # ledger; scale events propagate to all running executions.
-        self.pool = ElasticPool(len(self.session.cluster),
-                                active=active_nodes)
+        # The shared active/standby ledger: every tenant sees it, scale
+        # events move nodes between the two and reach every running job.
+        n_nodes = len(self.session.cluster)
+        self.active = initial_active(n_nodes, active_nodes)
+        self.standby = [n for n in range(n_nodes) if n not in self.active]
         self.queue = AdmissionQueue(self.policy)
         self.arbiter = CrossJobArbiter(self.policy.arbiter)
         self.records: Dict[str, JobRecord] = {}
@@ -298,16 +299,16 @@ class JobServer:
                         name=f"svc.cancel.{record.name}")
         return record
 
-    # -- elastic pool ------------------------------------------------------
+    # -- elastic membership ------------------------------------------------
     def scale_out(self, at: float, node: Optional[int] = None) -> None:
-        """Schedule a pool scale-out at ``at`` virtual seconds (``None``
+        """Schedule a scale-out at ``at`` virtual seconds (``None``
         activates the lowest-id standby).  Every job running at that
         moment sees the node join; later dispatches snapshot the grown
-        pool."""
+        :attr:`active` list."""
         self._schedule_scale("out", at, node)
 
     def scale_in(self, at: float, node: Optional[int] = None) -> None:
-        """Schedule a pool scale-in at ``at`` (``None`` drains the
+        """Schedule a scale-in at ``at`` (``None`` drains the
         highest-id active node; the last node never drains).  Running
         jobs drain the node through their recovery path — only
         re-homeable work moves, finished bytes stay attributed."""
@@ -329,15 +330,20 @@ class JobServer:
         if at > 0:
             yield sim.timeout(at)
         if direction == "out":
-            picked = self.pool.scale_out(node=node)
+            picked = pick_join(self.standby, node)
+            gains, loses = self.active, self.standby
         else:
-            picked = self.pool.scale_in(node=node)
+            picked = pick_leave(self.active, node)
+            gains, loses = self.standby, self.active
         if picked is None:
             return
+        loses.remove(picked)
+        gains.append(picked)
+        gains.sort()
         self.session.timeline.record(
             "svc.scale", f"node{picked}", sim.now, sim.now,
             direction=direction, node=picked,
-            active=len(self.pool.active))
+            active=len(self.active))
         for record in sorted(self._running.values(), key=lambda r: r.seq):
             if direction == "out":
                 record.execution.inject_join(picked)
@@ -412,19 +418,16 @@ class JobServer:
         self.session.timeline.record_wait(
             "admission", "svc.queue", "svc.queue", record.name,
             record.submit_at, sim.now, tenant=record.tenant)
-        # A restricted pool pins the job to the currently-active subset;
-        # a full pool passes None so per-job ``config.active_nodes``
-        # still applies (and the classic path stays byte-identical).
-        pool_active = (list(self.pool.active)
-                       if len(self.pool.active) < len(self.session.cluster)
-                       else None)
+        # A standby pins the job to a snapshot of the active subset;
+        # with none, per-job ``config.active_nodes`` still applies.
+        active = list(self.active) if self.standby else None
         record.execution = JobExecution(
             self.session, submission.app, submission.inputs,
             config=submission.config or self.base_config,
             costs=self.costs, faults=submission.faults,
             name=record.name,
             timeline=self.session.timeline.fork(record.name),
-            active=pool_active)
+            active=active)
         record.submission = None        # inputs now live in the backend
         record.execution.start()
         self._running[record.name] = record

@@ -30,6 +30,7 @@ class TextRecordFormat:
     """Newline-delimited text records (web logs, wiki dumps)."""
 
     name = "text"
+    record_size = None          # records are variable-length lines
 
     def split_records(self, data: bytes) -> List[bytes]:
         """Split a chunk into complete-line records (drops trailing blank)."""

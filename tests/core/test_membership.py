@@ -1,8 +1,9 @@
 """Unit tests for the elastic-membership primitives: the four-state
 :class:`ClusterHealth` machine, the membership fault dataclasses, the
 replicated :class:`CoordinatorGroup`, the pinned partition space of
-``ShuffleRegistry(nodes=...)`` and the service layer's
-:class:`ElasticPool` ledger.  End-to-end output invariance lives in
+``ShuffleRegistry(nodes=...)`` and the one scale rule
+(:func:`pick_join` / :func:`pick_leave`) with the membership check
+:func:`initial_active`.  End-to-end output invariance lives in
 tests/core/test_chaos_matrix.py and test_chaos_properties.py.
 """
 
@@ -12,7 +13,7 @@ from repro.core.coordinator import ShuffleRegistry
 from repro.core.faults import (ClusterHealth, CoordinatorCrash, FaultPlan,
                                NodeJoin, NodeLeave)
 from repro.core.membership import (CoordinatorGroup, ElasticPolicy,
-                                   ElasticPool)
+                                   initial_active, pick_join, pick_leave)
 from repro.simt.core import Simulator
 
 
@@ -273,7 +274,7 @@ class TestPinnedPartitionSpace:
 
 
 # ---------------------------------------------------------------------------
-# ElasticPolicy / ElasticPool
+# ElasticPolicy / the scale rule
 # ---------------------------------------------------------------------------
 
 class TestElasticPolicy:
@@ -289,56 +290,55 @@ class TestElasticPolicy:
             ElasticPolicy(**kwargs)
 
 
-class TestElasticPool:
+class TestScaleRule:
     def test_default_pool_is_fully_active(self):
-        pool = ElasticPool(4)
-        assert pool.active == [0, 1, 2, 3] and pool.standby == []
+        assert initial_active(4) == [0, 1, 2, 3]
 
     def test_count_and_sequence_forms(self):
-        assert ElasticPool(8, active=3).active == [0, 1, 2]
-        pool = ElasticPool(8, active=[6, 2, 2])
-        assert pool.active == [2, 6]
-        assert pool.standby == [0, 1, 3, 4, 5, 7]
+        assert initial_active(8, 3) == [0, 1, 2]
+        assert initial_active(8, [6, 2, 2]) == [2, 6]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ElasticPool(0)
+            initial_active(0)
         with pytest.raises(ValueError):
-            ElasticPool(4, active=0)
+            initial_active(4, 0)
         with pytest.raises(ValueError):
-            ElasticPool(4, active=5)
+            initial_active(4, 5)
         with pytest.raises(ValueError):
-            ElasticPool(4, active=[0, 9])
+            initial_active(4, [0, 9])
 
     def test_scale_out_prefers_lowest_standby(self):
-        pool = ElasticPool(6, active=[0, 1])
-        assert pool.scale_out() == 2
-        assert pool.scale_out(node=5) == 5
-        assert pool.active == [0, 1, 2, 5]
-        assert pool.standby == [3, 4]
+        assert pick_join([5, 2, 3]) == 2
+        assert pick_join({4, 3}) == 3           # a health view's set
+        assert pick_join([2, 3, 4, 5], node=5) == 5
 
     def test_scale_in_prefers_highest_active(self):
-        pool = ElasticPool(4)
-        assert pool.scale_in() == 3
-        assert pool.scale_in(node=1) == 1
-        assert pool.active == [0, 2]
-        assert pool.standby == [1, 3]
+        assert pick_leave([0, 1, 2, 3]) == 3
+        assert pick_leave([0, 1, 2], node=1) == 1
 
     def test_pool_never_drains_its_last_node(self):
-        pool = ElasticPool(3, active=1)
-        assert pool.scale_in() is None
-        assert pool.active == [0]
+        assert pick_leave([0]) is None
+        assert pick_leave([2], node=2) is None
+        assert pick_leave([]) is None
 
     def test_noop_events_are_not_recorded(self):
-        pool = ElasticPool(2)
-        assert pool.scale_out() is None          # nothing on standby
-        assert pool.scale_in(node=7) is None     # not active
-        assert pool.active == [0, 1] and pool.standby == []
+        assert pick_join([]) is None              # nothing on standby
+        assert pick_join([], node=1) is None
+        assert pick_join([2, 3], node=1) is None  # not standing by
+        assert pick_leave([0, 1], node=7) is None  # not active
 
     def test_round_trip_is_deterministic(self):
-        a, b = ElasticPool(8, active=4), ElasticPool(8, active=4)
-        picked = [[pool.scale_out(), pool.scale_in(), pool.scale_out()]
-                  for pool in (a, b)]
-        assert picked == [[4, 4, 4], [4, 4, 4]]
-        assert a.active == b.active == [0, 1, 2, 3, 4]
-        assert a.standby == b.standby == [5, 6, 7]
+        active, standby = [0, 1, 2, 3], [4, 5, 6, 7]
+        picked = []
+        for pick, gains, loses in ((pick_join, active, standby),
+                                   (pick_leave, standby, active),
+                                   (pick_join, active, standby)):
+            node = pick(loses)
+            loses.remove(node)
+            gains.append(node)
+            gains.sort()
+            picked.append(node)
+        assert picked == [4, 4, 4]
+        assert active == [0, 1, 2, 3, 4]
+        assert standby == [5, 6, 7]

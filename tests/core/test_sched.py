@@ -229,7 +229,7 @@ def test_pick_helper_least_loaded_with_locality_preferences():
     # …but oplevel puts global balance first.
     assert op.pick_helper(0, [0, 1, 2], active, split_index=0) == 2
     assert dyn.speculative_placements == 1
-    assert op.stats()["speculative_placements"] == 1
+    assert op.speculative_placements == 1
 
 
 def test_recovery_plan_targets_survivors_only():

@@ -109,7 +109,6 @@ def test_a_second_job_of_the_same_name_is_sampled_again():
                                    job=first.name)
     assert departed in tele._retired        # the trailing tick took its final
 
-    tele.resume()
     second = JobExecution(
         session, app, inputs, config=config,
         faults=FaultPlan(node_leaves=(NodeLeave(None, 0.3 * map_time),)))

@@ -1,7 +1,8 @@
-"""The shared elastic pool: scale events are a *cluster* property, so
-one scale-out/in must reach every running tenant's job, later dispatches
-must snapshot the new active set, and a neighbour's byte attribution
-must never move when another tenant's work is re-homed.
+"""The server's shared active/standby lists: scale events are a *cluster*
+property, so one scale-out/in must reach every running tenant's job,
+later dispatches must snapshot the new active set, and a neighbour's
+byte attribution must never move when another tenant's work is
+re-homed.
 """
 
 import pytest
@@ -10,8 +11,7 @@ from repro.apps import WordCountApp
 from repro.apps.datagen import wiki_text
 from repro.core import JobConfig, run_glasswing
 from repro.hw.presets import das4_cluster
-from repro.service import (ElasticPool, JobServer, JobSubmission,
-                           ServicePolicy)
+from repro.service import JobServer, JobSubmission, ServicePolicy
 
 NODES = 4
 # DFS + replication so drained nodes' splits stay readable; no scheduler
@@ -38,7 +38,7 @@ def test_scale_out_reaches_every_running_tenant():
     server.scale_out(at=2e-4)
     result = server.run()
     assert len(result.completed) == 2
-    assert server.pool.active == [0, 1, 2, 3]
+    assert server.active == [0, 1, 2, 3] and server.standby == []
     scales = result.timeline.by_category("svc.scale")
     assert [(s.meta["direction"], s.meta["node"], s.start)
             for s in scales] == [("out", 3, pytest.approx(2e-4))]
@@ -58,7 +58,7 @@ def test_scale_in_drains_only_rehomeable_work():
     server.scale_in(at=2e-4)
     result = server.run()
     assert len(result.completed) == 2
-    assert server.pool.active == [0, 1, 2]
+    assert server.active == [0, 1, 2] and server.standby == [3]
     for name in ("alice-j", "bob-j"):
         res = result.job(name).result
         assert res.stats["departed_nodes"] == [3]
@@ -120,8 +120,8 @@ def test_scale_events_are_recorded_on_the_pool_ledger():
     assert [s.meta["direction"] for s in scales] == ["out", "out", "in"]
     assert [s.meta["node"] for s in scales] == [2, 3, 1]
     assert [s.meta["active"] for s in scales] == [3, 4, 3]
-    assert server.pool.active == [0, 2, 3]
-    assert server.pool.standby == [1]
+    assert server.active == [0, 2, 3]
+    assert server.standby == [1]
 
 
 def test_scale_after_start_raises():
@@ -133,6 +133,9 @@ def test_scale_after_start_raises():
 
 
 def test_pool_is_exported_from_the_service_package():
-    assert ElasticPool is not None
-    pool = ElasticPool(4, active=2)
-    assert pool.active == [0, 1]
+    """The shared pool is two plain lists on the exported ``JobServer``,
+    resolved once from ``active_nodes``."""
+    server = make_server(active_nodes=2)
+    assert server.active == [0, 1] and server.standby == [2, 3]
+    with pytest.raises(ValueError):
+        make_server(active_nodes=5)

@@ -171,3 +171,19 @@ def test_report_has_per_job_sections(tmp_path):
     # JSON-serialisable end to end
     json.dumps(report)
     assert set(result.latency_percentiles()) == {"p50", "p95", "p99"}
+
+
+def test_a_later_jobs_time_is_its_own_extent():
+    """Back to back on one slot, the second job starts at t > 0; its
+    job time must still be its own extent, not the clock it ended at."""
+    server = make_server(policy=ServicePolicy(max_running=1))
+    for i in range(2):
+        server.submit(wc_job(f"job{i}", nbytes=24 * 1024, seed=i))
+    result = server.run()
+    assert len(result.completed) == 2
+    assert result.job("job1").started_at > 0
+    for record in result.completed:
+        extent = record.finished_at - record.started_at
+        assert record.result.job_time == extent
+        assert record.result.to_report()["times"]["job"] == extent
+        assert record.summary()["job_time"] == extent

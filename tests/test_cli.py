@@ -1,5 +1,7 @@
 """Tests for the command-line entry points."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main, make_job
@@ -395,9 +397,12 @@ def test_main_coordinator_failover(capsys):
 
 
 def test_main_elastic_autoscaler(capsys):
+    # 8 MiB keeps the map window long enough for the controller to act.
     rc = main(["wordcount", "--nodes", "4", "--active-nodes", "2",
-               "--megabytes", "0.4", "--chunk-kb", "16",
-               "--elastic", "2:4"])
+               "--megabytes", "8", "--chunk-kb", "256",
+               "--scheduler", "static-affinity", "--elastic", "2:4"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "elastic_scale_outs" in out
+    assert re.search(r"^  elastic_scale_outs 1$", out, re.M)
+    assert re.search(r"^  elastic_scale_ins 0$", out, re.M)
+    assert re.search(r"^  joined_nodes +\[2\]$", out, re.M)
