@@ -298,6 +298,3 @@ class IntermediateManager:
     @property
     def cached_bytes(self) -> int:
         return self._mem_bytes
-
-    def disk_run_count(self, pid: int) -> int:
-        return len(self._disk_runs[pid])

@@ -90,8 +90,3 @@ class JobMetrics:
     def node_crashes(self) -> int:
         """Nodes the fault plan actually killed during the run."""
         return len(self.timeline.by_category("node.crash"))
-
-    # -- invariants used by tests ------------------------------------------------
-    def stage_sum(self, phase: str, node: Optional[str] = None) -> float:
-        """Sum of the five stages' active times (>= elapsed iff overlapped)."""
-        return sum(self.breakdown(phase, node).values())

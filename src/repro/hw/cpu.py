@@ -86,18 +86,9 @@ class FluidCPU:
         """Currently requested thread count across active tasks."""
         return self._demand
 
-    @property
-    def active_tasks(self) -> int:
-        return len(self._tasks)
-
     def busy_fraction(self) -> float:
         """Fraction of the pool's capacity currently executing (0..1)."""
         return min(1.0, self._demand / self.capacity)
-
-    def probe(self) -> dict:
-        """Utilization snapshot for telemetry samplers."""
-        return {"capacity": self.capacity, "demand": self._demand,
-                "tasks": len(self._tasks)}
 
     def _share(self) -> float:
         """Current fair-share factor in (0, 1]."""

@@ -85,8 +85,3 @@ class Disk:
         """Channel-occupancy snapshot for telemetry samplers."""
         state = self._channel.probe()
         return {"busy": state["in_use"], "waiters": state["waiters"]}
-
-    def time_for(self, op: str, nbytes: int) -> float:
-        """Uncontended duration of one transfer (used by cost estimates)."""
-        bw = self.spec.read_bw if op == "read" else self.spec.write_bw
-        return self.spec.seek_time + nbytes / bw

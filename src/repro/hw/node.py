@@ -9,7 +9,7 @@ from repro.simt.trace import Timeline
 
 from repro.hw.cpu import FluidCPU
 from repro.hw.disk import Disk
-from repro.hw.specs import ClusterSpec, DeviceKind, DeviceSpec, NodeSpec
+from repro.hw.specs import ClusterSpec, NodeSpec
 from repro.net.transport import Network
 
 __all__ = ["Node", "Cluster"]
@@ -54,10 +54,6 @@ class Node:
     @property
     def name(self) -> str:
         return f"node{self.node_id}"
-
-    def device(self, kind: DeviceKind) -> DeviceSpec:
-        """Spec of the first attached device of ``kind``."""
-        return self.spec.device(kind)
 
     def host_work(self, threads: int, thread_seconds: float, tag: str = ""):
         """Event firing when the given host-CPU work completes."""

@@ -1,8 +1,24 @@
 """Point-to-point transfers over a modeled interconnect.
 
+A transfer is store-and-forward: it serialises on the sender's TX NIC
+(holding a fabric slot), crosses the wire in a constant ``spec.latency``,
+then drains through the receiver's RX NIC, each NIC at ``bandwidth``.
+
+The receiver NIC is a calendar, not a queue.  Every transfer pays the
+same latency after its TX phase, so a receiver sees arrivals in TX-end
+order: the sender books ``rx[dst]`` at its own TX end (``grant =
+max(arrival, rx_free)``, ``end = grant + wire``) and waits on one event
+at ``end`` — the grants a FIFO RX queue would make, as the same float
+sums.  A transfer costs two events (TX end, delivery); a free NIC or
+fabric token is taken without one.  Tie rules: the delivery event is
+created at TX end, not at the grant, so at an instant it shares exactly
+with other events it runs before those created after its TX end; and a
+kill landing in the very instant a send starts finds it on the wire.
+
 Fault semantics: transfers are interrupt-safe (a sender killed by a node
-crash withdraws its queued NIC/fabric requests instead of wedging them),
-and when a send carries a :class:`TrafficMeter` with a
+crash withdraws its queued NIC/fabric requests and its receiver booking —
+the later bookings on that receiver are re-planned — instead of wedging
+them), and when a send carries a :class:`TrafficMeter` with a
 :class:`~repro.core.faults.ClusterHealth` view, data addressed to a dead
 node is dropped — :meth:`Network.send` reports delivery, so shuffle data
 in flight to (or from) a crashed node is lost exactly as on a real
@@ -11,9 +27,12 @@ cluster.
 
 from __future__ import annotations
 
+import itertools
+from collections import deque
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.simt.core import Interrupt, Simulator
+from repro.simt.core import Event, Interrupt, Simulator
 from repro.simt.resources import Resource
 from repro.simt.trace import Timeline
 
@@ -69,7 +88,9 @@ class Network:
         self.n_nodes = n_nodes
         self.timeline = timeline
         self._tx = [Resource(sim, 1, name=f"nic{t}.tx") for t in range(n_nodes)]
-        self._rx = [Resource(sim, 1, name=f"nic{r}.rx") for r in range(n_nodes)]
+        # Receiver NICs are calendars (see the module docstring): the
+        # bookings not yet delivered, in arrival order.
+        self._calendars: list[deque] = [deque() for _ in range(n_nodes)]
         # Fabric capacity in whole-link units; >= 1 so a 1-node "cluster"
         # still works.
         fabric_links = max(1, int(n_nodes * spec.bisection_factor))
@@ -110,11 +131,13 @@ class Network:
 
     def send(self, src: int, dst: int, nbytes: int,
              meter: Optional[TrafficMeter] = None) -> Generator:
-        """Process-style generator: move ``nbytes`` from ``src`` to ``dst``.
+        """Move ``nbytes`` from ``src`` to ``dst``: a generator to ``yield
+        from`` in a process.
 
-        Completes when the last byte has been received, returning ``True``
-        on delivery.  Same-node sends complete immediately (the caller
-        models any memcpy cost).
+        It completes when the last byte has been received, returning
+        ``True`` on delivery.  Same-node sends complete immediately (the
+        caller models any memcpy cost).  Arguments are checked here, at
+        the call; the returned generator is the transfer itself.
 
         A :class:`TrafficMeter` attributes the transfer to one tenant of
         a shared fabric: its timeline receives the transfer span, and
@@ -123,74 +146,85 @@ class Network:
         mid-transfer loses the data — the wire time is still paid, but
         the send reports ``False``.
         """
-        self._check_node(src)
-        self._check_node(dst)
+        for node in (src, dst):
+            if not 0 <= node < self.n_nodes:
+                raise ValueError(
+                    f"unknown node {node} (cluster has {self.n_nodes})")
         if nbytes < 0:
             raise ValueError("negative transfer size")
         if not self._endpoint_alive(dst, meter):
-            return False
+            return _done(False)
         if src == dst or nbytes == 0:
-            return True
+            return _done(True)
+        wire = self._wire(src, dst, nbytes, meter)
         link_counter = self._link_telemetry(src, dst)
         if link_counter is None:
-            return (yield from self._wire(src, dst, nbytes, meter))
+            return wire
+        return self._metered(wire, (src, dst), nbytes, link_counter)
+
+    def _metered(self, wire: Generator, link: tuple[int, int], nbytes: int,
+                 link_counter) -> Generator:
         # In-flight gauge covers the whole transfer, including interrupt
         # exits (a killed sender must not pin phantom bytes on the link).
-        self._inflight[(src, dst)] += nbytes
+        self._inflight[link] += nbytes
         try:
-            delivered = yield from self._wire(src, dst, nbytes, meter)
+            delivered = yield from wire
         finally:
-            self._inflight[(src, dst)] -= nbytes
+            self._inflight[link] -= nbytes
         link_counter.inc(nbytes)
         return delivered
 
     def _wire(self, src: int, dst: int, nbytes: int,
-              meter: Optional[TrafficMeter] = None) -> Generator:
-        start = self.sim.now
+              meter: Optional[TrafficMeter]) -> Generator:
+        sim = self.sim
+        start = sim.now
         wire_time = nbytes / self.spec.bandwidth
         # Store-and-forward phases: a flow never holds one endpoint while
         # queueing for another, so all-to-all shuffles cannot convoy (and
         # deadlock is structurally impossible).  Sender-side serialisation
         # and receiver-side delivery each take bytes/bandwidth; incast
-        # still contends on the receiver's NIC.
-        tx_req = self._tx[src].acquire()
-        try:
-            yield tx_req
-        except Interrupt:
-            self._tx[src].cancel(tx_req)
-            raise
-        tx_wait = self.sim.now - start
-        t_fab = self.sim.now
-        fab_req = self._fabric.acquire()
-        try:
-            yield fab_req
-        except Interrupt:
-            self._fabric.cancel(fab_req)
-            self._tx[src].release()
-            raise
-        fabric_wait = self.sim.now - t_fab
+        # still contends on the receiver's NIC.  A free token is taken
+        # without an event; only a busy one is queued for.
+        tx, fabric = self._tx[src], self._fabric
+        if not tx.try_acquire():
+            req = tx.acquire()
+            try:
+                yield req
+            except Interrupt:
+                tx.cancel(req)
+                raise
+        t_fab = sim.now
+        if not fabric.try_acquire():
+            req = fabric.acquire()
+            try:
+                yield req
+            except Interrupt:
+                fabric.cancel(req)
+                tx.release()
+                raise
+        t_wire = sim.now
         try:
             # Coalesced timeouts: a batched shuffle starts many
             # equal-sized transfers at the same instant; same-delay waits
             # share one event (and FIFO order among the sharers follows
             # subscription order, i.e. send order).
-            yield self.sim.shared_timeout(wire_time)
+            yield sim.shared_timeout(wire_time)
         finally:
-            self._tx[src].release()
-            self._fabric.release()
-        yield self.sim.shared_timeout(self.spec.latency)
-        t_rx = self.sim.now
-        rx_req = self._rx[dst].acquire()
+            tx.release()
+            fabric.release()
+        # Book the receiver at TX end; an empty calendar is free by now.
+        t_rx = sim.now + self.spec.latency
+        calendar = self._calendars[dst]
+        grant = max(t_rx, calendar[-1].end) if calendar else t_rx
+        end = grant + wire_time
+        booking = _Booking(t_rx, wire_time, grant, end, sim.timeout_at(end))
+        calendar.append(booking)
         try:
-            yield rx_req
+            yield booking.event
         except Interrupt:
-            self._rx[dst].cancel(rx_req)
+            self._withdraw(calendar, booking)
             raise
-        rx_wait = self.sim.now - t_rx
-        try:
-            yield self.sim.shared_timeout(wire_time)
-        finally:
-            self._rx[dst].release()
+        calendar.remove(booking)
         delivered = self._endpoint_alive(dst, meter)
         self.bytes_moved += nbytes
         timeline = self.timeline
@@ -203,29 +237,66 @@ class Network:
             self._seq += 1
             op = self._seq
             link = f"{src}->{dst}"
+            tx_wait = t_fab - start
+            fabric_wait = t_wire - t_fab
+            rx_wait = booking.grant - t_rx
             timeline.record("net.transfer", link,
-                            start, self.sim.now, bytes=nbytes,
+                            start, sim.now, bytes=nbytes,
                             delivered=delivered, tx_wait=tx_wait,
                             fabric_wait=fabric_wait, rx_wait=rx_wait,
                             op=op)
             # The three queueing phases are in-span waits (the span covers
             # the whole store-and-forward transfer); everything else in it
             # is wire/latency self-time.
-            timeline.record_wait("shuffle-link", self._tx[src].name,
-                                 "net.transfer", link,
-                                 start, start + tx_wait, op=op)
-            timeline.record_wait("shuffle-link", self._fabric.name,
-                                 "net.transfer", link,
-                                 t_fab, t_fab + fabric_wait, op=op)
-            timeline.record_wait("shuffle-link", self._rx[dst].name,
-                                 "net.transfer", link,
-                                 t_rx, t_rx + rx_wait, op=op)
+            if tx_wait > 0 or fabric_wait > 0 or rx_wait > 0:
+                for resource, since, wait in (
+                        (tx.name, start, tx_wait),
+                        (fabric.name, t_fab, fabric_wait),
+                        (f"nic{dst}.rx", t_rx, rx_wait)):
+                    if wait > 0:
+                        timeline.record_wait("shuffle-link", resource,
+                                             "net.transfer", link,
+                                             since, since + wait, op=op)
         return delivered
 
-    def time_for(self, nbytes: int) -> float:
-        """Uncontended duration of one transfer (store-and-forward)."""
-        return self.spec.latency + 2 * nbytes / self.spec.bandwidth
+    def _withdraw(self, calendar: deque, booking: "_Booking") -> None:
+        """Take a killed sender's booking off its receiver's calendar, as
+        a FIFO queue's cancel (before the grant) or early release (while
+        holding) would, and re-plan the later bookings from there."""
+        sim = self.sim
+        now = sim.now
+        i = calendar.index(booking)
+        del calendar[i]
+        # Leave the event a per-phase wait would have left pending: the
+        # latency timer in flight, none when queued, the wire timer when
+        # holding the NIC.
+        if now < booking.t_rx:
+            sim.reschedule(booking.event, booking.t_rx)
+        elif now < booking.grant:
+            sim.reschedule(booking.event, None)
+        free = max(now, calendar[i - 1].end) if i else now
+        for later in itertools.islice(calendar, i, None):
+            grant = max(later.t_rx, free)
+            if grant == later.grant:
+                return
+            later.grant = grant
+            later.end = free = grant + later.wire
+            sim.reschedule(later.event, free)
 
-    def _check_node(self, node: int) -> None:
-        if not (0 <= node < self.n_nodes):
-            raise ValueError(f"unknown node {node} (cluster has {self.n_nodes})")
+
+@dataclass(slots=True)
+class _Booking:
+    """A transfer on a receiver calendar: it arrives at ``t_rx``, holds
+    the NIC from ``grant`` and delivers at ``end`` through ``event``."""
+
+    t_rx: float
+    wire: float
+    grant: float
+    end: float
+    event: Event
+
+
+def _done(value: bool) -> Generator:
+    """A transfer that completes without waiting."""
+    return value
+    yield  # pragma: no cover - makes this a generator

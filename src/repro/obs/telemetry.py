@@ -33,7 +33,6 @@ import json
 import math
 import os
 import re
-from bisect import bisect_right
 from itertools import accumulate, groupby
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Set, Tuple)
@@ -308,7 +307,7 @@ def _row(metric: Metric, tick: int, t: float) -> Dict[str, Any]:
     return row
 
 
-class _SampleRows(Sequence):
+class _SampleRows:
     """:attr:`Telemetry.samples`: the hub's columns read as sample rows.
 
     Tick-major, ``(name, labels)``-sorted within a tick, a series
@@ -337,20 +336,6 @@ class _SampleRows(Sequence):
     def __iter__(self) -> Iterator[Dict[str, Any]]:
         return self.of(self._tele._sampled)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        tele = self._tele
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError("sample row index out of range")
-        through = tele._rows_through
-        tick = bisect_right(through, index)
-        present = [m for m in tele._sampled if m._first <= tick]
-        return _row(present[index - (through[tick - 1] if tick else 0)],
-                    tick, tele.ticks[tick])
-
 
 class Telemetry:
     """A registry plus the simulated-time sampler process.
@@ -363,8 +348,8 @@ class Telemetry:
     Storage is one column per series: a tick appends one value to the
     column of every series still being fed and allocates nothing else.
     :attr:`samples` reads the columns back as the dict rows the exports
-    are made of (see :class:`_SampleRows`); it is a read-only
-    ``Sequence``, not a ``list``.  A job that finished hands its per-job
+    are made of (see :class:`_SampleRows`); it is read-only and
+    iterable, not a ``list``.  A job that finished hands its per-job
     gauges back through :meth:`retire`; they are probed once more and
     then hold that value in every later row without being probed again.
     """
@@ -511,18 +496,6 @@ class Telemetry:
     def final_values(self) -> Dict[str, float]:
         """Last sampled value of every counter/gauge series."""
         return {m.series(): m._values[-1] for m in self._scalar_series()}
-
-    def rates(self) -> Dict[str, List[Tuple[float, float]]]:
-        """Per-interval rates of every counter series (units/sim-second)."""
-        out: Dict[str, List[Tuple[float, float]]] = {}
-        for metric in self._sampled:
-            if metric.kind != "counter":
-                continue
-            pts = self.points(metric)
-            out[metric.series()] = [
-                (t1, (v1 - v0) / (t1 - t0))
-                for (t0, v0), (t1, v1) in zip(pts, pts[1:]) if t1 > t0]
-        return out
 
 
 # -- membership gauges -----------------------------------------------------

@@ -158,10 +158,6 @@ class Context:
         for buf in list(self._buffers):
             self.release(buf)
 
-    @property
-    def live_buffers(self) -> int:
-        return len(self._buffers)
-
 
 class Buffer:
     """A device-memory allocation."""

@@ -51,8 +51,7 @@ class Event:
     time.  Processes wait on events by yielding them.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered", "_processed",
-                 "_defused")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered", "_defused")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -60,7 +59,6 @@ class Event:
         self._value: Any = None
         self._ok: Optional[bool] = None
         self._triggered = False
-        self._processed = False
         # A defused failure does not crash the simulation even when nothing
         # waits on it (used for interrupt delivery hooks).
         self._defused = False
@@ -70,11 +68,6 @@ class Event:
     def triggered(self) -> bool:
         """True once the event has been scheduled to fire."""
         return self._triggered
-
-    @property
-    def processed(self) -> bool:
-        """True once the event's callbacks have run."""
-        return self._processed
 
     @property
     def ok(self) -> Optional[bool]:
@@ -111,7 +104,6 @@ class Event:
 
     def _run_callbacks(self) -> None:
         callbacks, self.callbacks = self.callbacks, None
-        self._processed = True
         if callbacks:
             for cb in callbacks:
                 cb(self)
@@ -128,7 +120,7 @@ class Event:
             self.callbacks.append(callback)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "processed" if self._processed else (
+        state = "processed" if self.callbacks is None else (
             "triggered" if self._triggered else "pending")
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
@@ -136,13 +128,12 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` units of virtual time in the future."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay!r}")
         super().__init__(sim)
-        self.delay = delay
         self._ok = True
         self._value = value
         self._triggered = True
@@ -322,17 +313,8 @@ class AnyOf(_Condition):
 class Simulator:
     """Virtual clock and event queue.
 
-    Usage::
-
-        sim = Simulator()
-
-        def worker(sim):
-            yield sim.timeout(3.0)
-            return "done"
-
-        proc = sim.process(worker(sim))
-        sim.run()
-        assert sim.now == 3.0 and proc.value == "done"
+    ``sim.process(gen)`` starts a generator that yields events;
+    ``sim.run()`` moves the clock from event to event until none is left.
     """
 
     def __init__(self) -> None:
@@ -346,27 +328,38 @@ class Simulator:
         self._shared_at: float = -1.0
 
     # -- factory helpers --------------------------------------------------
-    def event(self) -> Event:
-        """Create a fresh, untriggered event."""
-        return Event(self)
-
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event firing ``delay`` virtual seconds from now."""
         return Timeout(self, delay, value)
 
+    def timeout_at(self, when: float) -> Event:
+        """An event firing at exactly ``when`` (``timeout(when - now)``
+        may round elsewhere), after the events already queued for then."""
+        if when < self.now:
+            raise ValueError(f"timeout_at({when!r}) is before now ({self.now!r})")
+        ev = Event(self)
+        ev._ok = True
+        ev._triggered = True
+        heapq.heappush(self._heap, (when, next(self._seq), ev))
+        return ev
+
+    def reschedule(self, event: Event, when: Optional[float]) -> None:
+        """Move a queued ``event`` to ``when`` with a fresh sequence
+        number, or off the queue if None.  A linear scan: for rare fixes."""
+        heap = self._heap
+        i = next(i for i, entry in enumerate(heap) if entry[2] is event)
+        if when is None:
+            heap[i] = heap[-1]
+            heap.pop()
+        else:
+            heap[i] = (when, next(self._seq), event)
+        heapq.heapify(heap)
+
     def shared_timeout(self, delay: float) -> Timeout:
         """A coalesced timeout: waiters created at the same instant with
-        the same delay share one event (and one heap entry).
-
-        Batched pipeline stages and shuffle transports routinely start
-        many identical waits at the same virtual time; coalescing them
-        turns N heap pushes + N pops into one of each.  Callbacks of a
-        shared event run in subscription order, so FIFO ordering between
-        same-timestamp waiters is preserved — the ordering guarantee the
-        per-event path gives via the heap's monotonic sequence numbers.
-
-        The shared event carries no value (waiters resume with ``None``)
-        and must not be failed or succeeded by callers.
+        the same delay share one event (and one heap entry), resumed in
+        subscription order — the order separate timeouts would give.  It
+        carries no value and must not be failed or succeeded by callers.
         """
         if self._shared_at != self.now:
             self._shared_timeouts.clear()

@@ -60,6 +60,14 @@ class Resource:
             self._waiters.append((ev, n))
         return ev
 
+    def try_acquire(self) -> bool:
+        """Take one token now, without an event, if :meth:`acquire` would
+        grant it at once; False while anyone waits (no overtaking)."""
+        if self._waiters or self.in_use >= self.capacity:
+            return False
+        self.in_use += 1
+        return True
+
     def release(self, n: int = 1) -> None:
         """Return ``n`` tokens and wake queued requests in FIFO order."""
         if n < 1 or n > self.in_use:
@@ -99,10 +107,6 @@ class Resource:
         if request.triggered and request.ok:
             self.release(request.value)
 
-    def queue_length(self) -> int:
-        """Number of pending acquire requests."""
-        return len(self._waiters)
-
     def probe(self) -> dict:
         """Occupancy snapshot for telemetry samplers (dependency-free)."""
         return {"capacity": self.capacity, "in_use": self.in_use,
@@ -138,10 +142,6 @@ class Store:
 
     def __len__(self) -> int:
         return len(self._items)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def put(self, item: Any) -> Event:
         """Offer ``item``; event fires when the store accepts it."""
@@ -270,10 +270,6 @@ class BufferPool:
                 return
         if request.triggered and request.ok:
             self.release(request.value)
-
-    @property
-    def available(self) -> int:
-        return len(self._free)
 
     @property
     def outstanding(self) -> int:

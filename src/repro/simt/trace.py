@@ -29,10 +29,6 @@ class Span:
     def duration(self) -> float:
         return self.end - self.start
 
-    def overlaps(self, other: "Span") -> bool:
-        """True when the two spans share a positive-length interval."""
-        return self.start < other.end and other.start < self.end
-
 
 @dataclass(frozen=True)
 class WaitEdge:

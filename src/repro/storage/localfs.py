@@ -65,9 +65,6 @@ class LocalFS:
         placement is outside the paper's timings)."""
         self._files[path] = blob
 
-    def used_bytes(self) -> int:
-        return sum(len(d) for d in self._files.values())
-
     # -- data path (process-style generators) --------------------------------
     def write(self, path: str, data: bytes, append: bool = False,
               stream: str = "") -> Generator:

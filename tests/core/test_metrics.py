@@ -49,7 +49,8 @@ def test_breakdown_has_all_stages():
 
 def test_stage_sum():
     m = make_metrics()
-    assert m.stage_sum("map", "node0") == pytest.approx(2.0 + 3.0 + 2.0)
+    assert sum(m.breakdown("map", "node0").values()) == \
+        pytest.approx(2.0 + 3.0 + 2.0)
 
 
 def test_empty_timeline():
@@ -69,4 +70,4 @@ def test_breakdown_reads_the_requested_phase():
     assert set(bd) == {"input", "stage", "kernel", "retrieve", "output"}
     assert bd["kernel"] == 1.0          # reduce.kernel [8,9], not map's 3.0
     assert bd["input"] == 0.0           # no reduce.input recorded
-    assert m.stage_sum("reduce", "node0") == 1.0
+    assert sum(bd.values()) == 1.0

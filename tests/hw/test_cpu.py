@@ -115,7 +115,6 @@ def test_demand_accounting():
     def proc(sim):
         ev = cpu.run(3, 6.0)
         assert cpu.demand == 3
-        assert cpu.active_tasks == 1
         yield ev
         assert cpu.demand == 0
 

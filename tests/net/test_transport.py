@@ -11,7 +11,7 @@ import repro
 from repro.hw.specs import NetworkSpec
 from repro.net import Network
 from repro.net.transport import TrafficMeter
-from repro.simt import Simulator
+from repro.simt import Interrupt, Simulator
 
 FAST = NetworkSpec(name="test", bandwidth=100e6, latency=0.001)
 # One 100 MB transfer: 1 s TX serialisation + 1 ms latency + 1 s RX.
@@ -31,7 +31,6 @@ def test_single_transfer_time():
     assert sim.now == pytest.approx(ONE)
     assert net.bytes_moved == meter.bytes_moved == 100_000_000
     assert meter.transfers == 1
-    assert net.time_for(100_000_000) == pytest.approx(ONE)
 
 
 def test_same_node_send_is_free():
@@ -169,6 +168,99 @@ def test_bad_node_ids_rejected():
     sim.process(proc(sim))
     with pytest.raises(ValueError):
         sim.run()
+
+
+# -- interrupts on the receiver calendar ------------------------------------
+# 100 B/s NICs and 0.5 s latency on 4 nodes.  A sends 100 B 0->2 at t=0
+# (TX [0, 1], arrives 1.5); B sends 50 B 1->2 at t=0.9 (TX [0.9, 1.4],
+# arrives 1.9); C, where present, sends 80 B 3->2 at t=0 (arrives 1.3).
+# The expected ends are what a FIFO queue at rx2 gives when A's sender is
+# killed in each phase: a withdrawn request, or a holder releasing early.
+SLOW = NetworkSpec(name="slow", bandwidth=100.0, latency=0.5,
+                   bisection_factor=1.0)
+
+
+def _incast(kill_a_at=None, with_c=False):
+    sim = Simulator()
+    net = Network(sim, SLOW, 4)
+    ends = {}
+
+    def send(name, src, nbytes, at):
+        if at:
+            yield sim.timeout(at)
+        try:
+            yield from net.send(src, 2, nbytes)
+        except Interrupt:
+            ends[name] = "killed"
+            return
+        ends[name] = sim.now
+
+    a = sim.process(send("A", 0, 100, 0.0))
+    sim.process(send("B", 1, 50, 0.9))
+    if with_c:
+        sim.process(send("C", 3, 80, 0.0))
+    if kill_a_at is not None:
+        def killer():
+            yield sim.timeout(kill_a_at)
+            a.interrupt()
+        sim.process(killer())
+    sim.run()
+    assert [nic.in_use for nic in net._tx] == [0] * 4
+    assert net._fabric.in_use == 0
+    assert all(not calendar for calendar in net._calendars)
+    return ends
+
+
+def test_incast_without_interrupt():
+    assert _incast() == {"A": pytest.approx(2.5), "B": pytest.approx(3.0)}
+    assert _incast(with_c=True) == {"A": pytest.approx(3.1),
+                                    "B": pytest.approx(3.6),
+                                    "C": pytest.approx(2.1)}
+
+
+@pytest.mark.parametrize("kill_at,phase", [(0.5, "tx hold"),
+                                           (1.2, "latency")])
+def test_sender_killed_before_arrival_books_nothing(kill_at, phase):
+    ends = _incast(kill_a_at=kill_at)
+    assert ends == {"A": "killed", "B": pytest.approx(2.4)}, phase
+
+
+def test_sender_killed_while_holding_rx_frees_it_at_once():
+    ends = _incast(kill_a_at=2.0)
+    assert ends == {"A": "killed", "B": pytest.approx(2.5)}
+
+
+def test_sender_killed_while_queued_at_rx_is_withdrawn():
+    # C holds rx2 over [1.3, 2.1]; A queued behind it is withdrawn at 1.8,
+    # so B is granted when C finishes.
+    ends = _incast(kill_a_at=1.8, with_c=True)
+    assert ends == {"A": "killed", "B": pytest.approx(2.6),
+                    "C": pytest.approx(2.1)}
+
+
+def test_sender_killed_while_holding_rx_behind_another():
+    # A holds rx2 from 2.1 (after C); cut short at 2.5, B starts then.
+    ends = _incast(kill_a_at=2.5, with_c=True)
+    assert ends == {"A": "killed", "B": pytest.approx(3.0),
+                    "C": pytest.approx(2.1)}
+
+
+def test_killed_sender_leaves_no_event_past_its_phase():
+    """A killed transfer leaves behind only the timer a per-phase wait
+    would have: killed in flight, the heap drains at its arrival time."""
+    sim = Simulator()
+    net = Network(sim, SLOW, 4)
+
+    def send():
+        yield from net.send(0, 2, 100)
+
+    proc = sim.process(send())
+
+    def killer():
+        yield sim.timeout(1.2)
+        proc.interrupt()
+    sim.process(killer())
+    assert sim.run() == pytest.approx(1.5)
 
 
 # -- import order ----------------------------------------------------------

@@ -18,23 +18,36 @@ def make_ctx(gpu=True):
 
 
 def test_disk_time_for_estimate():
+    """An uncontended request pays one seek plus bytes / bandwidth."""
     sim = Simulator()
     disk = Disk(sim, DiskSpec(name="d", read_bw=100e6, write_bw=50e6,
                               seek_time=0.01))
-    assert disk.time_for("read", 100_000_000) == pytest.approx(1.01)
-    assert disk.time_for("write", 100_000_000) == pytest.approx(2.01)
+    ends = {}
+
+    def proc(sim, op):
+        yield from getattr(disk, op)(100_000_000)
+        ends[op] = sim.now
+
+    sim.process(proc(sim, "read"))
+    sim.run()
+    sim.process(proc(sim, "write"))
+    sim.run()
+    assert ends["read"] == pytest.approx(1.01)
+    assert ends["write"] == pytest.approx(1.01 + 2.01)
 
 
 def test_context_live_buffers_accounting():
     sim, node, dev, ctx = make_ctx()
-    assert ctx.live_buffers == 0
+    assert dev.mem_used == 0
     a = ctx.alloc_buffer(dev, 100)
     b = ctx.alloc_buffer(dev, 200)
-    assert ctx.live_buffers == 2
+    assert dev.mem_used == 300
     ctx.release(a)
-    assert ctx.live_buffers == 1
+    assert dev.mem_used == 200
     ctx.release(b)
-    assert ctx.live_buffers == 0
+    assert dev.mem_used == 0
+    ctx.release_all()                 # nothing left to free
+    assert dev.mem_used == 0
 
 
 def test_negative_buffer_size_rejected():

@@ -103,7 +103,7 @@ def test_process_waits_on_process():
 
 def test_event_manual_trigger():
     sim = Simulator()
-    gate = sim.event()
+    gate = Event(sim)
     order = []
 
     def waiter(sim):
@@ -122,7 +122,7 @@ def test_event_manual_trigger():
 
 def test_event_double_trigger_is_error():
     sim = Simulator()
-    ev = sim.event()
+    ev = Event(sim)
     ev.succeed(1)
     with pytest.raises(SimulationError):
         ev.succeed(2)
@@ -130,7 +130,7 @@ def test_event_double_trigger_is_error():
 
 def test_failed_event_raises_in_waiter():
     sim = Simulator()
-    gate = sim.event()
+    gate = Event(sim)
     caught = []
 
     def waiter(sim):
@@ -300,6 +300,51 @@ def test_process_return_value_is_event_value():
     p = sim.process(proc(sim))
     sim.run()
     assert p.value == {"key": "value"}
+
+
+def test_timeout_at_refuses_the_past():
+    sim = Simulator()
+    sim.timeout(2.0)
+    sim.run()
+    with pytest.raises(ValueError):
+        sim.timeout_at(1.5)
+    assert sim.timeout_at(2.0).triggered
+
+
+def test_timeout_at_fires_exactly_then_after_earlier_same_instant_events():
+    """``now + (when - now)`` need not round to ``when``; the absolute
+    timeout fires at ``when`` itself, behind every event already queued
+    for that instant."""
+    sim = Simulator()
+    log = []
+    now, when = 0.4011793528964003, 3.31860441219044
+    assert now + (when - now) != when
+
+    def early(sim):
+        yield sim.timeout(when)
+        log.append(("early", sim.now))
+
+    def late(sim):
+        yield sim.timeout(now)
+        yield sim.timeout_at(when)
+        log.append(("late", sim.now))
+
+    sim.process(late(sim))
+    sim.process(early(sim))
+    sim.run()
+    assert log == [("early", when), ("late", when)]
+
+
+def test_reschedule_moves_or_drops_a_queued_event():
+    sim = Simulator()
+    fired = []
+    moved, dropped = sim.timeout(5.0), sim.timeout(6.0)
+    moved.subscribe(lambda ev: fired.append(sim.now))
+    dropped.subscribe(lambda ev: fired.append("dropped"))
+    sim.reschedule(moved, 2.0)
+    sim.reschedule(dropped, None)
+    assert sim.run() == 2.0
+    assert fired == [2.0]
 
 
 def test_peek_and_step():

@@ -21,7 +21,7 @@ def test_cancel_of_queued_head_wakes_followers():
     res.cancel(big)
     assert small.triggered
     assert res.in_use == 4
-    assert res.queue_length() == 0
+    assert res.probe()["waiters"] == 0
 
 
 def test_cancel_of_non_head_waiter_just_removes_it():
@@ -31,7 +31,7 @@ def test_cancel_of_non_head_waiter_just_removes_it():
     first = res.acquire(2)
     second = res.acquire(1)
     res.cancel(second)
-    assert res.queue_length() == 1
+    assert res.probe()["waiters"] == 1
     assert not first.triggered
     res.release(2)
     assert first.triggered
@@ -121,7 +121,7 @@ def test_buffer_pool_probe_tracks_outstanding_and_waiters():
 def test_resource_token_conservation(ops):
     """Under any acquire/cancel/release interleaving: tokens in use equal
     the sum of live grants, occupancy never exceeds capacity, and
-    ``probe()`` agrees with ``queue_length()``."""
+    ``probe()`` counts exactly the requests not yet granted."""
     sim = Simulator()
     res = Resource(sim, capacity=4)
     issued = []                 # (event, n) not yet released/cancelled
@@ -143,7 +143,7 @@ def test_resource_token_conservation(ops):
         assert res.in_use == held
         assert 0 <= res.in_use <= res.capacity
         snap = res.probe()
-        assert snap["waiters"] == res.queue_length() == \
+        assert snap["waiters"] == \
             sum(1 for ev, _k in issued if not ev.triggered)
         assert snap["in_use"] == res.in_use
         assert snap["capacity"] == res.capacity

@@ -43,6 +43,34 @@ def test_resource_queueing_fifo():
                    ("start", "b", 2.0), ("end", "b", 5.0)]
 
 
+def test_try_acquire_takes_a_free_token_without_an_event():
+    sim = Simulator()
+    res = Resource(sim, capacity=2)
+    assert res.try_acquire() and res.try_acquire()
+    assert res.in_use == 2
+    assert not res.try_acquire()
+    assert sim.peek() == float("inf")   # nothing was queued
+    res.release(2)
+    assert res.in_use == 0
+
+
+def test_try_acquire_never_overtakes_a_waiter():
+    """FIFO allows no overtaking: while a request waits, a free token is
+    not taken, even one the waiter is too large to use."""
+    sim = Simulator()
+    res = Resource(sim, capacity=3)
+    held = res.acquire(2)
+    big = res.acquire(2)          # waits: only one token free
+    assert held.triggered and not big.triggered
+    assert res.available == 1
+    assert not res.try_acquire()
+    assert res.in_use == 2
+    res.release(2)
+    assert big.triggered
+    assert res.try_acquire()
+    assert res.in_use == 3
+
+
 def test_resource_large_request_blocks_small():
     """FIFO ordering: a queued large request is not starved by small ones."""
     sim = Simulator()
@@ -259,7 +287,7 @@ def test_buffer_pool_hands_out_distinct_slots():
         sim.process(proc(sim))
     sim.run()
     assert sorted(slots) == [0, 1, 2]
-    assert pool.available == 0
+    assert pool.outstanding == pool.slots
 
 
 def test_buffer_pool_blocks_when_exhausted():

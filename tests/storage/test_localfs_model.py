@@ -68,4 +68,4 @@ def test_localfs_matches_dict_model(ops):
     for path, data in model.items():
         assert fs.size(path) == len(data)
         assert drive(fs.read(path)) == data
-    assert fs.used_bytes() == sum(len(d) for d in model.values())
+    assert fs.listdir() == sorted(model)
