@@ -196,9 +196,9 @@ class JobExecution:
       jobs, a per-job :class:`~repro.simt.trace.TimelineFork` whose spans
       are job-tagged in the session trace.
 
-    Telemetry belongs to the session: whoever owns the session stops it
-    when its last job ends (:func:`run_glasswing`, ``JobServer``,
-    ``DagRunner.close``).
+    Whoever owns the session (:func:`run_glasswing`, ``JobServer``,
+    ``DagRunner``) closes each job once its result is built
+    (:meth:`close`) and stops the telemetry when its last job ends.
     """
 
     def __init__(self, session: ClusterSession, app: MapReduceApp,
@@ -281,10 +281,8 @@ class JobExecution:
         self.map_phases: List[MapPhase] = []
         for i in active_ids:
             self.add_node(i, registry.owned_by(i))
-        # Phases existing at construction: the orchestrator launches
-        # these itself; a join appends its pipelines' run processes to
-        # ``map_waits``.
-        self._initial_phases = list(self.map_phases)
+        # The orchestrator starts the phases built here; a join, which
+        # cannot precede its first step, appends its pipelines' runs here.
         self.map_waits: List[Any] = []
         self.recovery_phases: List[MapPhase] = []
         self.reduce_phases: List[ReducePhase] = []
@@ -378,7 +376,7 @@ class JobExecution:
         # the classic two waits: one all_of over every map run, then one
         # all_of over every push process.
         waits = self.map_waits
-        waits.extend(mp.run() for mp in self._initial_phases)
+        waits.extend(mp.pipeline.run() for mp in self.map_phases)
         done = 0
         waited_pushes = set()
         while True:
@@ -444,7 +442,7 @@ class JobExecution:
                     continue
                 self.scheduler.place_reduce(i, pids, device=kind.value)
                 reduce_phases.append(ReducePhase(self, i, kind, pids=pids))
-        yield sim.all_of([rp.run() for rp in reduce_phases])
+        yield sim.all_of([rp.pipeline.run() for rp in reduce_phases])
         # Final commit: a coordinator crash mid-reduce resolves here, so
         # the job's end time deterministically absorbs one failover.
         yield from self.coordinator.require_leader()
@@ -545,6 +543,22 @@ class JobExecution:
             output=output, timeline=self.timeline, metrics=metrics,
             stats=stats)
 
+    def close(self) -> None:
+        """Let go of the finished job's private graph once :meth:`result`
+        is built, so refcounting frees the shuffle data when the caller
+        drops the job: the phases (whose pipelines hold stage bodies bound
+        to them), the controllers pointing back at the job, the managers,
+        scheduler and registry.  Idempotent; the shared session is not
+        touched, and no timer left in the heap holds any of it."""
+        for phase in (*self.map_phases, *self.recovery_phases,
+                      *self.reduce_phases):
+            phase.pipeline = None
+        self.map_phases, self.recovery_phases, self.reduce_phases = [], [], []
+        self.map_waits = []
+        self.managers = {}
+        self.speculation = self._elastic = None
+        self.scheduler = self.registry = None
+
 
 def run_glasswing(app: MapReduceApp, inputs: Dict[str, bytes],
                   cluster_spec: ClusterSpec,
@@ -587,6 +601,7 @@ def run_glasswing(app: MapReduceApp, inputs: Dict[str, bytes],
         proc.subscribe(on_done)
     session.run()
     result = execution.result()
+    execution.close()
     result.telemetry = session.telemetry
     return result
 

@@ -72,13 +72,10 @@ class IntermediateManager:
         self._pending = 0
         self._idle_event: Optional[Event] = None
         self._run_seq = 0
-        self._workers = [
+        for i in range(config.effective_merger_threads):
             sim.process(self._worker(), name=f"{node.name}.merger{i}")
-            for i in range(config.effective_merger_threads)
-        ]
         self.merge_delay: float = 0.0
         self.spilled_bytes = 0
-        self.dead = False
         tele = timeline.telemetry
         if tele is not None:
             tele.gauge("glasswing_merge_cache_bytes",
@@ -130,7 +127,6 @@ class IntermediateManager:
         closed queue (an interrupt mid-flush would leave a half-charged
         disk write; with the node dead, nobody observes the difference).
         """
-        self.dead = True
         self._queue.close()
         self._mem_runs = {p: [] for p in self.owned}
         self._disk_runs = {p: [] for p in self.owned}

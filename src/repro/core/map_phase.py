@@ -156,10 +156,6 @@ class MapPhase:
             self._splits_by_index[split.index] = split
             yield split
 
-    def run(self):
-        """Start the pipeline; returns its completion event."""
-        return self.pipeline.run()
-
     def kill(self) -> None:
         """Node crash: stop the pipeline and every in-flight push."""
         self.pipeline.kill()

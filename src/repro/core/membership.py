@@ -390,7 +390,8 @@ def join(job, node: Optional[int]):
     # A joiner owns no shuffle partitions (the partition space stays
     # pinned to the initial active set) — it contributes map/merge
     # work and receives rehomed partitions only through recovery.
-    job.map_waits.extend(mp.run() for mp in job.add_node(node, []))
+    job.map_waits.extend(mp.pipeline.run()
+                         for mp in job.add_node(node, []))
 
 
 def leave(job, node: Optional[int]):

@@ -166,7 +166,7 @@ def run_recovery(job) -> Generator:
         phases = [MapPhase(job, node_id, job.map_kinds[0], recovery=True)
                   for node_id in scheduler.recovery_nodes()]
         job.recovery_phases.extend(phases)
-    waits = procs + [ph.run() for ph in phases]
+    waits = procs + [ph.pipeline.run() for ph in phases]
     if waits:
         yield sim.all_of(waits)
     pushes = [p for ph in phases for p in ph.push_procs]

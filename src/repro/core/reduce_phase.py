@@ -28,7 +28,6 @@ byte-identical to the fault-free run.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from operator import floordiv, itemgetter
@@ -118,10 +117,6 @@ class ReducePhase:
             read_fn=self._read, kernel_fn=self._kernel,
             output_fn=self._write,
             stage_fn=stage_fn, retrieve_fn=retrieve_fn)
-
-    def run(self):
-        """Start the pipeline; returns its completion event."""
-        return self.pipeline.run()
 
     # -- planning ------------------------------------------------------------
     def _plan_items(self) -> List[_ReduceItem]:
@@ -302,23 +297,13 @@ class ReducePhase:
 
 
 def _merge_pairs(app: MapReduceApp, runs) -> List[Tuple[Any, Any]]:
-    """Real multi-way merge of sorted runs: equal keys come out in run
-    order, then in-run order.
-
-    A single run is already in order — the common case on large clusters,
-    where each partition receives one run per mapper that touched it —
-    and is returned as is (callers only read it).  Several runs stay on
-    ``heapq.merge``: one stable ``sorted`` of their concatenation (what
-    :meth:`IntermediateManager._merge_runs` does) gives the identical
-    list faster, but its few large allocations postpone the full garbage
-    collection that frees a many-node run's cyclic garbage until the
-    report has piled up on top of it (``shuffle-storm`` ``peak_rss_mb``
-    +3 to +4 %, docs/performance.md §6).
-    """
+    """Real multi-way merge of sorted runs: one stable ``sorted`` of their
+    concatenation, so equal keys come out in run order, then in-run order.
+    A single run is already in order and is returned as is."""
     if len(runs) == 1:
         return runs[0].pairs
-    return list(heapq.merge(*[r.pairs for r in runs],
-                            key=pair_sort_key(app)))
+    return sorted(itertools.chain.from_iterable(r.pairs for r in runs),
+                  key=pair_sort_key(app))
 
 
 def _group_sizes(pairs: List[Tuple[Any, Any]]) -> List[int]:

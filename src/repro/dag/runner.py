@@ -258,6 +258,7 @@ class DagRunner:
         execution.start()
         session.run()
         result = execution.result()
+        execution.close()
         session.timeline.record("dag.stage", label, t0, session.sim.now,
                                 stage=stage.name, round=round_no)
         run = StageRun(stage=stage.name, round=round_no, label=label,

@@ -88,6 +88,7 @@ class JobRecord:
     finished_at: Optional[float] = None
     leaked_buffer_slots: int = 0
     result: Optional[GlasswingResult] = None
+    #: the job while it runs; None once the job is terminal
     execution: Optional[JobExecution] = None
     submission: Optional[JobSubmission] = field(default=None, repr=False)
 
@@ -443,7 +444,9 @@ class JobServer:
         record.finished_at = sim.now
         record.outcome = "completed"
         record.result = record.execution.result()
-        record.leaked_buffer_slots = record.execution.leaked_buffer_slots
+        record.execution.close()
+        record.execution = None
+        record.leaked_buffer_slots = record.result.stats["leaked_buffer_slots"]
         self.session.timeline.record(
             "svc.job", record.name, record.started_at, sim.now,
             tenant=record.tenant, priority=record.priority,

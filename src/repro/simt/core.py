@@ -227,8 +227,12 @@ class Process(Event):
             sim._active_process = prev
             self.succeed(stop.value)
             return
-        except Interrupt:
-            # An unhandled interrupt terminates the process quietly.
+        except Interrupt as interrupt:
+            # An unhandled interrupt terminates the process quietly.  Its
+            # traceback would hold this frame and, up the stack, the hook
+            # event holding the interrupt: a cycle through every frame
+            # the interrupt unwound.
+            interrupt.__traceback__ = None
             sim._active_process = prev
             self.succeed(None)
             return
