@@ -169,7 +169,7 @@ def run_gpmr(app: MapReduceApp, inputs: Dict[str, bytes],
         for src in range(n):
             mine.extend(inter[src].get(node_id, []))
         mine.sort(key=lambda kv: app.sort_key(kv[0]))
-        yield node.host_work(1, sort_seconds(costs, len(mine)), tag="sort")
+        yield node.host_work(1, sort_seconds(costs, len(mine)))
         out: List[Pair] = []
         if config.skip_reduce or app.map_only_output:
             out = mine

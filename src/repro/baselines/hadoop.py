@@ -297,7 +297,7 @@ def _map_slot(job: _HadoopJob, node_id: int) -> Generator:
         start = sim.now
         job.stats["map_tasks"] += 1
         # JVM startup (one core busy while the task JVM spins up).
-        yield node.host_work(1, cfg.jvm_startup, tag="jvm")
+        yield node.host_work(1, cfg.jvm_startup)
         # 1. Read the split — sequential, before any computation.
         records, nbytes = yield from read_split_records(
             job.backend, node_id, split, app.record_format)
@@ -306,14 +306,14 @@ def _map_slot(job: _HadoopJob, node_id: int) -> Generator:
         kernel_cost = app.map_cost(cpu_spec, len(records), nbytes)
         work = (kernel_cost.roofline_on(cpu_spec) * cpu_spec.compute_units
                 * cfg.jvm_factor)
-        yield node.host_work(1, work, tag="map-func")
+        yield node.host_work(1, work)
         # 3. Combine (map-side aggregation), single-threaded.
         if cfg.use_combiner and app.has_combiner:
             combined = app.run_combine(pairs)
             comb_cost = app.combine_cost(cpu_spec, len(pairs))
             yield node.host_work(
                 1, comb_cost.roofline_on(cpu_spec) * cpu_spec.compute_units
-                * cfg.jvm_factor, tag="combine")
+                * cfg.jvm_factor)
             pairs = combined
         # 4. Partition + sort + spill to local disk, single-threaded.
         per_reducer: Dict[int, List[Pair]] = {}
@@ -324,7 +324,7 @@ def _map_slot(job: _HadoopJob, node_id: int) -> Generator:
         cpu = (job.costs.decode_seconds(len(pairs), raw)
                + sort_seconds(job.costs, len(pairs))
                + cfg.compression.compress_seconds(raw))
-        yield node.host_work(1, cpu, tag="sort-spill")
+        yield node.host_work(1, cpu)
         stored = cfg.compression.compressed_size(raw)
         yield from node.disk.write(stored, stream=f"spill-{split.index}")
         job.stats["spilled_bytes"] += stored
@@ -356,7 +356,7 @@ def _reduce_task(job: _HadoopJob, reducer: int, node_id: int,
     def fetch_one(map_index: int, seg: _MapOutputSegment) -> Generator:
         src = _map_node_of(job, map_index)
         start = sim.now
-        yield node.host_work(1, cfg.fetch_overhead, tag="fetch")
+        yield node.host_work(1, cfg.fetch_overhead)
         if src != node_id:
             # Serve from the mapper's spill disk, then cross the wire.
             yield from job.cluster[src].disk.read(seg.stored_bytes,
@@ -392,7 +392,7 @@ def _reduce_task(job: _HadoopJob, reducer: int, node_id: int,
     raw = sum(seg.raw_bytes for seg in fetched)
     cpu = (cfg.compression.decompress_seconds(raw)
            + sort_seconds(job.costs, len(all_pairs)))
-    yield node.host_work(1, cpu, tag="reduce-merge")
+    yield node.host_work(1, cpu)
     all_pairs.sort(key=lambda kv: app.sort_key(kv[0]))
     # Reduce sequentially per key.
     out_pairs: List[Pair] = []
@@ -406,7 +406,7 @@ def _reduce_task(job: _HadoopJob, reducer: int, node_id: int,
         base = app.reduce_cost(cpu_spec, len(groups), n_values)
         work = (base.roofline_on(cpu_spec) * cpu_spec.compute_units
                 * cfg.jvm_factor)
-        yield node.host_work(1, work, tag="reduce-func")
+        yield node.host_work(1, work)
         for key, values in groups:
             out_pairs.extend(app.reduce(key, values))
     nbytes = app.output_schema.size_of(out_pairs)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import zlib
 from collections import Counter
+from itertools import chain
 from operator import countOf, itemgetter
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
@@ -27,7 +28,7 @@ from repro.ocl.kernel import KernelCost
 from repro.storage.records import KVSchema, PairColumns, TextRecordFormat
 
 __all__ = ["MapReduceApp", "RecordMapReduceApp", "Emitter", "stable_hash",
-           "sum_by_key", "pair_sort_key"]
+           "sum_by_key", "pair_sort_key", "merge_runs"]
 
 Pair = Tuple[Any, Any]
 
@@ -77,6 +78,18 @@ def pair_sort_key(app: MapReduceApp) -> Callable[[Pair], Any]:
         return itemgetter(0)
     sort_key = app.sort_key
     return lambda kv: sort_key(kv[0])
+
+
+def merge_runs(app: MapReduceApp, runs: Sequence[Any]) -> List[Pair]:
+    """Multi-way merge of sorted runs (anything with a ``pairs`` list):
+    one stable ``sorted`` of their concatenation, so equal keys come out
+    in run order, then in-run order.  A single run is already in order
+    and its list is returned as is: nothing mutates a run's pairs after
+    the partitioner's bucket sort, so the list can be shared."""
+    if len(runs) == 1:
+        return runs[0].pairs
+    return sorted(chain.from_iterable(r.pairs for r in runs),
+                  key=pair_sort_key(app))
 
 
 class MapReduceApp:

@@ -17,7 +17,6 @@ clear while competing with the map kernel and partitioner threads for CPU.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Tuple
 
@@ -26,7 +25,7 @@ from repro.simt.core import Event, Simulator
 from repro.simt.resources import Store, StoreClosed
 from repro.simt.trace import Timeline
 
-from repro.core.api import MapReduceApp, pair_sort_key
+from repro.core.api import MapReduceApp, merge_runs
 from repro.core.config import JobConfig
 from repro.core.costs import DEFAULT_HOST_COSTS, HostCosts
 from repro.core.data import SortedRun
@@ -88,7 +87,7 @@ class IntermediateManager:
                        probe=lambda: self._pending, node=node.name)
             tele.gauge("glasswing_merge_queue_depth",
                        help="merge tasks waiting for a merger thread",
-                       probe=lambda: self._queue.probe()["depth"],
+                       probe=lambda: len(self._queue),
                        node=node.name)
 
     # -- ingestion ---------------------------------------------------------
@@ -218,16 +217,16 @@ class IntermediateManager:
         self._mem_runs[pid] = []
         raw = sum(r.raw_bytes for r in runs)
         self._mem_bytes -= raw
-        merged = self._merge_runs(runs)
+        pairs = merge_runs(self.app, runs)
         start = self.sim.now
-        items = len(merged.pairs)
+        items = len(pairs)
         cpu = (self.costs.merge_seconds(items)
                + self.config.compression.compress_seconds(raw))
-        yield self.node.host_work(1, cpu, tag="merge.flush")
+        yield self.node.host_work(1, cpu)
         stored = self.config.compression.compressed_size(raw)
         path = self._new_run_path(pid)
         yield from self.node.disk.write(stored, stream=path)
-        self._disk_runs[pid].append(DiskRun(path, merged.pairs, raw, stored))
+        self._disk_runs[pid].append(DiskRun(path, pairs, raw, stored))
         self.spilled_bytes += stored
         self.timeline.record("merge.flush", self.node.name, start, self.sim.now,
                              pid=pid, items=items, bytes=stored, raw_bytes=raw)
@@ -245,35 +244,20 @@ class IntermediateManager:
         # Read + decompress every input run, merge, compress, write back.
         for dr in disk_runs:
             yield from self.node.disk.read(dr.stored_bytes, stream=dr.path)
-        runs = [SortedRun(dr.pairs, dr.raw_bytes) for dr in disk_runs]
-        merged = self._merge_runs(runs)
+        pairs = merge_runs(self.app, disk_runs)
         cpu = (self.config.compression.decompress_seconds(raw)
-               + self.costs.merge_seconds(len(merged.pairs))
+               + self.costs.merge_seconds(len(pairs))
                + self.config.compression.compress_seconds(raw))
-        yield self.node.host_work(1, cpu, tag="merge.compact")
+        yield self.node.host_work(1, cpu)
         stored = self.config.compression.compressed_size(raw)
         path = self._new_run_path(pid)
         yield from self.node.disk.write(stored, stream=path)
-        self._disk_runs[pid].append(DiskRun(path, merged.pairs, raw, stored))
+        self._disk_runs[pid].append(DiskRun(path, pairs, raw, stored))
         self.timeline.record("merge.compact", self.node.name, start,
                              self.sim.now, pid=pid, stored_in=stored_in,
                              bytes=stored, raw_bytes=raw)
 
     # -- helpers ----------------------------------------------------------------
-    def _merge_runs(self, runs: List[SortedRun]) -> SortedRun:
-        """Real multi-way merge preserving sort order: one stable sort
-        of the concatenated runs.  Timsort finds each pre-sorted run and
-        gallops through the merges, and being stable it leaves equal keys
-        in run order, then in-run order — exactly the list
-        ``heapq.merge`` yields, without a Python-level heap step per
-        record.  A single run is already sorted — the hot path when
-        flushes drain one run per partition."""
-        if len(runs) == 1:
-            return SortedRun(list(runs[0].pairs), runs[0].raw_bytes)
-        merged = sorted(itertools.chain.from_iterable(r.pairs for r in runs),
-                        key=pair_sort_key(self.app))
-        return SortedRun(merged, sum(r.raw_bytes for r in runs))
-
     def _new_run_path(self, pid: int) -> str:
         self._run_seq += 1
         return f".inter/p{pid}/run{self._run_seq}"

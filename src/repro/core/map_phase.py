@@ -376,8 +376,7 @@ class MapPhase:
             cpu_start = self.sim.now
             yield self.node.host_work(
                 cfg.partitioner_threads,
-                self.costs.decode_seconds(out.decode_items, out.raw_bytes),
-                tag="map.partition")
+                self.costs.decode_seconds(out.decode_items, out.raw_bytes))
             self.timeline.record("map.partition_cpu", self.node.name,
                                  cpu_start, self.sim.now)
             if not out.last:
@@ -393,8 +392,7 @@ class MapPhase:
         if single:
             cpu += self.costs.decode_seconds(decode_items, raw_total)
         cpu_start = self.sim.now
-        yield self.node.host_work(cfg.partitioner_threads, cpu,
-                                  tag="map.partition")
+        yield self.node.host_work(cfg.partitioner_threads, cpu)
         # The CPU component alone, separate from the stage total (which
         # also contains the durability disk write): Table III's "no
         # contention from kernel threads" effect lives here.
@@ -446,8 +444,7 @@ class MapPhase:
         thread per split: its per-message CPU overhead is charged up
         front and the messages — one per peer — go out back to back,
         which is how they leave the NIC anyway."""
-        yield self.node.host_work(1, self.costs.push_overhead * len(remote),
-                                  tag="push")
+        yield self.node.host_work(1, self.costs.push_overhead * len(remote))
         for owner, runs in remote.items():
             stored = sum(self.config.compression.compressed_size(r.raw_bytes)
                          for _, r in runs)

@@ -285,12 +285,7 @@ class Pipeline:
     def _input_stage(self, downstream: Store) -> Generator:
         for item in self.items:
             t_req = self.sim.now
-            acq = self.in_pool.acquire()
-            try:
-                slot = yield acq
-            except Interrupt:
-                self.in_pool.cancel(acq)
-                raise
+            slot = yield from self.in_pool.take()
             slot_wait = self.sim.now - t_req
             self._observe_waits(slot_wait=slot_wait)
             start = self.sim.now
@@ -393,11 +388,9 @@ class Pipeline:
             queue_wait = self.sim.now - t_req
             t_slot = self.sim.now
             if held_out is None:
-                acq = self.out_pool.acquire()
                 try:
-                    held_out = yield acq
+                    held_out = yield from self.out_pool.take()
                 except Interrupt:
-                    self.out_pool.cancel(acq)
                     if in_slot is not None:
                         self.in_pool.release(in_slot)
                     raise

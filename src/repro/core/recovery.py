@@ -185,7 +185,7 @@ def _repush(job, source: int, owner: int,
                  for _, _, run in entries)
     start = sim.now
     yield from node.disk.read(stored, stream="spill.recover")
-    yield node.host_work(1, job.costs.push_overhead, tag="push")
+    yield node.host_work(1, job.costs.push_overhead)
     delivered = yield from job.network.send(source, owner, stored,
                                             meter=job.meter)
     job.timeline.record("recovery.repush", node.name, start, sim.now,

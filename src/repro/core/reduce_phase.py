@@ -36,7 +36,7 @@ from typing import Any, Generator, List, Optional, Sequence, Tuple
 from repro.hw.specs import DeviceKind
 from repro.ocl.kernel import KernelCost
 
-from repro.core.api import MapReduceApp, pair_sort_key
+from repro.core.api import merge_runs
 from repro.core.batching import apportion_bytes, resolve_batch_size
 from repro.core.data import KeyGroupChunk, ReduceOutput
 from repro.core.faults import end_crashed_attempt
@@ -148,7 +148,7 @@ class ReducePhase:
             runs, disk_bytes, disk_raw = self.manager.read_partition(pid)
             if not runs:
                 continue
-            pairs = _merge_pairs(self.app, runs)
+            pairs = merge_runs(self.app, runs)
             sizes = _group_sizes(pairs)
             # Keys [g0, g1) are the pairs [offsets[g0], offsets[g1]).
             offsets = list(itertools.accumulate(sizes, initial=0))
@@ -194,7 +194,7 @@ class ReducePhase:
         return windows
 
     # -- stage bodies ------------------------------------------------------------
-    def _fetch(self, item: _ReduceItem, stream: str, tag: str) -> Generator:
+    def _fetch(self, item: _ReduceItem, stream: str) -> Generator:
         """Charge one item's input: its share of the partition off disk,
         then the decompress/merge/group work."""
         if item.disk_bytes:
@@ -203,12 +203,12 @@ class ReducePhase:
                + self.costs.merge_seconds(item.merge_items)
                + self.costs.group_seconds(item.n_values))
         if cpu:
-            yield self.node.host_work(1, cpu, tag=tag)
+            yield self.node.host_work(1, cpu)
 
     def _read(self, window: List[_ReduceItem]) -> Generator:
         chunks: List[KeyGroupChunk] = []
         for item in window:
-            yield from self._fetch(item, f"p{item.pid}", "reduce.read")
+            yield from self._fetch(item, f"p{item.pid}")
             chunks.append(KeyGroupChunk(index=item.index, pairs=item.pairs,
                                         sizes=item.sizes, nbytes=item.nbytes))
         return chunks if len(chunks) > 1 else chunks[0]
@@ -271,7 +271,7 @@ class ReducePhase:
                                                 threads=threads)
             # Restart: fetch the chunk's input again, as the reader did.
             yield from self._fetch(self._items_by_index[chunk.index],
-                                   f"p{pid}.retry", "reduce.retry")
+                                   f"p{pid}.retry")
             attempt = yield from end_crashed_attempt(
                 self, "reduce", f"partition {pid}", start, attempt, pid=pid)
 
@@ -294,16 +294,6 @@ class ReducePhase:
             self._window_bytes[item.window_id] = banked
         self.output_pairs.setdefault(pid, []).extend(out.pairs)
         return out
-
-
-def _merge_pairs(app: MapReduceApp, runs) -> List[Tuple[Any, Any]]:
-    """Real multi-way merge of sorted runs: one stable ``sorted`` of their
-    concatenation, so equal keys come out in run order, then in-run order.
-    A single run is already in order and is returned as is."""
-    if len(runs) == 1:
-        return runs[0].pairs
-    return sorted(itertools.chain.from_iterable(r.pairs for r in runs),
-                  key=pair_sort_key(app))
 
 
 def _group_sizes(pairs: List[Tuple[Any, Any]]) -> List[int]:

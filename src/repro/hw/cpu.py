@@ -30,13 +30,12 @@ _EPS = 1e-9
 
 
 class _Task:
-    __slots__ = ("threads", "remaining", "event", "tag")
+    __slots__ = ("threads", "remaining", "event")
 
-    def __init__(self, threads: int, remaining: float, event: Event, tag: str):
+    def __init__(self, threads: int, remaining: float, event: Event):
         self.threads = threads
         self.remaining = remaining  # thread-seconds of work left
         self.event = event
-        self.tag = tag
 
 
 class FluidCPU:
@@ -61,7 +60,7 @@ class FluidCPU:
         self._timer_token: Optional[int] = None
 
     # -- public API --------------------------------------------------------
-    def run(self, threads: int, thread_seconds: float, tag: str = "") -> Event:
+    def run(self, threads: int, thread_seconds: float) -> Event:
         """Submit ``thread_seconds`` of work spread over ``threads`` workers.
 
         Returns an event fired on completion.  Zero-length work completes
@@ -76,7 +75,7 @@ class FluidCPU:
             ev.succeed(None)
             return ev
         self._advance()
-        self._tasks.append(_Task(threads, thread_seconds, ev, tag))
+        self._tasks.append(_Task(threads, thread_seconds, ev))
         self._demand += threads
         self._reschedule()
         return ev

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.simt.core import Interrupt, Simulator
+from repro.simt.core import Simulator
 from repro.simt.resources import Resource
 from repro.simt.trace import Timeline
 
@@ -50,15 +50,7 @@ class Disk:
             raise ValueError("negative transfer size")
         if nbytes == 0:
             return
-        request = self._channel.acquire()
-        try:
-            yield request
-        except Interrupt:
-            # A killed process (node crash, losing speculative task) must
-            # not leave a queued request behind: once granted it would
-            # wedge the channel for every later user.
-            self._channel.cancel(request)
-            raise
+        yield from self._channel.take()
         start = self.sim.now
         try:
             bw = self.spec.read_bw if op == "read" else self.spec.write_bw

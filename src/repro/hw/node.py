@@ -55,9 +55,9 @@ class Node:
     def name(self) -> str:
         return f"node{self.node_id}"
 
-    def host_work(self, threads: int, thread_seconds: float, tag: str = ""):
+    def host_work(self, threads: int, thread_seconds: float):
         """Event firing when the given host-CPU work completes."""
-        return self.cpu.run(threads, thread_seconds, tag=tag)
+        return self.cpu.run(threads, thread_seconds)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.node_id} spec={self.spec.name!r}>"

@@ -183,25 +183,15 @@ class Network:
         # queueing for another, so all-to-all shuffles cannot convoy (and
         # deadlock is structurally impossible).  Sender-side serialisation
         # and receiver-side delivery each take bytes/bandwidth; incast
-        # still contends on the receiver's NIC.  A free token is taken
-        # without an event; only a busy one is queued for.
+        # still contends on the receiver's NIC.
         tx, fabric = self._tx[src], self._fabric
-        if not tx.try_acquire():
-            req = tx.acquire()
-            try:
-                yield req
-            except Interrupt:
-                tx.cancel(req)
-                raise
+        yield from tx.take()
         t_fab = sim.now
-        if not fabric.try_acquire():
-            req = fabric.acquire()
-            try:
-                yield req
-            except Interrupt:
-                fabric.cancel(req)
-                tx.release()
-                raise
+        try:
+            yield from fabric.take()
+        except Interrupt:
+            tx.release()
+            raise
         t_wire = sim.now
         try:
             # Coalesced timeouts: a batched shuffle starts many

@@ -6,7 +6,7 @@ from typing import Generator, Iterable, List, Optional
 
 from repro.hw.node import Node
 from repro.hw.specs import DeviceKind, DeviceSpec
-from repro.simt.core import Interrupt, Simulator
+from repro.simt.core import Simulator
 from repro.simt.resources import Resource
 
 from repro.ocl.kernel import KernelCost
@@ -61,17 +61,6 @@ class Device:
         if self.mem_used < 0:
             raise OCLError("device memory accounting underflow")
 
-    def _acquire_engine(self, engine: Resource) -> Generator:
-        """Interrupt-safe engine acquisition: a killed process (losing
-        speculative task, crashed node) withdraws its queued request so
-        the engine cannot be granted to a dead waiter and wedge."""
-        request = engine.acquire()
-        try:
-            yield request
-        except Interrupt:
-            engine.cancel(request)
-            raise
-
     # -- operations (process-style generators) -----------------------------
     def execute_cost(self, cost: KernelCost,
                      threads: Optional[int] = None) -> Generator:
@@ -89,18 +78,17 @@ class Device:
         if self.spec.kind is DeviceKind.CPU:
             if overhead > 0:
                 # Kernel dispatch is serial host work.
-                yield self.node.cpu.run(1, overhead, tag="launch")
+                yield self.node.cpu.run(1, overhead)
             if roofline > 0:
                 n = threads if threads is not None else self.spec.compute_units
                 n = max(1, min(n, self.node.cpu.capacity))
-                yield self.node.cpu.run(n, roofline * self.spec.compute_units,
-                                        tag="kernel")
+                yield self.node.cpu.run(n, roofline * self.spec.compute_units)
         else:
             util = 1.0
             if threads is not None:
                 util = max(1.0 / self.spec.compute_units,
                            min(1.0, threads / self.spec.compute_units))
-            yield from self._acquire_engine(self._exec_engine)
+            yield from self._exec_engine.take()
             try:
                 yield self.sim.timeout(overhead + roofline / util)
             finally:
@@ -112,7 +100,7 @@ class Device:
             raise ValueError(f"unknown transfer direction {direction!r}")
         if self.spec.unified_memory or nbytes == 0:
             return
-        yield from self._acquire_engine(self._dma_engine)
+        yield from self._dma_engine.take()
         try:
             yield self.sim.timeout(nbytes / self.spec.transfer_bw)
             self.bytes_transferred += nbytes

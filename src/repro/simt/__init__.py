@@ -6,10 +6,12 @@ loop that makes that possible:
 
 * :class:`~repro.simt.core.Simulator` — virtual clock + event heap.
 * :class:`~repro.simt.core.Process` — generator-based coroutine processes.
-* :class:`~repro.simt.resources.Resource` — FCFS token pools (CPU cores,
-  disk channels, device queues).
-* :class:`~repro.simt.resources.Store` — FIFO channels between pipeline
-  stages, with optional capacity (the pipeline's buffer interlock).
+* :class:`~repro.simt.resources.Resource` — FCFS token pools (disk
+  channels, device engines, NICs, the fabric), held through ``take()``.
+* :class:`~repro.simt.resources.Store` — unbounded FIFO channels between
+  pipeline stages.
+* :class:`~repro.simt.resources.BufferPool` — indexed buffer slots (the
+  pipeline's buffer interlock), held through ``take()``.
 * :class:`~repro.simt.trace.Timeline` — span recording used by the paper's
   per-stage breakdown tables (Tables II/III, Figures 4/5).
 

@@ -412,15 +412,12 @@ class Simulator:
         if event._ok is False and not waited_on and not event._defused:
             raise event._value
 
-    def run(self, until: Optional[float] = None) -> float:
-        """Run until the queue drains or virtual time reaches ``until``.
+    def run(self) -> float:
+        """Run until the queue drains.
 
         Returns the final virtual time.  Uncaught process failures re-raise
         here, so tests see real tracebacks.
         """
         while self._heap:
-            if until is not None and self.peek() > until:
-                self.now = until
-                break
             self.step()
         return self.now

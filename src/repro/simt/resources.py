@@ -2,34 +2,36 @@
 
 These model the contended resources of a cluster node:
 
-* :class:`Resource` — a FCFS pool of identical tokens.  CPU hardware
-  threads are the canonical instance: map-kernel worker threads,
-  partitioner threads and merger threads all draw from one pool, so the
-  paper's contention effects (single- vs double-buffering, GPU freeing the
-  host cores) emerge from queueing rather than hand-coded penalties.
-* :class:`Store` — FIFO channel with optional capacity; pipeline stages
-  are connected by stores.
+* :class:`Resource` — a FCFS pool of identical tokens, held one at a
+  time: a disk channel, a device's execution or DMA engine, a NIC, the
+  fabric.
+* :class:`Store` — unbounded FIFO channel; pipeline stages are connected
+  by stores.
 * :class:`BufferPool` — a pool of indexed buffers; the Glasswing pipeline's
   single/double/triple buffering is a :class:`BufferPool` of 1/2/3 slots
   shared by a stage group.
+
+A process holds a token or a slot through ``yield from x.take()``, which
+withdraws its request if the process is interrupted while queued, so a
+crashed node or a killed speculative task can never leak one.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque, Generator
 
-from repro.simt.core import Event, SimulationError, Simulator
+from repro.simt.core import Event, Interrupt, SimulationError, Simulator
 
 __all__ = ["Resource", "Store", "BufferPool"]
 
 
 class Resource:
-    """FCFS pool of ``capacity`` identical tokens.
+    """FCFS pool of ``capacity`` identical tokens, taken one at a time.
 
-    ``acquire(n)`` returns an event that fires once ``n`` tokens are
-    granted; ``release(n)`` returns them.  Requests are strictly FIFO: a
-    large request at the head blocks later small ones (no starvation).
+    ``acquire()`` returns an event that fires once a token is granted;
+    ``release()`` returns it, handing it straight to the oldest waiter.
+    A request waits only while every token is in use.
     """
 
     def __init__(self, sim: Simulator, capacity: int, name: str = "resource"):
@@ -39,73 +41,61 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self.in_use = 0
-        self._waiters: Deque[tuple[Event, int]] = deque()
+        self._waiters: Deque[Event] = deque()
 
-    @property
-    def available(self) -> int:
-        """Tokens currently free."""
-        return self.capacity - self.in_use
+    def take(self) -> Generator:
+        """Hold one token: ``yield from resource.take()``, then
+        :meth:`release` it.
 
-    def acquire(self, n: int = 1) -> Event:
-        """Request ``n`` tokens; the returned event fires once granted."""
-        if n < 1 or n > self.capacity:
-            raise ValueError(
-                f"cannot acquire {n} tokens from {self.name!r} "
-                f"(capacity {self.capacity})")
+        A free token is taken without an event.  Otherwise the process
+        queues through :meth:`acquire`; an :class:`Interrupt` while it is
+        queued withdraws the request, so a killed process neither holds a
+        token nor is granted one later.
+        """
+        if self.try_acquire():
+            return
+        request = self.acquire()
+        try:
+            yield request
+        except Interrupt:
+            self.cancel(request)
+            raise
+
+    def acquire(self) -> Event:
+        """Request one token; the returned event fires once granted."""
         ev = Event(self.sim)
-        if not self._waiters and self.available >= n:
-            self.in_use += n
-            ev.succeed(n)
+        if self.try_acquire():
+            ev.succeed(None)
         else:
-            self._waiters.append((ev, n))
+            self._waiters.append(ev)
         return ev
 
     def try_acquire(self) -> bool:
-        """Take one token now, without an event, if :meth:`acquire` would
-        grant it at once; False while anyone waits (no overtaking)."""
-        if self._waiters or self.in_use >= self.capacity:
+        """Take one token now, without an event, if one is free.  While
+        anyone waits every token is in use, so this never overtakes."""
+        if self.in_use == self.capacity:
             return False
         self.in_use += 1
         return True
 
-    def release(self, n: int = 1) -> None:
-        """Return ``n`` tokens and wake queued requests in FIFO order."""
-        if n < 1 or n > self.in_use:
-            raise SimulationError(
-                f"release({n}) on {self.name!r} with {self.in_use} in use")
-        self.in_use -= n
-        self._grant_waiters()
-
-    def _grant_waiters(self) -> None:
-        while self._waiters:
-            ev, want = self._waiters[0]
-            if self.available < want:
-                break
-            self._waiters.popleft()
-            self.in_use += want
-            ev.succeed(want)
+    def release(self) -> None:
+        """Return a token; the oldest waiter, if any, is granted it."""
+        if self.in_use == 0:
+            raise SimulationError(f"release() on idle {self.name!r}")
+        if self._waiters:
+            self._waiters.popleft().succeed(None)
+        else:
+            self.in_use -= 1
 
     def cancel(self, request: Event) -> None:
-        """Withdraw an ``acquire`` request that will never be consumed.
-
-        Interrupted processes (a crashed node, a killed speculative task)
-        call this from their ``except Interrupt`` handlers: a request
-        still queued is removed; one already granted is released — either
-        way the tokens cannot leak into a dead process and wedge the
-        resource for every later user.
-        """
-        for i, (ev, _want) in enumerate(self._waiters):
-            if ev is request:
-                del self._waiters[i]
-                # The head request may have been the only thing holding
-                # back smaller ones behind it (FIFO, no overtaking) —
-                # removing it must re-run the grant scan or a satisfiable
-                # waiter stays parked until the next release.
-                if i == 0:
-                    self._grant_waiters()
-                return
-        if request.triggered and request.ok:
-            self.release(request.value)
+        """Withdraw an :meth:`acquire` request that will never be consumed:
+        a request still queued is removed, one already granted is
+        released."""
+        try:
+            self._waiters.remove(request)
+        except ValueError:
+            if request.triggered and request.ok:
+                self.release()
 
     def probe(self) -> dict:
         """Occupancy snapshot for telemetry samplers (dependency-free)."""
@@ -118,46 +108,34 @@ class Resource:
 
 
 class Store:
-    """FIFO channel of items with optional capacity.
+    """Unbounded FIFO channel of items.
 
-    ``put(item)`` returns an event that fires once the item is accepted
-    (immediately when unbounded or below capacity); ``get()`` returns an
-    event that fires with the next item.  A ``None`` capacity means
-    unbounded.  Closing a store makes further ``get``s fail with
+    ``put(item)`` accepts the item at once and returns an event that has
+    already fired; ``get()`` returns an event that fires with the next
+    item.  Closing a store makes further ``get``s fail with
     :class:`StoreClosed` once drained, which lets downstream pipeline
     stages terminate cleanly.
     """
 
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None,
-                 name: str = "store"):
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1 or None")
+    def __init__(self, sim: Simulator, name: str = "store"):
         self.sim = sim
-        self.capacity = capacity
         self.name = name
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
         self._closed = False
 
     def __len__(self) -> int:
         return len(self._items)
 
     def put(self, item: Any) -> Event:
-        """Offer ``item``; event fires when the store accepts it."""
+        """Accept ``item``, handing it to the oldest waiting getter if any."""
         if self._closed:
             raise SimulationError(f"put() on closed store {self.name!r}")
-        ev = Event(self.sim)
         if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            ev.succeed(None)
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            ev.succeed(None)
+            self._getters.popleft().succeed(item)
         else:
-            self._putters.append((ev, item))
-        return ev
+            self._items.append(item)
+        return Event(self.sim).succeed(None)
 
     def get(self) -> Event:
         """Take the next item; event fires with the item.
@@ -167,17 +145,7 @@ class Store:
         """
         ev = Event(self.sim)
         if self._items:
-            item = self._items.popleft()
-            ev.succeed(item)
-            # Space freed: admit a queued putter.
-            if self._putters:
-                pev, pitem = self._putters.popleft()
-                self._items.append(pitem)
-                pev.succeed(None)
-        elif self._putters:
-            pev, pitem = self._putters.popleft()
-            ev.succeed(pitem)
-            pev.succeed(None)
+            ev.succeed(self._items.popleft())
         elif self._closed:
             ev.fail(StoreClosed(self.name))
         else:
@@ -189,14 +157,8 @@ class Store:
         if self._closed:
             return
         self._closed = True
-        while self._getters and not self._items:
+        while self._getters:
             self._getters.popleft().fail(StoreClosed(self.name))
-
-    def probe(self) -> dict:
-        """Occupancy snapshot for telemetry samplers (dependency-free)."""
-        return {"depth": len(self._items), "capacity": self.capacity,
-                "getters": len(self._getters), "putters": len(self._putters),
-                "closed": self._closed}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Store {self.name!r} len={len(self._items)} closed={self._closed}>"
@@ -233,6 +195,22 @@ class BufferPool:
         self.acquired = 0
         self.released = 0
 
+    def take(self) -> Generator:
+        """Hold one slot: ``slot = yield from pool.take()``, then
+        :meth:`release` it.
+
+        Unlike :meth:`Resource.take`, a free slot is still granted through
+        an event: the stage yields to it, so stages resuming at the same
+        instant keep their order.  An :class:`Interrupt` while queued
+        withdraws the request, so no slot leaks into a dead process.
+        """
+        request = self.acquire()
+        try:
+            return (yield request)
+        except Interrupt:
+            self.cancel(request)
+            raise
+
     def acquire(self) -> Event:
         """Event fires with a free slot index."""
         ev = Event(self.sim)
@@ -257,19 +235,14 @@ class BufferPool:
             self._free.append(slot)
 
     def cancel(self, request: Event) -> None:
-        """Withdraw an :meth:`acquire` request that will never be consumed.
-
-        Mirrors :meth:`Resource.cancel`: an interrupted pipeline stage
-        calls this from its ``except Interrupt`` handler so a queued
-        request is removed and an already-granted slot returns to the
-        pool instead of leaking into a dead process.
-        """
-        for i, ev in enumerate(self._waiters):
-            if ev is request:
-                del self._waiters[i]
-                return
-        if request.triggered and request.ok:
-            self.release(request.value)
+        """Withdraw an :meth:`acquire` request that will never be consumed:
+        a request still queued is removed, an already-granted slot
+        returns to the pool."""
+        try:
+            self._waiters.remove(request)
+        except ValueError:
+            if request.triggered and request.ok:
+                self.release(request.value)
 
     @property
     def outstanding(self) -> int:

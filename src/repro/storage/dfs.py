@@ -251,8 +251,7 @@ class DFS(StorageBackend):
         """Host-CPU cost of crossing the libhdfs JNI boundary."""
         if self.jni is None:
             return
-        yield self.cluster[node_id].host_work(
-            1, self.jni.seconds_for(nbytes), tag="jni")
+        yield self.cluster[node_id].host_work(1, self.jni.seconds_for(nbytes))
 
     def _require(self, path: str) -> None:
         if path not in self._meta:

@@ -19,14 +19,14 @@ import pytest
 from repro.apps import TeraSortApp, WordCountApp
 from repro.apps.datagen import wiki_text
 from repro.core import JobConfig, run_glasswing
+from repro.core.api import merge_runs
 from repro.core.batching import apportion_bytes, resolve_batch_size
 from repro.core.data import KeyGroupChunk, SortedRun
-from repro.core.reduce_phase import ReducePhase, _group_sizes, _merge_pairs
+from repro.core.reduce_phase import ReducePhase, _group_sizes
 from repro.hw.presets import CPU_TYPE1, das4_cluster
 from repro.ocl.kernel import KernelCost
 from repro.storage.records import KVSchema
 
-from tests.core.test_intermediate import make_manager
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -81,7 +81,7 @@ def reference_plan_items(phase) -> List[List[_GroupedItem]]:
         runs, disk_bytes, disk_raw = phase.manager.read_partition(pid)
         if not runs:
             continue
-        groups = _group_pairs(_merge_pairs(phase.app, runs))
+        groups = _group_pairs(merge_runs(phase.app, runs))
         run_bits = max(1, len(runs)).bit_length()
         parts = []
         for wstart in range(0, len(groups), keys_per_chunk):
@@ -370,7 +370,7 @@ class _CaseFoldApp(WordCountApp):
 
 
 def _heap_merge(app, runs):
-    """The ``heapq.merge`` both merges were, kept as the reference."""
+    """The ``heapq.merge`` the run merge replaced, kept as the reference."""
     import heapq
     return list(heapq.merge(*[r.pairs for r in runs],
                             key=lambda kv: app.sort_key(kv[0])))
@@ -383,13 +383,10 @@ def check_merges_on_ties(app, raw_runs):
                       raw_bytes=len(pairs))
             for pairs in raw_runs]
     expected = _heap_merge(app, runs)
-    assert list(_merge_pairs(app, runs)) == expected
-    manager = make_manager()[3]
-    manager.app = app
-    merged = manager._merge_runs(runs)
-    assert merged.pairs == expected
-    assert merged.raw_bytes == sum(r.raw_bytes for r in runs)
-    assert merged.pairs is not runs[0].pairs    # a disk run owns its list
+    merged = merge_runs(app, runs)
+    assert merged == expected
+    if len(runs) == 1:
+        assert merged is runs[0].pairs          # a lone run is not copied
 
 
 _TIE_KEYS = [b"a", b"A", b"b", b"B", b"c"]

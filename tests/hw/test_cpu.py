@@ -15,7 +15,7 @@ def run_tasks(capacity, tasks):
     def proc(sim, name, threads, work, delay):
         if delay:
             yield sim.timeout(delay)
-        yield cpu.run(threads, work, tag=name)
+        yield cpu.run(threads, work)
         finishes[name] = sim.now
 
     for (name, threads, work, *rest) in tasks:

@@ -87,6 +87,25 @@ def test_unified_memory_transfer_is_free():
     assert sim.now == 0.0
 
 
+@pytest.mark.parametrize("op", ["disk.read", "execute_cost", "transfer"])
+def test_free_token_is_taken_without_an_event(op):
+    """On an idle node the disk channel and the GPU's exec and DMA
+    engines are free: taking one queues nothing, so once the process
+    starts the heap holds only the hold's own timeout."""
+    sim, node = make_node()
+    _, gpu = make_devices(sim, node)
+    gen = {"disk.read": lambda: node.disk.read(1_000_000),
+           "execute_cost": lambda: gpu.execute_cost(KernelCost(flops=1e9)),
+           "transfer": lambda: gpu.transfer(1_000_000, "h2d")}[op]()
+    sim.process(gen)
+    sim.step()                  # bootstrap: runs the body to its first yield
+    assert len(sim._heap) == 1
+    hold_end = sim.peek()
+    assert hold_end > 0.0
+    sim.run()
+    assert sim.now == hold_end
+
+
 def test_device_memory_exhaustion():
     sim, node = make_node()
     _, gpu = make_devices(sim, node)

@@ -221,17 +221,6 @@ def test_any_of_fires_on_first():
     assert results == [(1.0, 1, "fast")]
 
 
-def test_run_until_stops_clock():
-    sim = Simulator()
-
-    def proc(sim):
-        yield sim.timeout(100.0)
-
-    sim.process(proc(sim))
-    sim.run(until=10.0)
-    assert sim.now == 10.0
-
-
 def test_deterministic_tie_breaking():
     """Events at the same time fire in creation order."""
     sim = Simulator()

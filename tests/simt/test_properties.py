@@ -43,20 +43,23 @@ def test_fluid_cpu_work_conservation(tasks, capacity):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=1000), max_size=40),
-       st.integers(min_value=1, max_value=5))
-def test_store_preserves_order_and_items(items, capacity):
-    """Everything put into a bounded store comes out once, in order."""
+       st.floats(min_value=0.0, max_value=1.0))
+def test_store_preserves_order_and_items(items, consumer_delay):
+    """Everything put into a store comes out once, in order, whether the
+    consumer waits for items or finds them queued."""
     sim = Simulator()
-    store = Store(sim, capacity=capacity)
+    store = Store(sim)
     got = []
 
     def producer(sim):
         for item in items:
             yield store.put(item)
+            yield sim.timeout(0.1)
         store.close()
 
     def consumer(sim):
         from repro.simt.resources import StoreClosed
+        yield sim.timeout(consumer_delay)
         while True:
             try:
                 got.append((yield store.get()))
@@ -70,25 +73,30 @@ def test_store_preserves_order_and_items(items, capacity):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.integers(min_value=1, max_value=4),
+@given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0),
                           st.floats(min_value=0.01, max_value=1.0)),
                 min_size=1, max_size=15),
-       st.integers(min_value=4, max_value=8))
-def test_resource_never_oversubscribed(requests, capacity):
-    """At no point do granted tokens exceed the capacity."""
+       st.integers(min_value=1, max_value=4))
+def test_resource_never_oversubscribed(holds, capacity):
+    """At no point do ``take()`` holds exceed the capacity, and every
+    holder gets a token."""
     sim = Simulator()
     res = Resource(sim, capacity)
     violations = []
+    done = []
 
-    def worker(sim, n, hold):
-        yield res.acquire(n)
+    def worker(sim, delay, hold):
+        yield sim.timeout(delay)
+        yield from res.take()
         if res.in_use > res.capacity:
             violations.append(res.in_use)
         yield sim.timeout(hold)
-        res.release(n)
+        res.release()
+        done.append(hold)
 
-    for n, hold in requests:
-        sim.process(worker(sim, n, hold))
+    for delay, hold in holds:
+        sim.process(worker(sim, delay, hold))
     sim.run()
     assert not violations
+    assert len(done) == len(holds)
     assert res.in_use == 0

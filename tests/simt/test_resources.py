@@ -14,14 +14,13 @@ def test_resource_immediate_grant():
     granted = []
 
     def proc(sim):
-        yield res.acquire(2)
+        yield res.acquire()
         granted.append(sim.now)
 
     sim.process(proc(sim))
     sim.run()
     assert granted == [0.0]
-    assert res.in_use == 2
-    assert res.available == 2
+    assert res.in_use == 1
 
 
 def test_resource_queueing_fifo():
@@ -50,90 +49,49 @@ def test_try_acquire_takes_a_free_token_without_an_event():
     assert res.in_use == 2
     assert not res.try_acquire()
     assert sim.peek() == float("inf")   # nothing was queued
-    res.release(2)
+    res.release()
+    res.release()
     assert res.in_use == 0
 
 
 def test_try_acquire_never_overtakes_a_waiter():
-    """FIFO allows no overtaking: while a request waits, a free token is
-    not taken, even one the waiter is too large to use."""
+    """FIFO allows no overtaking: a released token goes to the oldest
+    waiter, never to a later ``try_acquire``."""
     sim = Simulator()
-    res = Resource(sim, capacity=3)
-    held = res.acquire(2)
-    big = res.acquire(2)          # waits: only one token free
-    assert held.triggered and not big.triggered
-    assert res.available == 1
+    res = Resource(sim, capacity=1)
+    held = res.acquire()
+    waiter = res.acquire()
+    assert held.triggered and not waiter.triggered
     assert not res.try_acquire()
-    assert res.in_use == 2
-    res.release(2)
-    assert big.triggered
+    res.release()
+    assert waiter.triggered
+    assert not res.try_acquire()
+    assert res.in_use == 1
+    res.release()
     assert res.try_acquire()
-    assert res.in_use == 3
-
-
-def test_resource_large_request_blocks_small():
-    """FIFO ordering: a queued large request is not starved by small ones."""
-    sim = Simulator()
-    res = Resource(sim, capacity=4)
-    log = []
-
-    def holder(sim):
-        yield res.acquire(3)
-        yield sim.timeout(5.0)
-        res.release(3)
-
-    def big(sim):
-        yield sim.timeout(1.0)
-        yield res.acquire(4)
-        log.append(("big", sim.now))
-        res.release(4)
-
-    def small(sim):
-        yield sim.timeout(2.0)
-        yield res.acquire(1)
-        log.append(("small", sim.now))
-        res.release(1)
-
-    sim.process(holder(sim))
-    sim.process(big(sim))
-    sim.process(small(sim))
-    sim.run()
-    # big arrived first (t=1) and must go before small even though one
-    # token was free the whole time.
-    assert log == [("big", 5.0), ("small", 5.0)]
-
-
-def test_resource_over_acquire_rejected():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    with pytest.raises(ValueError):
-        res.acquire(3)
-    with pytest.raises(ValueError):
-        res.acquire(0)
 
 
 def test_resource_over_release_rejected():
     sim = Simulator()
     res = Resource(sim, capacity=2)
     with pytest.raises(SimulationError):
-        res.release(1)
+        res.release()
 
 
 def test_resource_token_conservation():
     sim = Simulator()
     res = Resource(sim, capacity=8)
 
-    def worker(sim, n, hold):
-        yield res.acquire(n)
-        assert 0 <= res.available <= res.capacity
+    def worker(sim, hold):
+        yield res.acquire()
+        assert 0 < res.in_use <= res.capacity
         yield sim.timeout(hold)
-        res.release(n)
+        res.release()
 
     for i in range(20):
-        sim.process(worker(sim, (i % 4) + 1, 1.0 + i * 0.1))
+        sim.process(worker(sim, 1.0 + i * 0.1))
     sim.run()
     assert res.in_use == 0
-    assert res.available == 8
 
 
 # ------------------------------------------------------------------- Store
@@ -172,29 +130,6 @@ def test_store_get_blocks_until_put():
     sim.process(producer(sim))
     sim.run()
     assert got == [(3.0, "late")]
-
-
-def test_store_capacity_blocks_put():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    log = []
-
-    def producer(sim):
-        yield store.put(1)
-        log.append(("put1", sim.now))
-        yield store.put(2)
-        log.append(("put2", sim.now))
-
-    def consumer(sim):
-        yield sim.timeout(5.0)
-        item = yield store.get()
-        log.append(("got", item, sim.now))
-
-    sim.process(producer(sim))
-    sim.process(consumer(sim))
-    sim.run()
-    assert ("put1", 0.0) in log
-    assert ("put2", 5.0) in log  # second put blocked until the get
 
 
 def test_store_fifo_order():

@@ -39,3 +39,22 @@ def test_substrate_packages_import_nothing_above_them():
                     upward.append(f"{path.relative_to(root)}:{lineno} "
                                   f"imports {module}")
     assert not upward, "\n".join(upward)
+
+
+def test_tokens_and_slots_are_held_only_through_take():
+    """Outside ``simt`` a process holds a token or a buffer slot through
+    ``yield from x.take()``, the one interrupt-safe path: no module calls
+    ``acquire`` or ``try_acquire`` and hand-writes the cancel."""
+    root = Path(repro.__file__).parent
+    calls = []
+    for path in sorted(root.rglob("*.py")):
+        if path.relative_to(root).parts[0] == "simt":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in ("acquire", "try_acquire"):
+                calls.append(f"{path.relative_to(root)}:{node.lineno} "
+                             f"calls .{node.func.attr}()")
+    assert not calls, "\n".join(calls)
