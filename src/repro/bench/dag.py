@@ -34,7 +34,7 @@ from repro.core import JobConfig
 from repro.core.costs import DEFAULT_HOST_COSTS, HostCosts
 from repro.hw.presets import das4_cluster
 
-from repro.bench.harness import ExperimentReport, Table
+from repro.bench.harness import ExperimentReport, Table, point_profile
 
 __all__ = ["report", "dag_point", "POINTS", "kmeans_point",
            "pagerank_point", "prefixsum_point", "MIN_KMEANS_SPEEDUP",
@@ -69,13 +69,17 @@ def _dag_config() -> JobConfig:
                      chunk_size=_CHUNK)
 
 
-def _round_metrics(stage_runs) -> Dict[str, Any]:
-    """Aggregate per-round network bytes + cache traffic."""
+def _run_metrics(run) -> Dict[str, Any]:
+    """A DAG run's elapsed time, per-round network bytes + cache traffic
+    summed, and its causal profile."""
+    stage_runs = run.runner.stage_runs
     return {
+        "elapsed_s": run.total_time,
         "network_bytes": sum(r.result.stats["network_bytes"]
                              for r in stage_runs),
         "cache_hit_bytes": sum(r.cache_hit_bytes for r in stage_runs),
         "cache_miss_bytes": sum(r.cache_miss_bytes for r in stage_runs),
+        "causal": point_profile(run.runner.session.timeline, run.total_time),
     }
 
 
@@ -101,12 +105,11 @@ def kmeans_point(costs: HostCosts = DEFAULT_HOST_COSTS,
         "rounds": rounds,
         "n_points": n_points,
         "k": KM_CENTERS,
-        "elapsed_s": cached.total_time,
         "naive_elapsed_s": naive.total_time,
         "speedup": naive.total_time / cached.total_time,
         "identical_output": (cached.centers.tobytes()
                              == naive.centers.tobytes()),
-        **_round_metrics(cached.runner.stage_runs),
+        **_run_metrics(cached),
         "wall_s": wall,
     }
 
@@ -127,9 +130,8 @@ def pagerank_point(costs: HostCosts = DEFAULT_HOST_COSTS,
         "rounds": rounds,
         "n_vertices": n_vertices,
         "n_edges": n_edges,
-        "elapsed_s": run.total_time,
         "max_abs_err": float(np.max(np.abs(run.ranks - reference))),
-        **_round_metrics(run.runner.stage_runs),
+        **_run_metrics(run),
         "wall_s": wall,
     }
 
@@ -149,9 +151,8 @@ def prefixsum_point(costs: HostCosts = DEFAULT_HOST_COSTS,
         "nodes": DAG_NODES,
         "n_values": n_values,
         "block_size": PS_BLOCK,
-        "elapsed_s": run.total_time,
         "exact": bool((run.prefix == reference).all()),
-        **_round_metrics(run.runner.stage_runs),
+        **_run_metrics(run),
         "wall_s": wall,
     }
 

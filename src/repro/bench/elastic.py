@@ -37,7 +37,7 @@ from repro.core.faults import (CoordinatorCrash, FaultPlan, NodeJoin,
                                NodeLeave)
 from repro.hw.presets import das4_cluster
 
-from repro.bench.harness import ExperimentReport, Table
+from repro.bench.harness import ExperimentReport, Table, point_profile
 
 __all__ = ["report", "elastic_point", "POINTS", "double_point",
            "halve_point", "failover_point", "ELASTIC_NODES",
@@ -70,6 +70,23 @@ def _inputs(kilobytes: int) -> Dict[str, bytes]:
     return {"wiki": wiki_text(kilobytes * 1024, seed=71)}
 
 
+def _point(app: str, base, chaos, wall: float,
+           **fields: Any) -> Dict[str, Any]:
+    """One point's record: the chaos run against its static run."""
+    return {
+        "app": app,
+        "nodes": ELASTIC_NODES,
+        **fields,
+        "elapsed_s": chaos.job_time,
+        "baseline_elapsed_s": base.job_time,
+        "identical_output": chaos.sorted_output() == base.sorted_output(),
+        "network_bytes": chaos.stats["network_bytes"],
+        "leaked_buffer_slots": chaos.stats["leaked_buffer_slots"],
+        "causal": point_profile(chaos.timeline, chaos.job_time),
+        "wall_s": wall,
+    }
+
+
 def double_point(costs: HostCosts = DEFAULT_HOST_COSTS,
                  kilobytes: int = KILOBYTES) -> Dict[str, Any]:
     """Half-cluster job + 4 mid-map joins vs the static half-cluster."""
@@ -86,20 +103,10 @@ def double_point(costs: HostCosts = DEFAULT_HOST_COSTS,
                           _config(active_nodes=_HALF), costs=costs,
                           faults=FaultPlan(node_joins=joins))
     wall = time.perf_counter() - wall0
-    return {
-        "app": "elastic:double",
-        "nodes": ELASTIC_NODES,
-        "kilobytes": kilobytes,
-        "active_nodes": _HALF,
-        "elapsed_s": chaos.job_time,
-        "baseline_elapsed_s": base.job_time,
-        "speedup": base.job_time / chaos.job_time,
-        "identical_output": chaos.sorted_output() == base.sorted_output(),
-        "joined": len(chaos.stats["joined_nodes"]),
-        "network_bytes": chaos.stats["network_bytes"],
-        "leaked_buffer_slots": chaos.stats["leaked_buffer_slots"],
-        "wall_s": wall,
-    }
+    return _point("elastic:double", base, chaos, wall, kilobytes=kilobytes,
+                  active_nodes=_HALF,
+                  speedup=base.job_time / chaos.job_time,
+                  joined=len(chaos.stats["joined_nodes"]))
 
 
 def halve_point(costs: HostCosts = DEFAULT_HOST_COSTS,
@@ -116,22 +123,12 @@ def halve_point(costs: HostCosts = DEFAULT_HOST_COSTS,
                           costs=costs,
                           faults=FaultPlan(node_leaves=leaves))
     wall = time.perf_counter() - wall0
-    return {
-        "app": "elastic:halve",
-        "nodes": ELASTIC_NODES,
-        "kilobytes": kilobytes,
-        "active_nodes": ELASTIC_NODES,
-        "elapsed_s": chaos.job_time,
-        "baseline_elapsed_s": base.job_time,
-        "slowdown": chaos.job_time / base.job_time,
-        "identical_output": chaos.sorted_output() == base.sorted_output(),
-        "departed": len(chaos.stats["departed_nodes"]),
-        "repushed_runs": chaos.stats["repushed_runs"],
-        "reexecuted_splits": chaos.stats["reexecuted_splits"],
-        "network_bytes": chaos.stats["network_bytes"],
-        "leaked_buffer_slots": chaos.stats["leaked_buffer_slots"],
-        "wall_s": wall,
-    }
+    return _point("elastic:halve", base, chaos, wall, kilobytes=kilobytes,
+                  active_nodes=ELASTIC_NODES,
+                  slowdown=chaos.job_time / base.job_time,
+                  departed=len(chaos.stats["departed_nodes"]),
+                  repushed_runs=chaos.stats["repushed_runs"],
+                  reexecuted_splits=chaos.stats["reexecuted_splits"])
 
 
 def failover_point(costs: HostCosts = DEFAULT_HOST_COSTS,
@@ -153,21 +150,10 @@ def failover_point(costs: HostCosts = DEFAULT_HOST_COSTS,
     chaos = run_glasswing(WordCountApp(), inputs, spec, config, costs=costs,
                           faults=FaultPlan(coordinator_crashes=crashes))
     wall = time.perf_counter() - wall0
-    return {
-        "app": "elastic:failover",
-        "nodes": ELASTIC_NODES,
-        "kilobytes": kilobytes,
-        "replicas": 3,
-        "failover_timeout": FAILOVER_TIMEOUT,
-        "elapsed_s": chaos.job_time,
-        "baseline_elapsed_s": base.job_time,
-        "failovers": chaos.stats["coordinator_failovers"],
-        "overhead_s": chaos.job_time - base.job_time,
-        "identical_output": chaos.sorted_output() == base.sorted_output(),
-        "network_bytes": chaos.stats["network_bytes"],
-        "leaked_buffer_slots": chaos.stats["leaked_buffer_slots"],
-        "wall_s": wall,
-    }
+    return _point("elastic:failover", base, chaos, wall, kilobytes=kilobytes,
+                  replicas=3, failover_timeout=FAILOVER_TIMEOUT,
+                  failovers=chaos.stats["coordinator_failovers"],
+                  overhead_s=chaos.job_time - base.job_time)
 
 
 #: baseline ``app`` label -> the function that measures that point (see

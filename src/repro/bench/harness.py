@@ -15,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.obs.causal import causal_profile
+
 __all__ = ["Table", "ShapeCheck", "ExperimentReport", "fmt_seconds",
-           "speedups", "parallel_efficiency"]
+           "speedups", "parallel_efficiency", "point_profile"]
 
 
 def fmt_seconds(value: Any) -> str:
@@ -187,3 +189,11 @@ def parallel_efficiency(nodes: Sequence[int], times: Sequence[float]) -> float:
         return 1.0
     n0, n1 = nodes[0], nodes[-1]
     return (times[0] / times[-1]) / (n1 / n0)
+
+
+def point_profile(timeline, elapsed_s: float) -> Dict[str, Any]:
+    """A baseline point's causal profile, so ``repro.bench.regress`` can
+    explain a drift; the per-job tree is detail a point does not need."""
+    profile = causal_profile(timeline, elapsed_s=elapsed_s)
+    del profile["tree"]
+    return profile

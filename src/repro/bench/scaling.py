@@ -31,11 +31,10 @@ from repro.core import JobConfig, run_glasswing
 from repro.core.costs import DEFAULT_HOST_COSTS, HostCosts
 from repro.hw.presets import das4_cluster
 from repro.hw.specs import KiB
-from repro.obs.causal import causal_profile
 from repro.obs.report import PipelineReport
 from repro.storage.records import NO_COMPRESSION
 
-from repro.bench.harness import ExperimentReport, Table
+from repro.bench.harness import ExperimentReport, Table, point_profile
 
 __all__ = ["report", "sweep_point", "NODES", "QUICK_NODES",
            "PER_NODE_BYTES", "SPLITS_PER_NODE", "MIN_WALL_SPEEDUP",
@@ -157,6 +156,7 @@ def sweep_point(case: str, nodes: int,
         "wall_s": wall,
         "network_bytes": res.stats["network_bytes"],
         "leaked_buffer_slots": res.stats["leaked_buffer_slots"],
+        "leaked_processes": res.stats["leaked_processes"],
     }
     for phase in ("map", "reduce"):
         rep = PipelineReport(res.timeline, phase)
@@ -167,12 +167,7 @@ def sweep_point(case: str, nodes: int,
             "dominant_stage": dominant,
             "dominant_share": util.get(dominant, 0.0) if dominant else 0.0,
         }
-    # Causal wait profile of the run: baseline points carry it so the
-    # regression gate can explain a drift (not just detect it).  The
-    # tree section is per-job detail the sweep does not need.
-    causal = causal_profile(res.timeline, elapsed_s=res.job_time)
-    causal.pop("tree", None)
-    point["causal"] = causal
+    point["causal"] = point_profile(res.timeline, res.job_time)
     return point
 
 

@@ -28,7 +28,7 @@ from repro.core.sched import ARBITER_NAMES
 from repro.hw.presets import das4_cluster
 from repro.service import JobServer, ServicePolicy, synthetic_trace
 
-from repro.bench.harness import ExperimentReport, Table
+from repro.bench.harness import ExperimentReport, Table, point_profile
 
 __all__ = ["report", "service_point", "TRACE_JOBS", "QUICK_JOBS",
            "TRACE_SEED", "MEAN_INTERARRIVAL", "SERVICE_NODES",
@@ -101,6 +101,7 @@ def service_point(arbiter: str, n_jobs: int = TRACE_JOBS,
         "peak_running": result.peak_running,
         "peak_queue_depth": result.peak_queue_depth,
         "leaked_buffer_slots": result.leaked_buffer_slots,
+        "causal": point_profile(result.timeline, result.makespan),
         "wall_s": wall,
     }
 

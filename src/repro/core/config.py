@@ -59,7 +59,6 @@ class JobConfig:
     scheduler: str = field(default_factory=_default_scheduler)
     buffering: int = 2                  # 1 = single, 2 = double, 3 = triple
     chunk_size: int = 16 * MiB          # input split processed per kernel
-    kernel_threads: Optional[int] = None  # CPU-device thread override
     #: simulation granularity: records per pipeline payload (map) and keys
     #: per reduce work item.  ``None`` autotunes to one batch per split —
     #: the fastest wall-clock setting; 1 simulates record-at-a-time (the
@@ -93,10 +92,6 @@ class JobConfig:
     # -- fault tolerance (§III-E) ---------------------------------------------
     #: total attempts a map/reduce task may consume before the job aborts
     max_attempts: int = 4
-    #: retry delay seed: attempt ``i`` waits ``backoff_base * 2**(i-1)``
-    #: seconds before relaunching (0 keeps retries back-to-back, which
-    #: preserves the pre-fault-tolerance timing behaviour)
-    backoff_base: float = 0.0
     #: race a speculative duplicate of straggling map tasks on another node
     speculative_execution: bool = False
     #: a launch is straggling once it exceeds this multiple of the mean
@@ -139,8 +134,6 @@ class JobConfig:
             raise ValueError("batch_size must be >= 1 (or None to autotune)")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base < 0:
-            raise ValueError("backoff_base must be >= 0")
         if self.speculation_factor <= 1.0:
             raise ValueError("speculation_factor must be > 1")
         if self.metrics_interval is not None:

@@ -223,6 +223,7 @@ class JobExecution:
         self.faults = faults
         self.timeline = timeline = (timeline if timeline is not None
                                     else session.timeline)
+        self.procs: set = set()     # its live processes (Process.group)
         n = len(cluster)
         # The initially-active node set, validated with the fault plan
         # before the first side effect on the shared session.  The
@@ -334,7 +335,8 @@ class JobExecution:
         mid-map for a joiner.  Returns the new (not yet running) phases."""
         self.managers[node_id] = IntermediateManager(
             self.sim, self.cluster[node_id], self.app, self.config,
-            self.timeline, owned_pids=owned_pids, costs=self.costs)
+            self.timeline, owned_pids=owned_pids, costs=self.costs,
+            procs=self.procs)
         phases = [MapPhase(self, node_id, kind) for kind in self.map_kinds]
         self.map_phases.extend(phases)
         return phases
@@ -348,20 +350,20 @@ class JobExecution:
         generators themselves.  Harmless no-op when nothing can join.
         """
         return self.sim.process(membership.join(self, node),
-                                name=f"{self.name}.join")
+                                name=f"{self.name}.join", group=self.procs)
 
     def inject_leave(self, node: Optional[int] = None):
         """Drain an active node now (``None`` picks the highest-id one)."""
         return self.sim.process(membership.leave(self, node),
-                                name=f"{self.name}.leave")
+                                name=f"{self.name}.leave", group=self.procs)
 
     # -- orchestration -----------------------------------------------------
     def start(self):
         """Launch the orchestrator; returns its process (yieldable)."""
-        self.proc = self.sim.process(self._job(), name=self.name)
+        self.proc = self.sim.process(self._job(), self.name, self.procs)
         if self._elastic is not None:
             self.sim.process(self._elastic.run(),
-                             name=f"{self.name}.elastic")
+                             name=f"{self.name}.elastic", group=self.procs)
         return self.proc
 
     def _job(self):
@@ -530,6 +532,8 @@ class JobExecution:
             # returned, even by pipelines a node crash killed mid-flight
             # (phantom occupancy would poison the utilization reports).
             "leaked_buffer_slots": self.leaked_buffer_slots,
+            # The job's processes nothing will resume: stuck past its end.
+            "leaked_processes": sum(p.is_blocked for p in self.procs),
         }
         # Pending fault-plan events (a crash timer that lost its race, a
         # speculation watchdog) can outlive the job in the event heap, so

@@ -7,9 +7,8 @@ rescheduled for processing."  This module grows that sketch into a full
 fault model covering the failures that dominate real clusters:
 
 * **map-task crashes** — the map pipeline discards partial kernel work,
-  re-reads the split from (replicated) storage and re-executes, with
-  configurable retry/backoff (``JobConfig.max_attempts`` /
-  ``backoff_base``);
+  re-reads the split from (replicated) storage and re-executes, back to
+  back, up to ``JobConfig.max_attempts``;
 * **reduce-task crashes** — the reduce pipeline discards the partial
   reduction, re-fetches the partition's lost input from durable map
   output on local disk and re-executes;
@@ -43,8 +42,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import (Dict, Generator, List, Mapping, Optional, Sequence, Set,
-                    Tuple, Union)
+from typing import (Dict, List, Mapping, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from repro.core.membership import initial_active
 
@@ -68,21 +67,18 @@ class TaskFailedError(RuntimeError):
 
 
 def end_crashed_attempt(phase, kind: str, task: str, start: float,
-                        attempt: int, **meta) -> Generator:
+                        attempt: int, **meta) -> int:
     """Both phases' retry epilogue: record crashed ``attempt``'s
-    ``<kind>.task_failure`` span (``start`` to now), give up after
-    ``max_attempts``, else back off; returns the next attempt number."""
-    sim, config = phase.sim, phase.config
+    ``<kind>.task_failure`` span (``start`` to now) and give up after
+    ``max_attempts``; returns the next attempt number, which is launched
+    back to back."""
     phase.timeline.record(f"{kind}.task_failure", phase.node.name, start,
-                          sim.now, **meta, attempt=attempt)
+                          phase.sim.now, **meta, attempt=attempt)
     attempt += 1
-    if attempt >= config.max_attempts:
+    if attempt >= phase.config.max_attempts:
         raise TaskFailedError(
             f"{kind} task for {task} failed {attempt} attempts "
-            f"(max_attempts={config.max_attempts})")
-    backoff = config.backoff_base * (2 ** (attempt - 1))
-    if backoff > 0:
-        yield sim.timeout(backoff)
+            f"(max_attempts={phase.config.max_attempts})")
     return attempt
 
 

@@ -53,7 +53,8 @@ class IntermediateManager:
     def __init__(self, sim: Simulator, node: Node,
                  app: MapReduceApp, config: JobConfig, timeline: Timeline,
                  owned_pids: List[int],
-                 costs: HostCosts = DEFAULT_HOST_COSTS):
+                 costs: HostCosts = DEFAULT_HOST_COSTS,
+                 procs: Optional[set] = None):
         self.sim = sim
         self.node = node
         self.app = app
@@ -72,7 +73,7 @@ class IntermediateManager:
         self._idle_event: Optional[Event] = None
         self._run_seq = 0
         for i in range(config.effective_merger_threads):
-            sim.process(self._worker(), name=f"{node.name}.merger{i}")
+            sim.process(self._worker(), f"{node.name}.merger{i}", procs)
         self.merge_delay: float = 0.0
         self.spilled_bytes = 0
         tele = timeline.telemetry

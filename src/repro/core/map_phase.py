@@ -18,7 +18,7 @@ Stage bodies:
 Fault tolerance (§III-E) threads through every stage body:
 
 * the kernel stage retries crashed task attempts with per-attempt
-  progress, exponential backoff and a ``max_attempts`` ceiling;
+  progress, back to back, up to a ``max_attempts`` ceiling;
 * straggling splits run their kernel at a plan-given slowdown, and the
   :class:`~repro.core.recovery.SpeculationController` may race a
   speculative copy on another node — first finisher wins, the loser is
@@ -219,9 +219,7 @@ class MapPhase:
             # launch overhead granularity-invariant.
             base = replace(base, launches=0)
         cost = base + extra
-        threads = self.config.kernel_threads
-        if threads is None:
-            threads = self.app.preferred_threads(self.device.spec)
+        threads = self.app.preferred_threads(self.device.spec)
         slow = self.faults.slowdown_for(chunk.index) if self.faults else 1.0
         charged = cost.scaled(slow) if slow != 1.0 else cost
         start = self.sim.now
@@ -314,7 +312,7 @@ class MapPhase:
             partial = cost.scaled(progress)
             start = self.sim.now
             yield from self.device.execute_cost(partial)
-            attempt = yield from end_crashed_attempt(
+            attempt = end_crashed_attempt(
                 self, "map", f"split {chunk.index}", start, attempt,
                 split=chunk.index)
             # Reschedule: reload the split from (replicated) storage.
@@ -441,10 +439,11 @@ class MapPhase:
               remote: Dict[int, List[tuple[int, SortedRun]]]) -> Generator:
         """Asynchronous remote Partition push (Glasswing pushes; Hadoop
         pulls — one of the paper's stated latency advantages).  One pusher
-        thread per split: its per-message CPU overhead is charged up
-        front and the messages — one per peer — go out back to back,
-        which is how they leave the NIC anyway."""
-        yield self.node.host_work(1, self.costs.push_overhead * len(remote))
+        per split: each peer's message overhead runs up front on its own
+        hardware thread (the node's CPU caps the aggregate), then the
+        messages go out back to back, which is how they leave the NIC."""
+        peers = len(remote)
+        yield self.node.host_work(peers, self.costs.push_overhead * peers)
         for owner, runs in remote.items():
             stored = sum(self.config.compression.compressed_size(r.raw_bytes)
                          for _, r in runs)

@@ -324,7 +324,7 @@ def arm(job) -> None:
                   job.coordinator.crash_leader)
                  for e in plan.coordinator_crashes]
     for name, at, until, action in monitors:
-        job.sim.process(_fire(job.sim, at, until, action), name=name)
+        job.sim.process(_fire(job.sim, at, until, action), name, job.procs)
 
 
 def _fire(sim: Simulator, at: float, until: Event, action):

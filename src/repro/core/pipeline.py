@@ -315,10 +315,11 @@ class Pipeline:
                 final = n == len(payloads) - 1
                 # The slot wait belongs to the modeled item, not to each
                 # simulation batch: only the first batch's span carries the
-                # request time and the causal edge.
-                span_req = t_req if n == 0 else start
-                self._span("input", start, slot=slot, slot_wait=slot_wait,
-                           t_req=span_req, **self._payload_meta(part))
+                # wait, the request time and the causal edge.
+                self._span("input", start, slot=slot,
+                           slot_wait=slot_wait if n == 0 else 0.0,
+                           t_req=t_req if n == 0 else start,
+                           **self._payload_meta(part))
                 if n == 0:
                     self._wait_edge("input", "buffer-slot",
                                     self.in_pool.name, t_req,

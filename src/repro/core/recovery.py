@@ -107,10 +107,8 @@ class SpeculationController:
                 job.backend, helper, split, job.app.record_format)
             device = job.device_objs[helper][job.map_kinds[0]]
             cost = job.app.map_cost(device.spec, len(records), nbytes)
-            threads = self.config.kernel_threads
-            if threads is None:
-                threads = job.app.preferred_threads(device.spec)
-            yield from device.execute_cost(cost, threads=threads)
+            yield from device.execute_cost(
+                cost, threads=job.app.preferred_threads(device.spec))
         finally:
             self.active[helper] -= 1
 

@@ -272,7 +272,7 @@ class ReducePhase:
             # Restart: fetch the chunk's input again, as the reader did.
             yield from self._fetch(self._items_by_index[chunk.index],
                                    f"p{pid}.retry")
-            attempt = yield from end_crashed_attempt(
+            attempt = end_crashed_attempt(
                 self, "reduce", f"partition {pid}", start, attempt, pid=pid)
 
     def _retrieve(self, out: ReduceOutput) -> Generator:

@@ -154,15 +154,22 @@ class Process(Event):
     avoid silently losing errors).
     """
 
-    __slots__ = ("gen", "name", "_target")
+    __slots__ = ("gen", "name", "_target", "group")
 
-    def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
+    def __init__(self, sim: "Simulator", gen: Generator, name: str = "",
+                 group: Optional[set] = None):
         super().__init__(sim)
         if not hasattr(gen, "send"):
             raise TypeError(f"Process requires a generator, got {gen!r}")
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         self._target: Optional[Event] = None
+        if group is None and sim._active_process is not None:
+            group = sim._active_process.group
+        #: live processes of this one's owner (a job), left on termination
+        self.group = group
+        if group is not None:
+            group.add(self)
         # Bootstrap: resume the generator at the current time.
         boot = Event(sim)
         boot._ok = True
@@ -174,6 +181,11 @@ class Process(Event):
     def is_alive(self) -> bool:
         """True while the process has not terminated."""
         return not self._triggered
+
+    @property
+    def is_blocked(self) -> bool:
+        """Alive and waiting on an event that has not fired."""
+        return self._target is not None and not self._target._triggered
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
@@ -224,8 +236,7 @@ class Process(Event):
             else:
                 target = self.gen.send(send)
         except StopIteration as stop:
-            sim._active_process = prev
-            self.succeed(stop.value)
+            self._terminate(prev).succeed(stop.value)
             return
         except Interrupt as interrupt:
             # An unhandled interrupt terminates the process quietly.  Its
@@ -233,15 +244,10 @@ class Process(Event):
             # event holding the interrupt: a cycle through every frame
             # the interrupt unwound.
             interrupt.__traceback__ = None
-            sim._active_process = prev
-            self.succeed(None)
+            self._terminate(prev).succeed(None)
             return
         except BaseException as exc:
-            sim._active_process = prev
-            self._ok = False
-            self._value = exc
-            self._triggered = True
-            sim._enqueue(self)
+            self._terminate(prev).fail(exc)
             return
         sim._active_process = prev
         if not isinstance(target, Event):
@@ -252,6 +258,13 @@ class Process(Event):
             raise SimulationError("yielded event belongs to a different simulator")
         self._target = target
         target.subscribe(self._resume)
+
+    def _terminate(self, prev: Optional["Process"]) -> "Process":
+        """Hand the simulator back to ``prev`` and leave the group."""
+        self.sim._active_process = prev
+        if self.group is not None:
+            self.group.discard(self)
+        return self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Process {self.name!r} {'done' if self._triggered else 'alive'}>"
@@ -376,9 +389,11 @@ class Simulator:
             self._shared_timeouts[delay] = ev
         return ev
 
-    def process(self, gen: Generator, name: str = "") -> Process:
-        """Register ``gen`` as a process; returns its completion event."""
-        return Process(self, gen, name=name)
+    def process(self, gen: Generator, name: str = "",
+                group: Optional[set] = None) -> Process:
+        """Start ``gen`` as a process in ``group`` (default: the group of
+        the process starting it); returns its completion event."""
+        return Process(self, gen, name=name, group=group)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Composite event: every constituent has fired."""

@@ -85,7 +85,7 @@ def test_exhausted_attempts_surface_from_the_run(metrics_interval):
     """A failing orchestrator raises out of ``run_glasswing`` — also with
     telemetry on, where the run's owner subscribes to its completion (a
     subscriber would otherwise count as having handled the failure)."""
-    config = JobConfig(chunk_size=8192, max_attempts=2, backoff_base=0.0,
+    config = JobConfig(chunk_size=8192, max_attempts=2,
                        metrics_interval=metrics_interval)
     with pytest.raises(TaskFailedError, match="split 0"):
         run_glasswing(WordCountApp(), {"f": wiki_text(30_000, seed=4)},

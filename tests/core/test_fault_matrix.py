@@ -113,6 +113,7 @@ def test_map_crashes(cell, count):
     res = case.run(faults=plan)
     case.assert_same_output(res, golden)
     assert res.stats["leaked_buffer_slots"] == 0
+    assert res.stats["leaked_processes"] == 0
     assert res.metrics.reexecutions == count
     assert res.stats["task_failures"] == count
     assert res.job_time > golden.job_time
@@ -129,6 +130,7 @@ def test_reduce_crashes(cell, count):
     res = case.run(faults=plan)
     case.assert_same_output(res, golden)
     assert res.stats["leaked_buffer_slots"] == 0
+    assert res.stats["leaked_processes"] == 0
     assert res.metrics.reexecutions == count
     assert res.stats["task_failures"] == count
     # The retried task may sit off the critical path, so the job is only
@@ -151,6 +153,7 @@ def test_node_crashes(cell, count):
     # interrupt paths in _kernel_stage/_output_stage release on the way
     # out; the reaper drains in-flight queue slots).
     assert res.stats["leaked_buffer_slots"] == 0
+    assert res.stats["leaked_processes"] == 0
     assert sorted(res.stats["dead_nodes"]) == [c.node for c in crashes]
     assert res.metrics.node_crashes == count
     assert res.metrics.reexecutions == res.stats["reexecuted_splits"]
@@ -165,6 +168,7 @@ def test_stragglers_with_speculation(cell, count):
     res = case.run(faults=plan, config=cfg)
     case.assert_same_output(res, golden)
     assert res.stats["leaked_buffer_slots"] == 0
+    assert res.stats["leaked_processes"] == 0
     # Stragglers are slow, not failed: nothing re-executes, and any
     # speculative win must come from an actual launch.
     assert res.metrics.reexecutions == 0
@@ -181,6 +185,7 @@ def test_node_crash_degrades_gracefully():
     res = case.run(faults=plan)
     assert canonical(res) == canonical(golden)
     assert res.stats["leaked_buffer_slots"] == 0
+    assert res.stats["leaked_processes"] == 0
     assert golden.job_time < res.job_time < 2 * golden.job_time
     assert res.metrics.recovery_time > 0
 

@@ -247,3 +247,27 @@ def test_scaling_out_reduces_job_time(wc_inputs):
     assert four.job_time < one.job_time
     speedup = one.job_time / four.job_time
     assert 1.5 < speedup <= 4.5
+
+
+@pytest.mark.parametrize("peers", [3, 15, 31])
+def test_a_split_pushes_on_one_thread_per_peer(peers):
+    """Each peer's message overhead runs on its own hardware thread: on an
+    otherwise idle node, a split pushing to ``peers`` peers spends one
+    ``push_overhead`` of CPU before its first send (the node's threads
+    cap the aggregate), not ``peers`` of them — from one pusher process."""
+    session = ClusterSession(das4_cluster(nodes=peers + 1))
+    job = JobExecution(session, WordCountApp(),
+                       {"wiki": datagen.wiki_text(16 * 1024, seed=5)},
+                       config=JobConfig(chunk_size=64 * 1024,
+                                        partitions_per_node=1))
+    job.start()
+    session.run()
+    (phase,) = [mp for mp in job.map_phases if mp.push_procs]
+    assert [p.name for p in phase.push_procs] == [f"{phase.node.name}.push.s0"]
+    spans = job.timeline.spans
+    (output,) = [s for s in spans if s.category == "map.output"]
+    pushes = [s for s in spans if s.category == "map.push"]
+    assert len(pushes) == peers
+    threads = phase.node.cpu.capacity
+    assert min(s.start for s in pushes) - output.end == pytest.approx(
+        job.costs.push_overhead * max(1.0, peers / threads), rel=1e-9)

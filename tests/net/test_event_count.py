@@ -17,7 +17,8 @@ from repro.simt import Simulator
 #: ``Simulator.step`` calls of the 64-node job.  Per-phase waits (six
 #: events a transfer) took 38,440; the receiver calendar took 21,778, and
 #: taking a free disk-channel or device-engine token without an event
-#: brings it to 21,345.
+#: brought it to 21,345, and pushing on one hardware thread per peer to
+#: 20,634.
 MAX_EVENTS = 24_000
 
 
@@ -37,5 +38,5 @@ def test_64_node_wordcount_event_count(monkeypatch):
         JobConfig(chunk_size=512, partitions_per_node=1,
                   scheduler="static-affinity"))
     assert steps <= MAX_EVENTS
-    assert result.job_time == 0.017472626733333305
-    assert len(result.timeline.spans) == 9272
+    assert result.job_time == 0.013160126733333347
+    assert len(result.timeline.spans) == 9275

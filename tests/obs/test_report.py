@@ -116,14 +116,6 @@ def test_aggregate_counters_roll_up():
     assert c["net_wait_seconds"] == pytest.approx(0.6)
 
 
-_DOUBLE_SLOT_WAIT = pytest.mark.xfail(
-    strict=True,
-    reason="the input stage copies a modeled item's slot_wait onto the "
-           "span of every simulation batch, so slot_wait_seconds counts "
-           "it once per batch; the fix moves report and trace digests and "
-           "waits for ROADMAP item 1's single golden regeneration")
-
-
 def _wc_batched(batch_size):
     return run_glasswing(
         WordCountApp(), {"wiki": wiki_text(256 * 1024, seed=42)},
@@ -140,9 +132,8 @@ def _terasort():
 
 @pytest.mark.parametrize("run", [
     pytest.param(lambda: _wc_batched(None), id="wordcount"),
-    pytest.param(lambda: _wc_batched(7), id="wordcount-batch7",
-                 marks=_DOUBLE_SLOT_WAIT),
-    pytest.param(_terasort, id="terasort-reduce", marks=_DOUBLE_SLOT_WAIT),
+    pytest.param(lambda: _wc_batched(7), id="wordcount-batch7"),
+    pytest.param(_terasort, id="terasort-reduce"),
 ])
 def test_wait_counters_match_the_causal_edges(run):
     """The report's wait counters are the seconds of their causal classes:

@@ -380,3 +380,37 @@ def test_nested_process_tree():
     sim.run()
     assert p.value == 6.0
     assert sim.now == 3.0  # two branches in parallel, each 3s sequential
+
+
+def test_a_process_group_holds_exactly_the_live_processes():
+    """A process joins the group it is given, else its spawner's, and
+    leaves it when it returns, is interrupted or fails; a process stuck
+    on an event nothing fires stays, blocked."""
+    sim = Simulator()
+    group: set = set()
+    never = Event(sim)
+
+    def child(kind):
+        if kind == "fail":
+            yield sim.timeout(1)
+            raise ValueError("boom")
+        yield never if kind == "stuck" else sim.timeout(1)
+
+    def parent():
+        kids = {k: sim.process(child(k), name=k)
+                for k in ("done", "stuck", "fail", "cut")}
+        assert set(kids.values()) < group
+        kids["cut"].interrupt()
+        try:
+            yield kids["fail"]
+        except ValueError:
+            pass
+        return kids
+
+    root = sim.process(parent(), group=group)
+    outsider = sim.process(child("done"))
+    assert outsider.group is None and root in group
+    sim.run()
+    kids = root.value
+    assert group == {kids["stuck"]}
+    assert kids["stuck"].is_blocked and not root.is_blocked
