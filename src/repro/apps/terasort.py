@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import bisect
 from operator import itemgetter
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.hw.specs import DeviceSpec
 from repro.ocl.kernel import KernelCost
-from repro.storage.records import FixedRecordFormat, KVSchema
+from repro.storage.records import FixedRecordFormat, KVSchema, PairColumns
 
 from repro.core.api import MapReduceApp
 
@@ -30,6 +32,34 @@ _OPS_PER_RECORD = 220.0
 
 _KEY_OF = itemgetter(slice(None, KEY_LEN))
 _VALUE_OF = itemgetter(slice(KEY_LEN, None))
+
+
+#: a fixed-width key viewed as its first eight bytes, big-endian — one
+#: unsigned integer that orders as those bytes do — and the rest
+_PREFIX = np.dtype([("prefix", ">u8"), ("rest", f"V{KEY_LEN - 8}")])
+
+
+def _fixed(keys: Sequence[bytes]) -> np.ndarray:
+    """A keys column as one fixed-width ``S10`` array, for comparison only.
+
+    On keys of exactly ``KEY_LEN`` bytes, ``S10`` order and equality are
+    ``bytes`` order and equality: numpy compares the fixed-width buffers
+    as unsigned bytes, and two keys of one width never differ only in
+    trailing padding.  Keys never come back out of the array (``tolist``
+    would strip trailing NULs): callers gather the original ``bytes`` by
+    index."""
+    joined = b"".join(keys)
+    if len(joined) != KEY_LEN * len(keys):
+        raise ValueError(f"TeraSort keys must be {KEY_LEN} bytes each")
+    return np.frombuffer(joined, dtype=f"S{KEY_LEN}")
+
+
+def _prefixes(fixed: np.ndarray) -> np.ndarray:
+    """Each key's first eight bytes as an integer.  Keys with distinct
+    prefixes compare as their prefixes do, and integers compare several
+    times faster than ``S10`` strings; only a shared prefix needs the
+    whole key."""
+    return fixed.view(_PREFIX)["prefix"]
 
 
 class TeraSortApp(MapReduceApp):
@@ -52,6 +82,10 @@ class TeraSortApp(MapReduceApp):
     def __init__(self, sample_keys: Sequence[bytes]):
         if not sample_keys:
             raise ValueError("TeraSort needs a non-empty key sample")
+        if any(not isinstance(k, bytes) or len(k) != KEY_LEN
+               for k in sample_keys):
+            raise ValueError(f"TeraSort sample keys must be {KEY_LEN}-byte "
+                             f"bytes, as every record's key is")
         self._sample = sorted(sample_keys)
         self._splits: Dict[int, List[bytes]] = {}
 
@@ -63,8 +97,9 @@ class TeraSortApp(MapReduceApp):
         return cls(keys or [data[:KEY_LEN]])
 
     # -- MapReduce logic ----------------------------------------------------
-    def map_batch(self, records: Sequence[bytes]) -> List[Tuple[bytes, bytes]]:
-        return list(zip(map(_KEY_OF, records), map(_VALUE_OF, records)))
+    def map_batch(self, records: Sequence[bytes]) -> PairColumns:
+        return PairColumns(tuple(map(_KEY_OF, records)),
+                           tuple(map(_VALUE_OF, records)))
 
     def reduce(self, key, values):  # pragma: no cover - map_only_output
         return [(key, v) for v in values]
@@ -72,6 +107,51 @@ class TeraSortApp(MapReduceApp):
     def partition(self, key: bytes, n_partitions: int) -> int:
         """Range partitioner: totally ordered output across partitions."""
         return bisect.bisect_right(self._split_points(n_partitions), key)
+
+    # The batch hooks: the per-key defaults' exact equals in numpy.
+    def partition_batch(self, keys: Sequence[bytes],
+                        n_partitions: int) -> List[int]:
+        """One ``searchsorted`` of the column over the split points: the
+        ``bisect_right`` of :meth:`partition` for every key.
+
+        ``bisect_right`` counts the points ``<= key``; for a key sharing
+        its prefix with no point, ``point <= key`` exactly when the point's
+        prefix is, so the integer search is exact.  A key that does share
+        one (every sampled key does) is searched again as a whole."""
+        points = _fixed(self._split_points(n_partitions))
+        fixed = _fixed(keys)
+        at, key_at = _prefixes(points), _prefixes(fixed)
+        pids = np.searchsorted(at, key_at, side="right")
+        if len(at):
+            # The last point at or below a key is the one it could share.
+            shared = np.flatnonzero(at[np.maximum(pids - 1, 0)] == key_at)
+            pids[shared] = np.searchsorted(points, fixed[shared],
+                                           side="right")
+        return pids.tolist()
+
+    def sort_order(self, keys: Sequence[bytes],
+                   pids: Optional[Sequence[int]] = None) -> List[int]:
+        """The column's stable sort order.  ``pids`` is not needed: a range
+        partitioner's index never falls as its key rises, so key order is
+        (partition, key) order.
+
+        Distinct prefixes fix the order alone, and an order without ties
+        is the stable one, so a quick integer argsort is exact; a shared
+        prefix takes the stable sort of the whole ``S10`` keys."""
+        fixed = _fixed(keys)
+        prefixes = _prefixes(fixed)
+        order = np.argsort(prefixes)
+        ordered = prefixes[order]
+        if (ordered[1:] == ordered[:-1]).any():
+            order = np.argsort(fixed, kind="stable")
+        return order.tolist()
+
+    def group_sizes(self, keys: Sequence[bytes]) -> List[int]:
+        """Lengths of the runs of equal keys: one neighbour comparison."""
+        fixed = _fixed(keys)
+        bounds = np.flatnonzero(fixed[1:] != fixed[:-1]) + 1
+        return np.diff(bounds, prepend=0, append=len(fixed)).tolist() \
+            if len(fixed) else []
 
     def _split_points(self, n_partitions: int) -> List[bytes]:
         if n_partitions not in self._splits:

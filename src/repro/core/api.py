@@ -18,17 +18,17 @@ from __future__ import annotations
 
 import zlib
 from collections import Counter
-from itertools import chain
+from itertools import groupby, repeat
 from operator import countOf, itemgetter
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.hw.specs import DeviceSpec
 from repro.ocl.kernel import KernelCost
 from repro.storage.records import KVSchema, PairColumns, TextRecordFormat
 
 __all__ = ["MapReduceApp", "RecordMapReduceApp", "Emitter", "stable_hash",
-           "sum_by_key", "pair_sort_key", "merge_runs"]
+           "sum_by_key", "merge_runs"]
 
 Pair = Tuple[Any, Any]
 
@@ -71,25 +71,13 @@ def sum_by_key(pairs: Iterable[Pair]) -> List[Pair]:
     return list(totals.items())
 
 
-def pair_sort_key(app: MapReduceApp) -> Callable[[Pair], Any]:
-    """Key function ordering ``(key, value)`` pairs by ``app.sort_key``
-    of their keys: ``itemgetter(0)`` unless the app overrides the hook."""
-    if getattr(app.sort_key, "__func__", None) is MapReduceApp.sort_key:
-        return itemgetter(0)
-    sort_key = app.sort_key
-    return lambda kv: sort_key(kv[0])
-
-
-def merge_runs(app: MapReduceApp, runs: Sequence[Any]) -> List[Pair]:
-    """Multi-way merge of sorted runs (anything with a ``pairs`` list):
-    one stable ``sorted`` of their concatenation, so equal keys come out
-    in run order, then in-run order.  A single run is already in order
-    and its list is returned as is: nothing mutates a run's pairs after
-    the partitioner's bucket sort, so the list can be shared."""
-    if len(runs) == 1:
-        return runs[0].pairs
-    return sorted(chain.from_iterable(r.pairs for r in runs),
-                  key=pair_sort_key(app))
+def merge_runs(app: MapReduceApp, runs: Sequence[PairColumns]) -> PairColumns:
+    """Multi-way merge of sorted runs: one stable ``app.sort_order`` of
+    their concatenation (equal keys in run order, then in-run order) and
+    one gather.  A lone run is returned as is: nothing mutates a run."""
+    merged = PairColumns.concat(runs)
+    return merged if len(runs) == 1 else \
+        merged.take(app.sort_order(merged.keys))
 
 
 class MapReduceApp:
@@ -119,9 +107,9 @@ class MapReduceApp:
                   ) -> Union[List[Pair], PairColumns]:
         """Map one input chunk's records to intermediate pairs: a list of
         ``(key, value)`` tuples, or a :class:`PairColumns` holding the
-        same pairs as a keys column and a values column (WordCount's
-        emit), which the collector reads without ever building the
-        tuples."""
+        same pairs as a keys column and a values column (WordCount's and
+        TeraSort's emit), which every later stage reads without building
+        the tuples."""
         raise NotImplementedError
 
     def combine(self, key: Any, values: List[Any]) -> List[Any]:
@@ -137,14 +125,37 @@ class MapReduceApp:
         raise NotImplementedError
 
     # -- partitioning / ordering --------------------------------------------
+    # Batch hooks (a keys column in, a list out): exact generic defaults.
     def partition(self, key: Any, n_partitions: int) -> int:
         """Partition index for ``key`` (hash by default; TeraSort overrides
         with a sampled range partitioner to obtain total order)."""
         return stable_hash(key) % n_partitions
 
+    def partition_batch(self, keys: Sequence[Any],
+                        n_partitions: int) -> List[int]:
+        """:meth:`partition` of every key of a column, in column order."""
+        return list(map(self.partition, keys, repeat(n_partitions)))
+
     def sort_key(self, key: Any):
         """Sorting key for intermediate ordering (identity by default)."""
         return key
+
+    def sort_order(self, keys: Sequence[Any],
+                   pids: Optional[Sequence[int]] = None) -> List[int]:
+        """Positions of ``keys`` in stable :meth:`sort_key` order; in stable
+        ``(pid, sort key)`` order, every bucket in place, given ``pids``."""
+        if getattr(self.sort_key, "__func__", None) is not \
+                MapReduceApp.sort_key:
+            keys = list(map(self.sort_key, keys))
+        if pids is not None:
+            keys = list(zip(pids, keys))
+        return sorted(range(len(keys)), key=keys.__getitem__)
+
+    def group_sizes(self, keys: Sequence[Any]) -> List[int]:
+        """Lengths of the runs of equal keys in a sorted column: those of
+        ``itertools.groupby`` (its equality, identity shortcut included),
+        counted with no Python call per key."""
+        return list(map(len, map(list, map(itemgetter(1), groupby(keys)))))
 
     # -- cost models (the OpenCL kernel side) ----------------------------------
     def map_cost(self, device: DeviceSpec, n_records: int,

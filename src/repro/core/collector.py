@@ -27,7 +27,7 @@ from typing import Any, List, Tuple
 
 from repro.hw.specs import DeviceSpec
 from repro.ocl.kernel import KernelCost
-from repro.core.api import MapReduceApp, pair_sort_key
+from repro.core.api import MapReduceApp
 from repro.core.data import MapOutput, PairColumns
 
 __all__ = ["collect_map_output", "hash_contention", "COLLECTORS",
@@ -86,8 +86,8 @@ def _buffer_collect(app: MapReduceApp, device: DeviceSpec, pairs: List[Pair],
         atomic_intensity=0.05,   # one uncontended atomic per allocation
         launches=0,
     )
-    out = MapOutput(chunk_index=chunk_index, pairs=pairs, raw_bytes=raw,
-                    decode_items=len(pairs))
+    out = MapOutput(chunk_index=chunk_index, pairs=PairColumns.of(pairs),
+                    raw_bytes=raw, decode_items=len(pairs))
     return out, extra
 
 
@@ -95,9 +95,9 @@ def _hash_collect(app: MapReduceApp, device: DeviceSpec, pairs: List[Pair],
                   use_combiner: bool, chunk_index: int,
                   interner: KeyInterner | None = None
                   ) -> Tuple[MapOutput, KernelCost]:
+    columns = PairColumns.of(pairs)
     try:
-        n_unique = len(set(pairs.keys) if isinstance(pairs, PairColumns)
-                       else {k for k, _ in pairs})
+        n_unique = len(set(columns.keys))
     except TypeError:
         _reject_unhashable_key(pairs)
         raise
@@ -110,19 +110,19 @@ def _hash_collect(app: MapReduceApp, device: DeviceSpec, pairs: List[Pair],
         launches=0,
     )
     if use_combiner:
-        out_pairs = app.run_combine(pairs)
+        out_pairs = PairColumns.of(app.run_combine(pairs))
         extra = extra + app.combine_cost(device, len(pairs))
     else:
         # Compaction kernel: gather each key's values contiguously so the
         # partitioner need not walk the whole hash-table memory space.
-        out_pairs = sorted(pairs, key=pair_sort_key(app))
+        out_pairs = columns.take(app.sort_order(columns.keys))
         raw_out = app.inter_schema.size_of(out_pairs)
         extra = extra + KernelCost(flops=2.0 * len(pairs),
                                    device_bytes=2.0 * raw_out,
                                    launches=1)
     if interner is not None:
-        intern = interner.intern
-        out_pairs = [(intern(k), v) for k, v in out_pairs]
+        out_pairs = PairColumns(list(map(interner.intern, out_pairs.keys)),
+                                out_pairs.values)
     raw = app.inter_schema.size_of(out_pairs)
     out = MapOutput(chunk_index=chunk_index, pairs=out_pairs, raw_bytes=raw,
                     decode_items=n_unique)
@@ -156,7 +156,7 @@ def collect_map_output(collector: str, app: MapReduceApp, device: DeviceSpec,
 
     ``pairs`` is what ``map_batch`` returned: a tuple list, or a
     :class:`PairColumns` that the hash table reads column-wise and the
-    buffer pool passes through to the partitioner.
+    buffer pool passes on as is; either way the output is columns.
 
     ``interner`` (hash collector only) canonicalises repeated keys to one
     object across launches — a host-memory optimisation with no effect on

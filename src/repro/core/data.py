@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import itemgetter
-from typing import Any, List, Tuple, Union
+from typing import Any, List, Sequence, Tuple, Union
 
 from repro.storage.records import PairColumns
 
@@ -13,8 +12,6 @@ __all__ = ["Chunk", "PairColumns", "MapOutput", "SortedRun", "KeyGroupChunk",
            "ReduceOutput"]
 
 Pair = Tuple[Any, Any]
-
-_VALUE = itemgetter(1)
 
 
 @dataclass
@@ -41,23 +38,24 @@ class MapOutput:
     collector passes a kernel's :class:`PairColumns` through as is."""
 
     chunk_index: int
-    pairs: Union[List[Pair], PairColumns]
+    pairs: PairColumns
     raw_bytes: int          # serialized size of ``pairs``
     decode_items: int       # items the partitioner must decode individually
     seq: int = 0            # batch position, carried over from the Chunk
     last: bool = True
 
 
-@dataclass
-class SortedRun:
-    """A sorted sequence of intermediate pairs (one partition's unit of
-    merging).  ``raw_bytes`` is the uncompressed serialized size."""
+class SortedRun(PairColumns):
+    """A sorted batch of intermediate pairs, one partition's unit of
+    merging; ``raw_bytes`` is its uncompressed serialized size.  Columns
+    for every app: the partitioner cuts each as a slice of one ordered
+    gather, and the push, the merger and the final merge carry it on."""
 
-    pairs: List[Pair]
-    raw_bytes: int
+    __slots__ = ("raw_bytes",)
 
-    def __len__(self) -> int:
-        return len(self.pairs)
+    def __init__(self, keys: Sequence, values: Sequence, raw_bytes: int):
+        # Cut from equal-length columns by construction: no length check.
+        self.keys, self.values, self.raw_bytes = keys, values, raw_bytes
 
 
 @dataclass
@@ -65,13 +63,13 @@ class KeyGroupChunk:
     """Reduce input: up to ``concurrent_keys * keys_per_thread`` keys, as
     produced by the final multi-way merge.
 
-    ``pairs`` is the chunk's slice of the partition's merged pair list,
-    cut at key boundaries; ``sizes[i]`` is how many of those pairs the
-    chunk's ``i``-th key has.  A reducing kernel reads :attr:`groups`.
+    ``pairs`` is the chunk's slice of the partition's merged columns, cut
+    at key boundaries; ``sizes[i]`` is how many of those pairs the chunk's
+    ``i``-th key has.  A reducing kernel reads :attr:`groups`.
     """
 
     index: int
-    pairs: List[Pair]
+    pairs: PairColumns
     sizes: List[int]
     nbytes: int
 
@@ -87,16 +85,17 @@ class KeyGroupChunk:
     def groups(self) -> List[Tuple[Any, List[Any]]]:
         """The chunk as ``(key, [values])`` entries, each key the first of
         its run; built on every access, never stored."""
-        pairs = self.pairs
+        keys, values = self.pairs.keys, self.pairs.values
         starts = list(accumulate(self.sizes, initial=0))
-        return [(pairs[a][0], list(map(_VALUE, pairs[a:b])))
+        return [(keys[a], list(values[a:b]))
                 for a, b in zip(starts, starts[1:])]
 
 
 @dataclass
 class ReduceOutput:
-    """Result of one reduce-kernel launch."""
+    """Result of one reduce-kernel launch: a reducing kernel's pairs, or
+    a map-only kernel's input columns as they are."""
 
     chunk_index: int
-    pairs: List[Pair]
+    pairs: Union[List[Pair], PairColumns]
     nbytes: int

@@ -55,6 +55,7 @@ from repro.core.recovery import SpeculationController, run_recovery
 from repro.core.reduce_phase import ReducePhase
 from repro.core.sched import make_scheduler
 from repro.storage.backend import StorageBackend, make_backend
+from repro.storage.records import PairColumns
 
 __all__ = ["run_glasswing", "GlasswingResult", "ClusterSession",
            "JobExecution", "open_backend"]
@@ -71,7 +72,7 @@ class GlasswingResult:
     map_time: float                       # map-phase extent
     merge_delay: float                    # post-map merge completion time
     reduce_time: float                    # reduce-phase extent
-    output: Dict[int, List[Tuple[Any, Any]]]   # pid -> output pairs
+    output: Dict[int, PairColumns]        # pid -> output pairs, as columns
     timeline: Timeline
     metrics: JobMetrics
     stats: Dict[str, Any] = field(default_factory=dict)
@@ -478,9 +479,10 @@ class JobExecution:
                 "orchestrator finished (fault schedule wedged the "
                 "pipeline?)")
         map_time, merge_delay, reduce_time = self.times
-        output: Dict[int, List[Tuple[Any, Any]]] = {}
+        output: Dict[int, PairColumns] = {}
         for rp in self.reduce_phases:
-            output.update(rp.output_pairs)
+            output.update((pid, PairColumns.concat(parts))
+                          for pid, parts in rp.output_pairs.items())
 
         n = len(self.cluster)
         metrics = JobMetrics(self.timeline, n)

@@ -17,7 +17,6 @@ clear while competing with the map kernel and partitioner threads for CPU.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.hw.node import Node
@@ -28,19 +27,20 @@ from repro.simt.trace import Timeline
 from repro.core.api import MapReduceApp, merge_runs
 from repro.core.config import JobConfig
 from repro.core.costs import DEFAULT_HOST_COSTS, HostCosts
-from repro.core.data import SortedRun
+from repro.core.data import PairColumns, SortedRun
 
 __all__ = ["IntermediateManager", "DiskRun"]
 
 
-@dataclass
-class DiskRun:
-    """A sorted, compressed run persisted on the node-local disk."""
+class DiskRun(SortedRun):
+    """A sorted run on the node-local disk (its bytes only are modeled)."""
 
-    path: str
-    pairs: List            # real data (kept in memory; bytes are modeled)
-    raw_bytes: int         # uncompressed serialized size
-    stored_bytes: int      # compressed size actually on disk
+    __slots__ = ("path", "stored_bytes")
+
+    def __init__(self, path: str, run: PairColumns, raw_bytes: int,
+                 stored_bytes: int):
+        super().__init__(run.keys, run.values, raw_bytes)
+        self.path, self.stored_bytes = path, stored_bytes  # compressed
 
 
 class IntermediateManager:
@@ -101,7 +101,7 @@ class IntermediateManager:
         """
         if pid not in self._mem_runs:
             raise KeyError(f"partition {pid} is not owned by {self.node.name}")
-        if not run.pairs:
+        if not run.keys:
             return
         self._mem_runs[pid].append(run)
         self._mem_bytes += run.raw_bytes
@@ -158,14 +158,10 @@ class IntermediateManager:
         (compressed) bytes that must come off disk and their inflated
         size, so the reader can charge I/O and decompression.
         """
-        runs = list(self._mem_runs.get(pid, []))
-        disk_bytes = 0
-        disk_raw = 0
-        for dr in self._disk_runs.get(pid, []):
-            runs.append(SortedRun(dr.pairs, dr.raw_bytes))
-            disk_bytes += dr.stored_bytes
-            disk_raw += dr.raw_bytes
-        return runs, disk_bytes, disk_raw
+        disk = self._disk_runs.get(pid, [])
+        return (self._mem_runs.get(pid, []) + disk,
+                sum(dr.stored_bytes for dr in disk),
+                sum(dr.raw_bytes for dr in disk))
 
     # -- flush triggering ----------------------------------------------------------
     def _maybe_trigger_flush(self) -> None:
@@ -218,16 +214,8 @@ class IntermediateManager:
         self._mem_runs[pid] = []
         raw = sum(r.raw_bytes for r in runs)
         self._mem_bytes -= raw
-        pairs = merge_runs(self.app, runs)
         start = self.sim.now
-        items = len(pairs)
-        cpu = (self.costs.merge_seconds(items)
-               + self.config.compression.compress_seconds(raw))
-        yield self.node.host_work(1, cpu)
-        stored = self.config.compression.compressed_size(raw)
-        path = self._new_run_path(pid)
-        yield from self.node.disk.write(stored, stream=path)
-        self._disk_runs[pid].append(DiskRun(path, pairs, raw, stored))
+        stored, items = yield from self._write_merged(pid, runs, raw, 0.0)
         self.spilled_bytes += stored
         self.timeline.record("merge.flush", self.node.name, start, self.sim.now,
                              pid=pid, items=items, bytes=stored, raw_bytes=raw)
@@ -245,23 +233,29 @@ class IntermediateManager:
         # Read + decompress every input run, merge, compress, write back.
         for dr in disk_runs:
             yield from self.node.disk.read(dr.stored_bytes, stream=dr.path)
-        pairs = merge_runs(self.app, disk_runs)
-        cpu = (self.config.compression.decompress_seconds(raw)
-               + self.costs.merge_seconds(len(pairs))
-               + self.config.compression.compress_seconds(raw))
-        yield self.node.host_work(1, cpu)
-        stored = self.config.compression.compressed_size(raw)
-        path = self._new_run_path(pid)
-        yield from self.node.disk.write(stored, stream=path)
-        self._disk_runs[pid].append(DiskRun(path, pairs, raw, stored))
+        stored, _ = yield from self._write_merged(
+            pid, disk_runs, raw,
+            self.config.compression.decompress_seconds(raw))
         self.timeline.record("merge.compact", self.node.name, start,
                              self.sim.now, pid=pid, stored_in=stored_in,
                              bytes=stored, raw_bytes=raw)
 
     # -- helpers ----------------------------------------------------------------
-    def _new_run_path(self, pid: int) -> str:
+    def _write_merged(self, pid: int, runs: List[SortedRun], raw: int,
+                      decompress_s: float) -> Generator:
+        """Merge ``runs`` into a new disk run of ``pid`` (CPU on one merger
+        thread, then the write); returns its stored bytes and pairs."""
+        merged = merge_runs(self.app, runs)
+        comp = self.config.compression
+        yield self.node.host_work(1, decompress_s
+                                  + self.costs.merge_seconds(len(merged))
+                                  + comp.compress_seconds(raw))
+        stored = comp.compressed_size(raw)
         self._run_seq += 1
-        return f".inter/p{pid}/run{self._run_seq}"
+        path = f".inter/p{pid}/run{self._run_seq}"
+        yield from self.node.disk.write(stored, stream=path)
+        self._disk_runs[pid].append(DiskRun(path, merged, raw, stored))
+        return stored, len(merged)
 
     def _drain(self) -> Generator:
         """Wait until every enqueued task has finished."""

@@ -37,41 +37,24 @@ so re-execution never duplicates data.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import replace
 from typing import Dict, Generator, List, Tuple
 
 from repro.hw.specs import DeviceKind
 from repro.simt.core import Interrupt
 
-from repro.core.api import pair_sort_key
 from repro.core.batching import apportion_bytes, resolve_batch_size, \
     slice_batches
 from repro.core.collector import KeyInterner, collect_map_output
 from repro.core.coordinator import Split
 from repro.core.costs import sort_seconds
-from repro.core.data import Chunk, MapOutput, SortedRun
+from repro.core.data import Chunk, MapOutput, PairColumns, SortedRun
 from repro.core.faults import end_crashed_attempt
 from repro.core.pipeline import Pipeline, reserve_device_buffers
 from repro.core.splitread import read_split_records
 
 __all__ = ["MapPhase"]
-
-
-@dataclass
-class _SplitAccumulator:
-    """Partition-stage state of a split processed as several batches.
-
-    Buckets fill batch by batch; the per-split work that must see the
-    whole split (bucket sort, compression, the durable spill, registry
-    bookkeeping, pushes) runs once when the last batch arrives.  A node
-    crash mid-split simply drops the accumulator with the pipeline — the
-    split was never marked durable, so recovery re-executes it whole and
-    no partial batch is ever delivered twice.
-    """
-
-    buckets: Dict[int, List] = field(default_factory=dict)
-    raw_bytes: int = 0
-    decode_items: int = 0
 
 
 class MapPhase:
@@ -116,7 +99,9 @@ class MapPhase:
         # ceiling — the autotuned default never slices).
         self.batch_records = resolve_batch_size(config, app.record_format)
         self._split_totals: Dict[int, Tuple[int, int]] = {}
-        self._acc: Dict[int, _SplitAccumulator] = {}
+        # A batched split's outputs until its last batch; a crash drops
+        # them (never durable, so the split re-executes whole).
+        self._acc: Dict[int, List[MapOutput]] = {}
         self._interner = KeyInterner() if config.collector == "hash" else None
         stage_fn = None if device.spec.unified_memory else self._stage
         retrieve_fn = None if device.spec.unified_memory else self._retrieve
@@ -342,9 +327,9 @@ class MapPhase:
     def _partition(self, out: MapOutput) -> Generator:
         """Stage 5: sort, partition, persist, push.
 
-        A split simulated as several batches accumulates its buckets here
+        A split simulated as several batches accumulates its columns here
         batch by batch (charging the linear decode share per batch); the
-        whole-split work — bucket sort, compression, the durable spill,
+        whole-split work — bucketing, compression, the durable spill,
         registry marks and pushes — runs once, on the final batch, so the
         charged totals and all byte counters match the single-batch run.
         """
@@ -353,21 +338,9 @@ class MapPhase:
         total_partitions = registry.total_partitions
         split_index = out.chunk_index
         single = out.seq == 0 and out.last
-        # Real work: bucket the pairs (into the split accumulator when
-        # the split arrives in batches) and, once complete, sort buckets.
-        buckets: Dict[int, List]
-        buckets = {} if single else \
-            self._acc.setdefault(split_index, _SplitAccumulator()).buckets
-        partition = self.app.partition
-        for pair in out.pairs:
-            buckets.setdefault(partition(pair[0], total_partitions),
-                               []).append(pair)
-        if single:
-            raw_total, decode_items = out.raw_bytes, out.decode_items
-        else:
-            acc = self._acc[split_index]
-            acc.raw_bytes += out.raw_bytes
-            acc.decode_items += out.decode_items
+        batches = [out]
+        if not single:
+            self._acc.setdefault(split_index, []).append(out)
             # Decode is linear in items/bytes: charge this batch's share
             # as it streams through, leaving the superlinear sort (and
             # the compression of the complete output) to the last batch.
@@ -379,11 +352,14 @@ class MapPhase:
                                  cpu_start, self.sim.now)
             if not out.last:
                 return out
-            del self._acc[split_index]
-            raw_total, decode_items = acc.raw_bytes, acc.decode_items
-        pair_key = pair_sort_key(self.app)
-        for pid in buckets:
-            buckets[pid].sort(key=pair_key)
+            batches = self._acc.pop(split_index)
+        pairs = PairColumns.concat(b.pairs for b in batches)
+        raw_total = sum(b.raw_bytes for b in batches)
+        decode_items = sum(b.decode_items for b in batches)
+        # Real work: a partition index per key, then one stable (partition,
+        # key) order puts every bucket in place and one gather applies it.
+        pids = self.app.partition_batch(pairs.keys, total_partitions)
+        pairs = pairs.take(self.app.sort_order(pairs.keys, pids))
         # Cost: decode + sort + compress, spread over N partitioner threads.
         cpu = (sort_seconds(self.costs, decode_items)
                + cfg.compression.compress_seconds(raw_total))
@@ -400,8 +376,16 @@ class MapPhase:
         # appended to the node's spill area (one sequential write stream).
         stored_total = cfg.compression.compressed_size(raw_total)
         yield from self.node.disk.write(stored_total, stream="spill")
-        runs = {pid: SortedRun(pairs, self.app.inter_schema.size_of(pairs))
-                for pid, pairs in sorted(buckets.items())}
+        # The buckets are consecutive slices of the ordered columns.
+        keys, values = pairs.keys, pairs.values
+        size_of = self.app.inter_schema.size_of
+        runs: Dict[int, SortedRun] = {}
+        stop = 0
+        for pid, n in sorted(Counter(pids).items()):
+            run = runs[pid] = SortedRun(keys[stop:stop + n],
+                                        values[stop:stop + n], 0)
+            run.raw_bytes = size_of(run)
+            stop += n
         registry.mark_durable(self.node.node_id, split_index, runs)
         # Empty buckets are vacuously delivered — without an entry the
         # recovery planner would re-execute a fully delivered split.

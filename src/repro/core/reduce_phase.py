@@ -30,15 +30,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import floordiv, itemgetter
-from typing import Any, Generator, List, Optional, Sequence, Tuple
+from operator import floordiv
+from typing import Generator, List, Optional, Sequence, Tuple
 
 from repro.hw.specs import DeviceKind
 from repro.ocl.kernel import KernelCost
 
 from repro.core.api import merge_runs
 from repro.core.batching import apportion_bytes, resolve_batch_size
-from repro.core.data import KeyGroupChunk, ReduceOutput
+from repro.core.data import KeyGroupChunk, PairColumns, ReduceOutput
 from repro.core.faults import end_crashed_attempt
 from repro.core.pipeline import Pipeline, reserve_device_buffers
 
@@ -46,17 +46,13 @@ __all__ = ["ReducePhase"]
 
 
 @dataclass
-class _ReduceItem:
-    """Work descriptor for one reduce-input chunk of one partition."""
+class _ReduceItem(KeyGroupChunk):
+    """One reduce-input chunk of one partition, with what it charges."""
 
-    index: int
-    pid: int
-    pairs: List[Tuple[Any, Any]]  # this chunk's slice of the merged pairs
-    sizes: List[int]     # values of each key in ``pairs``, in key order
-    nbytes: int          # serialized size of the pairs (raw)
-    disk_bytes: int      # compressed bytes this chunk pulls off disk
-    disk_raw: int        # their inflated size (decompression cost basis)
-    merge_items: int     # pairs moved through the final merge for this chunk
+    pid: int = 0
+    disk_bytes: int = 0  # compressed bytes this chunk pulls off disk
+    disk_raw: int = 0    # their inflated size (decompression cost basis)
+    merge_items: int = 0  # pairs moved through the final merge for it
     #: kernel launches this item carries.  The modeled launch geometry is
     #: ``concurrent_keys * keys_per_thread`` keys per launch; when
     #: ``batch_size`` simulates a launch as several smaller items, only
@@ -71,11 +67,6 @@ class _ReduceItem:
     window_id: int = 0
     #: True for the window's final sub-item (it pays the output write)
     last: bool = True
-
-    @property
-    def n_values(self) -> int:
-        """Values over all keys (the grouping cost basis)."""
-        return len(self.pairs)
 
 
 class ReducePhase:
@@ -98,7 +89,7 @@ class ReducePhase:
         # owned partitions (device pools split a node's partitions across
         # several concurrent reduce pipelines); ``None`` keeps them all.
         self.pids = list(pids) if pids is not None else None
-        self.output_pairs: dict[int, list] = {}
+        self.output_pairs: dict[int, List[PairColumns]] = {}  # per chunk
         self.keys_reduced = 0
         self._pid_by_index: dict[int, int] = {}
         self._items_by_index: dict[int, _ReduceItem] = {}
@@ -121,15 +112,15 @@ class ReducePhase:
     # -- planning ------------------------------------------------------------
     def _plan_items(self) -> List[_ReduceItem]:
         """Merge every owned partition (real data, zero sim time) and cut
-        the merged pair list into kernel-sized chunks at key boundaries.
+        the merged columns into kernel-sized chunks at key boundaries.
 
-        A chunk is a slice of the merged list plus the value count of each
-        of its keys; no ``(key, [values])`` entry exists until a reducing
-        kernel asks for one (:attr:`KeyGroupChunk.groups`).  The *costs* of
-        this merging — disk reads, decompression, merge and grouping CPU —
-        are charged per chunk by the input stage, spreading them exactly
-        like the streaming reader the paper describes, so the pipeline
-        overlap is preserved.
+        A chunk is a slice of the merged columns plus each key's value
+        count (``app.group_sizes``); no ``(key, [values])`` entry exists
+        until a reducing kernel asks for one (``KeyGroupChunk.groups``).
+        The *costs* of this merging — disk reads, decompression, merge and
+        grouping CPU — are charged per chunk by the input stage, spreading
+        them exactly like the streaming reader the paper describes, so the
+        pipeline overlap is preserved.
         """
         cfg = self.config
         keys_per_chunk = cfg.concurrent_keys * cfg.keys_per_thread
@@ -149,7 +140,7 @@ class ReducePhase:
             if not runs:
                 continue
             pairs = merge_runs(self.app, runs)
-            sizes = _group_sizes(pairs)
+            sizes = self.app.group_sizes(pairs.keys)
             # Keys [g0, g1) are the pairs [offsets[g0], offsets[g1]).
             offsets = list(itertools.accumulate(sizes, initial=0))
             run_bits = max(1, len(runs)).bit_length()
@@ -206,12 +197,9 @@ class ReducePhase:
             yield self.node.host_work(1, cpu)
 
     def _read(self, window: List[_ReduceItem]) -> Generator:
-        chunks: List[KeyGroupChunk] = []
         for item in window:
             yield from self._fetch(item, f"p{item.pid}")
-            chunks.append(KeyGroupChunk(index=item.index, pairs=item.pairs,
-                                        sizes=item.sizes, nbytes=item.nbytes))
-        return chunks if len(chunks) > 1 else chunks[0]
+        return window if len(window) > 1 else window[0]
 
     def _stage(self, chunk: KeyGroupChunk) -> Generator:
         yield from self.device.transfer(chunk.nbytes, "h2d")
@@ -292,17 +280,7 @@ class ReducePhase:
                 self.node.node_id, banked, self.config.output_replication)
         else:
             self._window_bytes[item.window_id] = banked
-        self.output_pairs.setdefault(pid, []).extend(out.pairs)
+        # Output stays columns: tuples only when a consumer iterates it.
+        self.output_pairs.setdefault(pid, []).append(PairColumns.of(out.pairs))
         return out
 
-
-def _group_sizes(pairs: List[Tuple[Any, Any]]) -> List[int]:
-    """Number of pairs in each run of equal keys of a sorted pair list, in
-    key order.
-
-    The runs are ``itertools.groupby``'s on the key — the same equality,
-    identity shortcut included, against the run's first key — counted in
-    one C-level pass with no Python call per key.
-    """
-    runs = map(itemgetter(1), itertools.groupby(pairs, key=itemgetter(0)))
-    return list(map(len, map(list, runs)))

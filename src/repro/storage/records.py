@@ -10,9 +10,12 @@ intermediate partitions "in a serialized and compressed form".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import (Any, Callable, Iterable, Iterator, List, Sequence, Tuple,
                     Union)
+
+import numpy as np
 
 __all__ = [
     "TextRecordFormat",
@@ -61,7 +64,8 @@ class FixedRecordFormat:
         if len(data) % n:
             raise ValueError(
                 f"chunk of {len(data)} bytes is not a multiple of {n}")
-        return [data[i:i + n] for i in range(0, len(data), n)]
+        # A void view's tolist keeps every byte (an S view's strips NULs).
+        return np.frombuffer(data, dtype=f"V{n}").tolist()
 
     def record_bytes(self, record: bytes) -> int:
         return self.record_size
@@ -71,12 +75,13 @@ class FixedRecordFormat:
 class PairColumns:
     """A batch of key/value pairs held as two equal-length columns.
 
-    A map kernel may return its emits this way instead of as a list of
-    ``(key, value)`` tuples: ``keys[i]`` pairs with ``values[i]``, and no
-    per-pair tuple exists until something iterates the batch.  Consumers
-    that understand columns (``KVSchema.size_of``, the hash collector,
-    ``sum_by_key``, the partitioner) read them directly; to every other
-    consumer the batch is a sized iterable of ``(key, value)`` tuples.
+    ``keys[i]`` pairs with ``values[i]``; no per-pair tuple exists until
+    something iterates the batch.  From the collector to the job's output
+    every stage carries its pairs so, and reads the columns directly: the
+    partitioner takes a partition index per key and one stable order of
+    the keys, and a slice or :meth:`take` cuts or reorders both columns at
+    once.  To every other consumer the batch is a sized iterable of
+    ``(key, value)`` tuples.
     """
 
     __slots__ = ("keys", "values")
@@ -89,11 +94,38 @@ class PairColumns:
         self.keys = keys
         self.values = values
 
+    @classmethod
+    def of(cls, pairs: Iterable[Tuple[Any, Any]]) -> "PairColumns":
+        """``pairs`` as columns (a list of tuples is split in two)."""
+        if isinstance(pairs, PairColumns):
+            return pairs
+        return cls(list(map(_KEY, pairs)), list(map(_VALUE, pairs)))
+
+    @classmethod
+    def concat(cls, batches: Iterable["PairColumns"]) -> "PairColumns":
+        """Several batches end to end (a lone batch as is)."""
+        batches = list(batches)
+        if len(batches) == 1:
+            return batches[0]
+        return cls(tuple(chain.from_iterable(b.keys for b in batches)),
+                   tuple(chain.from_iterable(b.values for b in batches)))
+
     def __len__(self) -> int:
         return len(self.keys)
 
     def __iter__(self) -> Iterator[Tuple[Any, Any]]:
         return zip(self.keys, self.values)
+
+    def __getitem__(self, index: Union[int, slice]) -> Any:
+        """A slice of the pairs as columns, or one pair as a tuple."""
+        if isinstance(index, slice):
+            return PairColumns(self.keys[index], self.values[index])
+        return self.keys[index], self.values[index]
+
+    def take(self, order: Sequence[int]) -> "PairColumns":
+        """The pairs at positions ``order``: both columns gathered by index."""
+        return PairColumns(tuple(map(self.keys.__getitem__, order)),
+                           tuple(map(self.values.__getitem__, order)))
 
 
 # ------------------------------------------------------------- KV schemas

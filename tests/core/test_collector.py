@@ -22,7 +22,7 @@ def test_hash_contention_bounds():
 def test_buffer_collector_passes_pairs_through():
     out, extra = collect_map_output("buffer", APP, CPU_TYPE1, REPETITIVE,
                                     use_combiner=False, chunk_index=0)
-    assert out.pairs == REPETITIVE
+    assert list(out.pairs) == REPETITIVE
     assert out.decode_items == 100
     assert extra.atomic_intensity == pytest.approx(0.05)
 
@@ -97,6 +97,6 @@ def test_combiner_on_buffer_collector_rejected():
 def test_empty_pairs():
     out, extra = collect_map_output("hash", APP, CPU_TYPE1, [],
                                     use_combiner=True, chunk_index=3)
-    assert out.pairs == []
+    assert list(out.pairs) == []
     assert out.raw_bytes == 0
     assert out.chunk_index == 3

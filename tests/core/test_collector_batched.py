@@ -127,4 +127,4 @@ def test_unhashable_key_fails_clearly_in_the_hash_collector():
         assert 'collector="buffer"' in message
     out, _ = collect_map_output("buffer", APP, CPU_TYPE1, pairs,
                                 use_combiner=False, chunk_index=0)
-    assert out.pairs == pairs
+    assert list(out.pairs) == pairs

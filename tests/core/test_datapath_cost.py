@@ -6,23 +6,29 @@ model "touched once" means one C-level pass per batch — ``map``, ``zip``,
 ``set``, ``sorted`` — and no Python-level call per pair.  ``sys.setprofile``
 sees every Python-level call (a generator resumption counts as one), so
 the number of ``call`` events a launch raises must depend on its unique
-keys and not on its pairs.  On the reduce side the same holds per key:
-planning a partition and running a map-only kernel over it raise no call
-per key, and a reducing kernel raises one — its ``app.reduce`` — per key
-of its chunk.
+keys and not on its pairs.  TeraSort's partition stage — a partition
+index per key, one stable order, the bucket cut — raises no call per
+record.  On the reduce side the same holds per key: planning a partition
+of one run or several and running a map-only kernel over it raise no
+call per key, and a reducing kernel raises one — its ``app.reduce`` —
+per key of its chunk.
 """
 
 import gc
 import sys
 
+from repro.apps.datagen import teragen
 from repro.apps.terasort import TeraSortApp
 from repro.apps.wordcount import WordCountApp
 from repro.core import JobConfig
 from repro.core.collector import KeyInterner, collect_map_output
-from repro.core.data import PairColumns, SortedRun
+from repro.core.coordinator import ShuffleRegistry
+from repro.core.costs import DEFAULT_HOST_COSTS
+from repro.core.data import PairColumns
+from repro.core.map_phase import MapPhase
 from repro.hw.presets import CPU_TYPE1
 
-from tests.core.test_reduce_phase import chunk_of, planning_phase
+from tests.core.test_reduce_phase import chunk_of, planning_phase, run_of
 
 KEYS = [b"word%03d" % i for i in range(100)]
 
@@ -138,17 +144,92 @@ def test_interner_sees_the_pairs_that_leave_the_collector():
         assert len(out.pairs) == (len(KEYS) if use_combiner else 2_000)
 
 
+# ------------------------------------------------------ the partition stage
+class _Sink:
+    """Node, disk, timeline and manager of a one-node map phase: every
+    call the stage makes of them returns at once."""
+
+    node_id = 0
+    name = "node0"
+    now = 0.0
+
+    def __init__(self):
+        self.disk = self
+        self.runs = {}
+
+    def host_work(self, threads, seconds):
+        return None
+
+    def write(self, nbytes, stream):
+        return iter(())
+
+    def record(self, *args, **kwargs):
+        pass
+
+    def add_run(self, pid, run):
+        self.runs[pid] = run
+
+
+def partition_phase(app, n_partitions):
+    """A ``MapPhase`` holding just what its partition stage reads, on a
+    one-node cluster: every partition is local."""
+    phase = object.__new__(MapPhase)
+    sink = _Sink()
+    phase.app, phase.config, phase.costs = app, JobConfig(), DEFAULT_HOST_COSTS
+    phase.sim = phase.node = phase.timeline = sink
+    phase.registry = ShuffleRegistry(1, n_partitions)
+    phase.managers = {0: sink}
+    phase.recovery, phase.device_key, phase._acc = False, None, {}
+    return phase, sink
+
+
+def test_terasort_partition_stage_calls_do_not_scale_with_records():
+    """One single-batch split through the partition stage: a partition
+    index per key, one stable order and one gather, then one run per
+    partition — no call per record."""
+    counts = []
+    for n_records in (2_000, 20_000):
+        data = teragen(n_records, seed=5)
+        app = TeraSortApp.from_input(data, sample_every=97)
+        records = app.record_format.split_records(data)
+        out, _ = collect_map_output("buffer", app, CPU_TYPE1,
+                                    app.map_batch(records),
+                                    use_combiner=False, chunk_index=0)
+        # One uncounted pass first: numpy and ``Counter`` cache what they
+        # look up on a first call (see the WordCount gate above).
+        list(partition_phase(app, 4)[0]._partition(out))
+        phase, sink = partition_phase(app, 4)
+        calls, _ = python_calls(lambda: list(phase._partition(out)))
+        assert sorted(sink.runs) == [0, 1, 2, 3]
+        merged = [k for pid in range(4) for k in sink.runs[pid].keys]
+        assert merged == sorted(k for k, _ in out.pairs)
+        counts.append(calls)
+    assert counts[0] == counts[1]
+
+
 # ------------------------------------------------------------ reduce side
+def partition_of(pairs, n_runs):
+    """A partition holding ``n_runs`` sorted runs dealt from ``pairs``
+    round-robin.  One run is the common case on a large cluster; several
+    merge through one ``app.sort_order`` and one gather."""
+    runs = [sorted(pairs[i::n_runs]) for i in range(n_runs)]
+    return {0: ([run_of(run, raw_bytes=len(run)) for run in runs], 0, 0)}
+
+
 def one_run_partition(pairs):
-    """A partition holding one sorted run, the common case on a large
-    cluster (several runs merge through ``heapq.merge``, a Python
-    generator, which the gate leaves out)."""
-    return {0: ([SortedRun(pairs, raw_bytes=len(pairs))], 0, 0)}
+    """A partition holding one sorted run."""
+    return partition_of(pairs, 1)
 
 
 def test_terasort_reduce_calls_do_not_scale_with_keys():
-    """Planning plus every kernel call of one TeraSort partition: the
-    merged pairs are cut at key boundaries and emitted as they are."""
+    """Planning plus every kernel call of one TeraSort partition of one run
+    and of three: the runs merge, the merged columns are cut at key
+    boundaries and emitted as they are."""
+    for n_runs in (1, 3):
+        check_terasort_reduce_calls(n_runs)
+
+
+def check_terasort_reduce_calls(n_runs):
     app = TeraSortApp([b"k" * 10])
     # One launch window and one simulation item at both sizes.
     config = JobConfig(concurrent_keys=1 << 15, keys_per_thread=1,
@@ -156,7 +237,7 @@ def test_terasort_reduce_calls_do_not_scale_with_keys():
     counts = []
     for n_keys in (2_000, 20_000):
         pairs = [(b"%010d" % i, b"v" * 90) for i in range(n_keys)]
-        phase = planning_phase(app, config, one_run_partition(pairs))
+        phase = planning_phase(app, config, partition_of(pairs, n_runs))
 
         def plan_and_reduce():
             for window in phase._plan_items():
@@ -173,14 +254,19 @@ def test_terasort_reduce_calls_do_not_scale_with_keys():
 def test_reducing_kernel_calls_one_reduce_per_key_and_nothing_else():
     """A reducing kernel builds its chunk's groups at kernel time; beyond
     one ``app.reduce`` per key its calls are the same for every chunk,
-    whatever its key count or the partition's."""
+    whatever its key count or the partition's, of one run or three."""
+    for n_runs in (1, 3):
+        check_reducing_kernel_calls(n_runs)
+
+
+def check_reducing_kernel_calls(n_runs):
     app = WordCountApp()
     config = JobConfig(concurrent_keys=64, keys_per_thread=4)  # 256 keys
     beyond_reduce = set()
     chunk_keys = set()
     for n_keys in (2_000, 20_000):
         pairs = [(b"w%06d" % i, 1) for i in range(n_keys) for _ in range(3)]
-        phase = planning_phase(app, config, one_run_partition(pairs))
+        phase = planning_phase(app, config, partition_of(pairs, n_runs))
         for window in phase._plan_items():
             for item in window:
                 chunk = chunk_of(item)

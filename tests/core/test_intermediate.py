@@ -27,8 +27,9 @@ def make_manager(owned=(0, 1), cache_threshold=10_000, max_files=2,
 
 
 def run_of(words, each_bytes=20):
-    pairs = sorted((w, 1) for w in words)
-    return SortedRun(pairs, raw_bytes=len(pairs) * each_bytes)
+    keys = sorted(words)
+    return SortedRun(keys, [1] * len(keys),
+                     raw_bytes=len(keys) * each_bytes)
 
 
 def drive(sim, gen):
@@ -43,7 +44,7 @@ def test_add_and_read_back():
     mgr.add_run(0, run_of([b"c"]))
     drive(sim, mgr.finalize())
     runs, disk_bytes, disk_raw = mgr.read_partition(0)
-    pairs = [p for r in runs for p in r.pairs]
+    pairs = [p for r in runs for p in r]
     assert sorted(pairs) == [(b"a", 1), (b"b", 1), (b"c", 1)]
 
 
@@ -55,7 +56,7 @@ def test_unowned_partition_rejected():
 
 def test_empty_run_ignored():
     sim, tl, node, mgr = make_manager()
-    mgr.add_run(0, SortedRun([], 0))
+    mgr.add_run(0, SortedRun([], [], 0))
     assert mgr.cached_bytes == 0
 
 
@@ -86,7 +87,7 @@ def test_flush_merges_runs_sorted():
     drive(sim, mgr.finalize())
     runs, _, _ = mgr.read_partition(0)
     for r in runs:
-        keys = [k for k, _ in r.pairs]
+        keys = list(r.keys)
         assert keys == sorted(keys)
 
 
@@ -99,7 +100,7 @@ def test_compaction_bounds_file_count():
     # At most two files reach the reader, and all 80 pairs survive.
     runs, _, _ = mgr.read_partition(0)
     assert len(runs) <= 2
-    assert sum(len(r.pairs) for r in runs) == 80
+    assert sum(len(r) for r in runs) == 80
 
 
 def test_merge_delay_recorded():
@@ -118,7 +119,7 @@ def test_finalize_idempotent_state():
     mgr.add_run(1, run_of([b"z"]))
     drive(sim, mgr.finalize())
     runs, _, _ = mgr.read_partition(1)
-    assert [p for r in runs for p in r.pairs] == [(b"z", 1)]
+    assert [p for r in runs for p in r] == [(b"z", 1)]
 
 
 def test_data_survives_flush_and_compact_cycles():
@@ -137,7 +138,7 @@ def test_data_survives_flush_and_compact_cycles():
     for pid in (0, 1):
         runs, _, _ = mgr.read_partition(pid)
         for r in runs:
-            got.extend(r.pairs)
+            got.extend(r)
     assert sorted(got) == sorted(expected)
 
 

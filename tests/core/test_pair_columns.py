@@ -1,25 +1,32 @@
 """``PairColumns`` against the tuple list it stands for.
 
-WordCount's map emits its pairs as two columns; every consumer that reads
-the columns directly must give exactly what it gives for the equal list
-of ``(key, value)`` tuples, which is kept here as the reference: the same
+WordCount's and TeraSort's maps emit their pairs as two columns, and every
+stage after the collector carries them so; every consumer that reads the
+columns directly must give exactly what it gives for the equal list of
+``(key, value)`` tuples, which is kept here as the reference: the same
 sizes, the same collector output and charged cost, the same combiner
-totals (value types included) and the same partition buckets.
+totals (value types included), the same partition buckets, and — for the
+batch hooks, TeraSort's fixed-width ones above all — the same partition
+indices, bucket order, merge and grouping as the per-pair code.
 """
 
+import itertools
 import json
 import random
+from collections import Counter
+from operator import itemgetter
 from unittest import mock
 
 import pytest
 
 from repro.apps.datagen import wiki_text
+from repro.apps.terasort import KEY_LEN, TeraSortApp
 from repro.apps.wordcount import WordCountApp
 from repro.core import JobConfig, run_glasswing
-from repro.core.api import sum_by_key
+from repro.core.api import merge_runs, sum_by_key
 from repro.core.collector import KeyInterner, collect_map_output
 from repro.core.coordinator import ShuffleRegistry
-from repro.core.data import PairColumns
+from repro.core.data import PairColumns, SortedRun
 from repro.hw.presets import CPU_TYPE1, das4_cluster
 from repro.storage.records import KVSchema
 
@@ -179,7 +186,7 @@ def _durable_buckets(app, text, batch_size):
     original = ShuffleRegistry.mark_durable
 
     def capture(registry, node, split, runs):
-        buckets[(node, split)] = {pid: (run.pairs, run.raw_bytes)
+        buckets[(node, split)] = {pid: (list(run), run.raw_bytes)
                                   for pid, run in runs.items()}
         original(registry, node, split, runs)
 
@@ -201,6 +208,114 @@ def check_partition(seed):
     columns = _durable_buckets(WordCountApp(), text, batch_size)
     tuples = _durable_buckets(_TupleWordCount(), text, batch_size)
     assert columns[0] and columns == tuples
+
+
+# ---------------------------------------------- the batch hooks, exactly
+#: 10-byte keys the per-pair code and a fixed-width ``S10`` view could
+#: disagree on: trailing NULs (``S10.tolist`` strips them), ``\xff`` and
+#: other high bytes, and keys sharing their first eight bytes
+_EDGE_KEYS = [b"\x00" * KEY_LEN, b"ab" + b"\x00" * 8, b"abcdefgh\x00\x00",
+              b"abcdefgh\x00\x01", b"abcdefgh\x01\x00", b"abcdefgh\xff\x00",
+              b"\x7f" + b"\xff" * 9, b"\x80" + b"\x00" * 9, b"\xff" * KEY_LEN,
+              b"\xff" * 9 + b"\x00"]
+
+
+def _ts_keys(rng, n, sample):
+    """``n`` TeraSort keys: edge keys, sampled keys (equal to a split
+    point), keys ending in NUL and random ones, duplicates likely."""
+    draw = (lambda: rng.choice(_EDGE_KEYS), lambda: rng.choice(sample),
+            lambda: rng.randbytes(KEY_LEN - 1) + b"\x00",
+            lambda: rng.randbytes(KEY_LEN))
+    return [rng.choice(draw)() for _ in range(n)]
+
+
+def _hook_case(seed):
+    """An app, a keys column with distinct int values (so stability
+    shows), and a partition count — TeraSort or generic WordCount."""
+    rng = random.Random(seed)
+    n = rng.choice((0, 1, 2, rng.randrange(3, 300)))
+    if rng.random() < 0.75:
+        sample = _ts_keys(rng, rng.choice((1, 1, 5, 40)),
+                          [rng.randbytes(KEY_LEN)])
+        app, keys = TeraSortApp(sample), _ts_keys(rng, n, sample)
+    else:
+        app, keys = WordCountApp(), _keys(rng, n)
+    return app, PairColumns(keys, list(range(n))), rng.choice((1, 2, 3, 7, 16))
+
+
+def reference_buckets(app, pairs, n_partitions):
+    """The per-pair partitioner: one ``partition`` call and one append per
+    pair, then a stable sort of each bucket, buckets in index order."""
+    buckets = {}
+    for pair in pairs:
+        buckets.setdefault(app.partition(pair[0], n_partitions),
+                           []).append(pair)
+    return [(pid, sorted(buckets[pid], key=itemgetter(0)))
+            for pid in sorted(buckets)]
+
+
+def check_partition_hooks(seed):
+    app, columns, n_partitions = _hook_case(seed)
+    keys = columns.keys
+    pids = app.partition_batch(keys, n_partitions)
+    assert pids == [app.partition(k, n_partitions) for k in keys]
+    ordered = columns.take(app.sort_order(keys, pids))
+    expected = reference_buckets(app, columns, n_partitions)
+    assert list(ordered) == [pair for _, run in expected for pair in run]
+    assert sorted(Counter(pids).items()) == \
+        [(pid, len(run)) for pid, run in expected]
+    # The original key objects, gathered by index: never a copy that came
+    # back out of a fixed-width array.
+    assert all(a is keys[v] for a, v in zip(ordered.keys, ordered.values))
+
+
+def check_merge_and_groups(seed):
+    app, columns, _ = _hook_case(seed)
+    rng = random.Random(seed)
+    cuts = sorted(rng.randrange(len(columns) + 1)
+                  for _ in range(rng.randrange(4)))
+    runs = []
+    for a, b in zip([0] + cuts, cuts + [len(columns)]):
+        part = sorted(list(columns)[a:b], key=itemgetter(0))
+        if part:
+            runs.append(SortedRun([k for k, _ in part], [v for _, v in part],
+                                  len(part)))
+    if not runs:
+        return
+    merged = merge_runs(app, runs)
+    expected = sorted(itertools.chain.from_iterable(runs), key=itemgetter(0))
+    assert list(merged) == expected
+    assert app.group_sizes(merged.keys) == \
+        [len(list(g)) for _, g in itertools.groupby(merged.keys)]
+
+
+def test_terasort_hooks_on_an_empty_batch_and_one_partition():
+    app = TeraSortApp([b"m" * KEY_LEN])
+    assert app.partition_batch([], 4) == []
+    assert app.sort_order([]) == [] and app.sort_order([], []) == []
+    assert app.group_sizes([]) == []
+    keys = [b"z" * KEY_LEN, b"a" * KEY_LEN, b"m" * KEY_LEN, b"a" * KEY_LEN]
+    assert app.partition_batch(keys, 1) == [0, 0, 0, 0]
+    assert app.partition_batch(keys, 2) == [1, 0, 1, 0]   # a splitter's own
+    assert app.sort_order(keys) == [1, 3, 2, 0]           # ties stay stable
+    assert app.group_sizes(sorted(keys)) == [2, 1, 1]
+
+
+@pytest.mark.parametrize("sample", [[b"short"], [b"k" * (KEY_LEN + 1)],
+                                    [b"k" * KEY_LEN, b"k" * (KEY_LEN - 1)],
+                                    ["k" * KEY_LEN]],
+                         ids=["short", "long", "one-short", "str"])
+def test_terasort_rejects_sample_keys_of_another_width(sample):
+    with pytest.raises(ValueError, match=f"{KEY_LEN}-byte"):
+        TeraSortApp(sample)
+
+
+def test_terasort_hooks_reject_keys_of_another_width():
+    app = TeraSortApp([b"k" * KEY_LEN])
+    for hook in (lambda keys: app.partition_batch(keys, 2), app.sort_order,
+                 app.group_sizes):
+        with pytest.raises(ValueError, match=f"{KEY_LEN} bytes"):
+            hook([b"k" * KEY_LEN, b"short"])
 
 
 # ----------------------------------------------------- hypothesis / fallback
@@ -229,6 +344,16 @@ if HAVE_HYPOTHESIS:
     def test_partition_buckets_columns_equal_tuples(seed):
         check_partition(seed)
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=_seeds)
+    def test_partition_hooks_equal_per_pair_buckets(seed):
+        check_partition_hooks(seed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=_seeds)
+    def test_merge_and_groups_equal_sorted_and_groupby(seed):
+        check_merge_and_groups(seed)
+
 else:    # pragma: no cover - exercised only without hypothesis
 
     @pytest.mark.parametrize("seed", FALLBACK_SEEDS)
@@ -248,3 +373,11 @@ else:    # pragma: no cover - exercised only without hypothesis
     @pytest.mark.parametrize("seed", FALLBACK_SEEDS[:4])
     def test_partition_buckets_columns_equal_tuples(seed):
         check_partition(seed)
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_partition_hooks_equal_per_pair_buckets(seed):
+        check_partition_hooks(seed)
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_merge_and_groups_equal_sorted_and_groupby(seed):
+        check_merge_and_groups(seed)

@@ -3,9 +3,10 @@
 The reduce reader used to build a ``(key, [values])`` entry and a value
 list for every key of a partition at planning time.  That planner,
 ``_group_pairs`` and the kernel bodies that read its groups are kept here
-as the reference: cutting the merged pair list at key boundaries must
-plan the same items and make the kernels emit the same pairs at the same
-cost, for a map-only app and for a reducing one.
+as the reference: cutting the merged columns at key boundaries must plan
+the same items and make the kernels emit the same pairs at the same cost,
+for a map-only app and for a reducing one, over every key class with the
+generic hooks and over 10-byte keys with TeraSort's fixed-width ones.
 """
 
 import itertools
@@ -19,10 +20,10 @@ import pytest
 from repro.apps import TeraSortApp, WordCountApp
 from repro.apps.datagen import wiki_text
 from repro.core import JobConfig, run_glasswing
-from repro.core.api import merge_runs
+from repro.core.api import MapReduceApp, merge_runs
 from repro.core.batching import apportion_bytes, resolve_batch_size
 from repro.core.data import KeyGroupChunk, SortedRun
-from repro.core.reduce_phase import ReducePhase, _group_sizes
+from repro.core.reduce_phase import ReducePhase
 from repro.hw.presets import CPU_TYPE1, das4_cluster
 from repro.ocl.kernel import KernelCost
 from repro.storage.records import KVSchema
@@ -38,6 +39,16 @@ FALLBACK_SEEDS = tuple(range(40))
 
 
 # ------------------------------------------------------------ the reference
+def _group_sizes(pairs: List[Tuple[Any, Any]]) -> List[int]:
+    """The generic ``group_sizes`` hook over a pair list's keys."""
+    return MapReduceApp().group_sizes([k for k, _ in pairs])
+
+
+def run_of(pairs: List[Tuple[Any, Any]], raw_bytes: int) -> SortedRun:
+    """A sorted pair list as the columnar run the partitioner cuts."""
+    return SortedRun([k for k, _ in pairs], [v for _, v in pairs], raw_bytes)
+
+
 def _group_pairs(pairs: List[Tuple[Any, Any]]) -> List[Tuple[Any, List[Any]]]:
     """Group a sorted pair stream into (key, [values]) entries."""
     value_of = itemgetter(1)
@@ -81,7 +92,7 @@ def reference_plan_items(phase) -> List[List[_GroupedItem]]:
         runs, disk_bytes, disk_raw = phase.manager.read_partition(pid)
         if not runs:
             continue
-        groups = _group_pairs(merge_runs(phase.app, runs))
+        groups = _group_pairs(list(merge_runs(phase.app, runs)))
         run_bits = max(1, len(runs)).bit_length()
         parts = []
         for wstart in range(0, len(groups), keys_per_chunk):
@@ -264,12 +275,22 @@ class _AnyKeyWordCount(WordCountApp):
     output_schema = KVSchema("any-out", key_bytes=_key_width, value_bytes=8)
 
 
-APPS = {"terasort": TeraSortApp([b"k" * 10]), "wordcount": _AnyKeyWordCount()}
+class _AnyKeyTeraSort(TeraSortApp):
+    """A map-only app over any key: TeraSort's output path with the generic
+    batch hooks, since its fixed-width ones take 10-byte keys only."""
+
+    partition_batch = MapReduceApp.partition_batch
+    sort_order = MapReduceApp.sort_order
+    group_sizes = MapReduceApp.group_sizes
 
 
-def sorted_pairs(rng, pool_name, shape):
+APPS = {"terasort": _AnyKeyTeraSort([b"k" * 10]),
+        "wordcount": _AnyKeyWordCount()}
+
+
+def sorted_pairs(rng, pool_name, shape, pools=KEY_POOLS):
     """A sorted pair list over one key pool, with int values."""
-    pool = KEY_POOLS[pool_name]
+    pool = pools[pool_name]
     if shape == "empty":
         return []
     if shape == "single":
@@ -287,16 +308,21 @@ GEOMETRIES = ((1, 1, None), (2, 2, 1), (3, 1, 2), (2, 4, 3), (8, 4, None),
               (4096, 4, 5))
 
 
-def check_plan(rng, app_name, pool_name, shape, geometry):
+def check_plan(rng, app_name, pool_name, shape, geometry, apps=APPS,
+               pools=KEY_POOLS, runs_per_partition=(1,)):
     concurrent_keys, keys_per_thread, batch_size = geometry
-    app = APPS[app_name]
+    app = apps[app_name]
     config = JobConfig(concurrent_keys=concurrent_keys,
                        keys_per_thread=keys_per_thread, batch_size=batch_size,
                        max_values_per_launch=rng.choice((1, 2, 3, 1 << 20)))
     partitions = {}
     for pid in range(rng.randint(1, 3)):
-        pairs = sorted_pairs(rng, pool_name, shape)
-        runs = [SortedRun(pairs, raw_bytes=len(pairs))] if pairs else []
+        runs = []
+        # Several runs merge; a custom-eq pool has no order to merge by.
+        for _ in range(rng.choice(runs_per_partition)):
+            pairs = sorted_pairs(rng, pool_name, shape, pools)
+            if pairs:
+                runs.append(run_of(pairs, raw_bytes=len(pairs)))
         partitions[pid] = (runs, rng.randrange(10_000), rng.randrange(20_000))
     phase = planning_phase(app, config, partitions)
     windows = phase._plan_items()
@@ -320,7 +346,7 @@ def check_plan(rng, app_name, pool_name, shape, geometry):
         # Equal, and for a reducing app the same key objects; a map-only
         # app now emits each merged pair as is (its own key object, as
         # run_reference does) where the reference repeated the run's first.
-        assert out.pairs == ref_pairs
+        assert list(out.pairs) == ref_pairs
         if not app.map_only_output:
             assert all(a[0] is b[0] for a, b in zip(out.pairs, ref_pairs))
         assert out.nbytes == app.output_schema.size_of(ref_pairs)
@@ -360,6 +386,31 @@ else:    # pragma: no cover - exercised only without hypothesis
         check_plan_seed(seed)
 
 
+# ------------------------- TeraSort's fixed-width hooks on 10-byte keys
+#: 10-byte key pools in sort order: ties, trailing NULs, ``\xff`` bytes and
+#: keys that share their first eight bytes
+TERASORT_POOLS = {
+    "trailing-nul": [b"\x00" * 10, b"ab" + b"\x00" * 8,
+                     b"ab" + b"\x00" * 7 + b"\x01", b"abcdefgh\x00\x00",
+                     b"abcdefgh\x00\xff"],
+    "ties": [b"k" * 10, b"k" * 10, b"k" * 9 + b"l", b"l" * 10, b"l" * 10],
+    "high-bytes": [b"\x7f" * 10, b"\x80" + b"\x00" * 9, b"\xfe" * 10,
+                   b"\xff" * 9 + b"\xfe", b"\xff" * 10],
+}
+TERASORT_APPS = {"terasort": TeraSortApp([b"k" * 10])}
+
+
+@pytest.mark.parametrize("pool_name", sorted(TERASORT_POOLS))
+@pytest.mark.parametrize("shape", sorted(set(SHAPES)))
+def test_terasort_plan_equals_reference(pool_name, shape):
+    """The planner over TeraSort's own merge and grouping hooks, on pools
+    whose keys are all ``KEY_LEN`` bytes, under every geometry."""
+    for n, geometry in enumerate(GEOMETRIES):
+        check_plan(random.Random(n), "terasort", pool_name, shape, geometry,
+                   apps=TERASORT_APPS, pools=TERASORT_POOLS,
+                   runs_per_partition=(1, 2, 3))
+
+
 # --------------------------------------- merges against heapq.merge (ties)
 class _CaseFoldApp(WordCountApp):
     """Overrides the public ``sort_key`` hook: keys that differ compare
@@ -372,21 +423,21 @@ class _CaseFoldApp(WordCountApp):
 def _heap_merge(app, runs):
     """The ``heapq.merge`` the run merge replaced, kept as the reference."""
     import heapq
-    return list(heapq.merge(*[r.pairs for r in runs],
+    return list(heapq.merge(*[list(r) for r in runs],
                             key=lambda kv: app.sort_key(kv[0])))
 
 
 def check_merges_on_ties(app, raw_runs):
     """Equal keys in different runs come out in run order, then in-run
     order — values tell the copies apart."""
-    runs = [SortedRun(sorted(pairs, key=lambda kv: app.sort_key(kv[0])),
-                      raw_bytes=len(pairs))
+    runs = [run_of(sorted(pairs, key=lambda kv: app.sort_key(kv[0])),
+                   raw_bytes=len(pairs))
             for pairs in raw_runs]
     expected = _heap_merge(app, runs)
     merged = merge_runs(app, runs)
-    assert merged == expected
+    assert list(merged) == expected
     if len(runs) == 1:
-        assert merged is runs[0].pairs          # a lone run is not copied
+        assert merged is runs[0]                # a lone run is not copied
 
 
 _TIE_KEYS = [b"a", b"A", b"b", b"B", b"c"]
