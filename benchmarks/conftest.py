@@ -1,10 +1,13 @@
 """Shared helpers for the benchmark suite.
 
-Every benchmark regenerates one of the paper's tables or figures: it
-runs the experiment exactly once under pytest-benchmark's timer (the
-wall-clock number measures the harness itself — the *simulated* results
-are attached as ``extra_info`` and printed), then asserts the
-experiment's shape checks, so a calibration regression fails the bench.
+Every benchmark regenerates one panel of the paper's tables and figures
+— one per panel of :data:`repro.bench.EXPERIMENTS` outside the
+``repro.bench.regress`` baselines (``tests/bench/test_bench_cli.py``
+keeps the two lists equal): it runs the panel's full ladder exactly once
+under pytest-benchmark's timer (the wall-clock number measures the
+harness itself — the *simulated* results are attached as ``extra_info``
+and printed), then asserts the panel's shape checks, so a calibration
+regression fails the bench.
 
 Run with::
 
@@ -13,7 +16,7 @@ Run with::
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable
 
 from repro.bench.harness import ExperimentReport
 
@@ -30,17 +33,3 @@ def run_experiment(benchmark, fn: Callable[[], ExperimentReport],
     print(report.render())
     report.assert_shape()
     return report
-
-
-def run_experiments(benchmark, fns: List[Callable[[], ExperimentReport]]):
-    """Run several panels as one benchmark (e.g. a whole figure)."""
-    def all_panels():
-        return [fn() for fn in fns]
-
-    reports = benchmark.pedantic(all_panels, rounds=1, iterations=1)
-    for report in reports:
-        print()
-        print(report.render())
-    for report in reports:
-        report.assert_shape()
-    return reports

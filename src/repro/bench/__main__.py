@@ -1,62 +1,34 @@
 """Command-line entry point: ``python -m repro.bench <experiment>``.
 
-The experiments are the rows of :data:`EXPERIMENTS` (``--help`` lists
-them), or ``all``.  Use ``--quick`` for truncated node sweeps.
-``scaling``, ``service``, ``dag`` and ``elastic`` write their
-``BENCH_<name>.json`` baseline to the current directory — on a full run
-only: a quick run never writes a committed baseline.
+The experiments are the rows of :data:`repro.bench.EXPERIMENTS`
+(``--help`` lists them), or ``all``.  Use ``--quick`` for each panel's
+quick ladder.  A full run of an experiment that is a
+:data:`repro.bench.regress.BASELINES` row writes its
+``BENCH_<name>.json`` to the current directory; a quick run writes none.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
-import time
-from typing import Any, Callable, Dict, List, Tuple
+from time import perf_counter
+from typing import Iterator
 
+from repro.bench import EXPERIMENTS, ExperimentReport, panel
+from repro.bench.regress import BASELINES
 
-def _report(*args: Any, **kwargs: Any) -> Callable[[Any], List[Any]]:
-    return lambda mod: [mod.report(*args, **kwargs)]
-
-
-def _run_all(mod: Any) -> List[Any]:
-    return mod.run_all()
-
-
-#: experiment -> (module under ``repro.bench``, full run, quick run); a
-#: run takes the imported module and returns its report(s)
-EXPERIMENTS: Dict[str, Tuple[str, Callable, Callable]] = {
-    "table1": ("table1", _report(), _report()),
-    "fig2": ("fig2", _run_all, lambda m: [
-        m.pvc_report((1, 4, 16)), m.wc_report((1, 4, 16)),
-        m.ts_report((4, 16))]),
-    "fig3": ("fig3", _run_all, lambda m: [
-        m.km_cpu_report((1, 4)), m.mm_cpu_report((1, 4)),
-        m.km_gpu_report((1, 4)), m.mm_gpu_report((1, 4)),
-        m.km_overlap_report((1, 4))]),
-    "table2": ("table2", _report(), _report()),
-    "table3": ("table3", _report(), _report()),
-    "fig4": ("fig4", _run_all, _run_all),
-    "fig5": ("fig5", _report(), _report()),
-    "vertical": ("vertical", _report(), _report()),
-    "ablation": ("ablation", _run_all, _run_all),
-    "scaling": ("scaling", _report(), lambda m: [
-        m.report(m.QUICK_NODES, json_path=None)]),
-    "service": ("service", _report(), lambda m: [
-        m.report(m.QUICK_JOBS, json_path=None)]),
-    "dag": ("dag", _report(), _report(quick=True, json_path=None)),
-    "elastic": ("elastic", _report(), _report(quick=True, json_path=None)),
-}
 ALL = tuple(EXPERIMENTS)
 
 
-def _reports(name: str, quick: bool):
+def _reports(name: str, quick: bool) -> Iterator[ExperimentReport]:
+    """Build the experiment's panels one at a time, in table order."""
     if name not in EXPERIMENTS:
         raise SystemExit(f"unknown experiment {name!r}")
-    module, full, quick_run = EXPERIMENTS[name]
-    mod = importlib.import_module(f"repro.bench.{module}")
-    return (quick_run if quick else full)(mod)
+    for ref in EXPERIMENTS[name]:
+        if quick or name not in BASELINES:
+            yield panel(ref)(quick=quick)
+        else:
+            yield panel(ref)(json_path=BASELINES[name].path)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,18 +59,19 @@ def main(argv=None) -> int:
     names = ALL if args.experiment == "all" else (args.experiment,)
     failures = 0
     for name in names:
-        start = time.time()
         rendered = []
+        start = perf_counter()
         for report in _reports(name, args.quick):
             text = report.render()
             print(text)
-            print(f"({time.time() - start:.1f}s)\n")
+            print(f"({perf_counter() - start:.1f}s)\n")
             rendered.append(text)
             if not report.all_passed:
                 failures += 1
             if args.trace_dir and report.timelines:
                 for path in report.export_traces(args.trace_dir):
                     print(f"trace: {path}")
+            start = perf_counter()
         if out_dir is not None:
             (out_dir / f"{name}.md").write_text(
                 f"# {name}\n\n```\n" + "\n\n".join(rendered) + "\n```\n")

@@ -25,12 +25,14 @@ from repro.bench.harness import ExperimentReport, Table
 
 __all__ = ["buffering_report", "collector_contention_report",
            "affinity_report", "network_report", "phase_device_report",
-           "run_all"]
+           "NODES"]
 
 CHUNK = 256 * KiB
+#: cluster size of the affinity and interconnect ablations
+NODES = 8
 
 
-def buffering_report() -> ExperimentReport:
+def buffering_report(quick: bool = False) -> ExperimentReport:
     """Single/double/triple buffering across the I/O-bound apps."""
     rep = ExperimentReport(
         experiment="Ablation — pipeline buffering level",
@@ -58,7 +60,7 @@ def buffering_report() -> ExperimentReport:
     return rep
 
 
-def collector_contention_report() -> ExperimentReport:
+def collector_contention_report(quick: bool = False) -> ExperimentReport:
     """Hash-table kernel slowdown vs key repetition.
 
     The paper's own contrast: PVC's web logs are "highly sparse in that
@@ -124,14 +126,14 @@ def collector_contention_report() -> ExperimentReport:
     return rep
 
 
-def affinity_report(nodes: int = 8) -> ExperimentReport:
+def affinity_report(quick: bool = False) -> ExperimentReport:
     """File-affinity scheduling: local block reads vs remote streams."""
     rep = ExperimentReport(
         experiment="Ablation — file-affinity scheduling",
         paper_claim="§IV-A: Glasswing's scheduler considers file affinity "
                     "in its job allocation (like Hadoop's data locality)")
     inputs = workloads.wc_input()
-    cluster = das4_cluster(nodes=nodes)
+    cluster = das4_cluster(nodes=NODES)
     with_aff = run_glasswing(WordCountApp(), inputs, cluster,
                              JobConfig(chunk_size=CHUNK,
                                        input_replication=3))
@@ -164,7 +166,7 @@ def _two_row_table(title, columns, rows):
     return t
 
 
-def network_report(nodes: int = 8) -> ExperimentReport:
+def network_report(quick: bool = False) -> ExperimentReport:
     """Interconnect ablation: GbE vs QDR InfiniBand (the paper's cluster
     has both; the experiments use IP over InfiniBand)."""
     rep = ExperimentReport(
@@ -175,11 +177,11 @@ def network_report(nodes: int = 8) -> ExperimentReport:
     inputs = workloads.wc_input()
     cfg = JobConfig(chunk_size=CHUNK, use_combiner=False)
     ib = run_glasswing(WordCountApp(), inputs,
-                       das4_cluster(nodes=nodes, network=QDR_IB), cfg)
+                       das4_cluster(nodes=NODES, network=QDR_IB), cfg)
     gbe = run_glasswing(WordCountApp(), inputs,
-                        das4_cluster(nodes=nodes, network=GBE), cfg)
+                        das4_cluster(nodes=NODES, network=GBE), cfg)
     rep.tables.append(_two_row_table(
-        f"WC (no combiner) on {nodes} nodes",
+        f"WC (no combiner) on {NODES} nodes",
         ("network", "job_s", "network_bytes"),
         [("QDR InfiniBand", ib.job_time, ib.stats["network_bytes"]),
          ("Gigabit Ethernet", gbe.job_time, gbe.stats["network_bytes"])]))
@@ -192,7 +194,7 @@ def network_report(nodes: int = 8) -> ExperimentReport:
     return rep
 
 
-def phase_device_report() -> ExperimentReport:
+def phase_device_report(quick: bool = False) -> ExperimentReport:
     """Per-phase device flexibility: map on the GPU, reduce on the CPU."""
     rep = ExperimentReport(
         experiment="Ablation — per-phase compute devices",
@@ -222,8 +224,3 @@ def phase_device_report() -> ExperimentReport:
               gpu_cpu[3] < 1.5 * gpu_gpu[3],
               f"gpu/cpu {gpu_cpu[3]:.3f}s vs gpu/gpu {gpu_gpu[3]:.3f}s")
     return rep
-
-
-def run_all() -> list:
-    return [buffering_report(), collector_contention_report(),
-            affinity_report(), network_report(), phase_device_report()]

@@ -38,9 +38,7 @@ from repro.bench.harness import ExperimentReport, Table, point_profile
 
 __all__ = ["report", "dag_point", "POINTS", "kmeans_point",
            "pagerank_point", "prefixsum_point", "MIN_KMEANS_SPEEDUP",
-           "DAG_NODES", "DEFAULT_JSON_PATH"]
-
-DEFAULT_JSON_PATH = "BENCH_dag.json"
+           "DAG_NODES"]
 
 #: the acceptance bar: cached iterative k-means must beat naive
 #: re-submission by this factor in simulated job time at equal output
@@ -173,8 +171,8 @@ def dag_point(app: str, costs: HostCosts = DEFAULT_HOST_COSTS,
 
 
 def report(quick: bool = False,
-           json_path: Optional[str] = DEFAULT_JSON_PATH) -> ExperimentReport:
-    """Run the three DAG points; emit ``BENCH_dag.json``."""
+           json_path: Optional[str] = None) -> ExperimentReport:
+    """Run the three DAG points; emit the JSON to ``json_path``."""
     rep = ExperimentReport(
         experiment="DAG/iterative engine — cross-round caching on "
                    f"{DAG_NODES} shared nodes",

@@ -41,9 +41,7 @@ from repro.bench.harness import ExperimentReport, Table, point_profile
 
 __all__ = ["report", "elastic_point", "POINTS", "double_point",
            "halve_point", "failover_point", "ELASTIC_NODES",
-           "FAILOVER_TIMEOUT", "DEFAULT_JSON_PATH"]
-
-DEFAULT_JSON_PATH = "BENCH_elastic.json"
+           "FAILOVER_TIMEOUT"]
 
 ELASTIC_NODES = 8
 _HALF = ELASTIC_NODES // 2
@@ -171,8 +169,8 @@ def elastic_point(app: str, costs: HostCosts = DEFAULT_HOST_COSTS,
 
 
 def report(quick: bool = False,
-           json_path: Optional[str] = DEFAULT_JSON_PATH) -> ExperimentReport:
-    """Run the three chaos points; emit ``BENCH_elastic.json``."""
+           json_path: Optional[str] = None) -> ExperimentReport:
+    """Run the three chaos points; emit the JSON to ``json_path``."""
     rep = ExperimentReport(
         experiment="elastic membership + coordinator failover — chaos "
                    f"points on {ELASTIC_NODES} nodes",

@@ -22,8 +22,6 @@ Panels and their shape checks:
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.apps import KMeansApp
 from repro.baselines.gpmr import GPMRConfig, run_gpmr
 from repro.baselines.hadoop import HadoopConfig, run_hadoop
@@ -35,12 +33,15 @@ from repro.bench import workloads
 from repro.bench.harness import ExperimentReport, Table, speedups
 
 __all__ = ["km_cpu_report", "mm_cpu_report", "km_gpu_report",
-           "mm_gpu_report", "km_overlap_report", "run_all",
-           "KM_NODES", "MM_NODES"]
+           "mm_gpu_report", "km_overlap_report", "KM_NODES", "MM_NODES",
+           "OVERLAP_NODES", "QUICK_NODES"]
 
 KM_NODES = (1, 2, 4, 8, 16)
 MM_NODES = (1, 2, 4)
 OVERLAP_NODES = (1, 2, 4)
+#: every panel's quick ladder: the checks read the single node (3(b),
+#: 3(c), 3(d)) or compare every size the ladder has
+QUICK_NODES = (1, 4)
 KM_CHUNK = 256 * KiB
 #: Hadoop's tuned split size for KM: small enough that every map slot of
 #: the largest cluster gets work (the paper performs exactly this sweep:
@@ -53,8 +54,9 @@ KM_HADOOP_CHUNK = 16 * KiB
 GPMR_LARGE_K_PENALTY = 8.0
 
 
-def km_cpu_report(nodes: Sequence[int] = KM_NODES) -> ExperimentReport:
+def km_cpu_report(quick: bool = False) -> ExperimentReport:
     """Figure 3(a): K-Means (4096 centers) on the CPU, HDFS."""
+    nodes = QUICK_NODES if quick else KM_NODES
     inputs = workloads.km_points()
     report = ExperimentReport(
         experiment="Figure 3(a) — KM (4096 centers) on CPU (HDFS)",
@@ -87,8 +89,9 @@ def km_cpu_report(nodes: Sequence[int] = KM_NODES) -> ExperimentReport:
     return report
 
 
-def mm_cpu_report(nodes: Sequence[int] = MM_NODES) -> ExperimentReport:
+def mm_cpu_report(quick: bool = False) -> ExperimentReport:
     """Figure 3(b): Matrix Multiply on the CPU, HDFS."""
+    nodes = QUICK_NODES if quick else MM_NODES
     inputs, _a, _b = workloads.mm_input()
     chunk = workloads.mm_app_paper().record_format.record_size  # 1 task/split
     report = ExperimentReport(
@@ -119,8 +122,9 @@ def mm_cpu_report(nodes: Sequence[int] = MM_NODES) -> ExperimentReport:
     return report
 
 
-def km_gpu_report(nodes: Sequence[int] = KM_NODES) -> ExperimentReport:
+def km_gpu_report(quick: bool = False) -> ExperimentReport:
     """Figure 3(c): K-Means (4096 centers) with GPU acceleration."""
+    nodes = QUICK_NODES if quick else KM_NODES
     inputs = workloads.km_points()
     report = ExperimentReport(
         experiment="Figure 3(c) — KM (4096 centers) on GPU",
@@ -158,8 +162,9 @@ def km_gpu_report(nodes: Sequence[int] = KM_NODES) -> ExperimentReport:
     return report
 
 
-def mm_gpu_report(nodes: Sequence[int] = MM_NODES) -> ExperimentReport:
+def mm_gpu_report(quick: bool = False) -> ExperimentReport:
     """Figure 3(d): Matrix Multiply with GPU acceleration."""
+    nodes = QUICK_NODES if quick else MM_NODES
     inputs, _a, _b = workloads.mm_input()
     chunk = workloads.mm_app_paper().record_format.record_size
     report = ExperimentReport(
@@ -202,8 +207,9 @@ def mm_gpu_report(nodes: Sequence[int] = MM_NODES) -> ExperimentReport:
     return report
 
 
-def km_overlap_report(nodes: Sequence[int] = OVERLAP_NODES) -> ExperimentReport:
+def km_overlap_report(quick: bool = False) -> ExperimentReport:
     """Figure 3(e): KM with few centers on the local FS — overlap vs sum."""
+    nodes = QUICK_NODES if quick else OVERLAP_NODES
     inputs = workloads.km_points()
     report = ExperimentReport(
         experiment="Figure 3(e) — KM (few centers) on GPU (local FS)",
@@ -235,8 +241,3 @@ def km_overlap_report(nodes: Sequence[int] = OVERLAP_NODES) -> ExperimentReport:
             all(r > 1.0 for r in ratios),
             f"ratios {['%.2f' % r for r in ratios]}")
     return report
-
-
-def run_all() -> list:
-    return [km_cpu_report(), mm_cpu_report(), km_gpu_report(),
-            mm_gpu_report(), km_overlap_report()]

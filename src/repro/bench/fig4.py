@@ -17,8 +17,6 @@ buffer-pool collector.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.apps import WordCountApp
 from repro.core import JobConfig, run_glasswing
 from repro.hw.presets import das4_cluster
@@ -27,16 +25,20 @@ from repro.hw.specs import KiB
 from repro.bench import workloads
 from repro.bench.harness import ExperimentReport, Table
 
-__all__ = ["partitioning_report", "merge_delay_report", "run_all",
-           "N_SWEEP", "P_SWEEP"]
+__all__ = ["partitioning_report", "merge_delay_report", "N_SWEEP",
+           "MERGE_P_SWEEP", "MERGE_N_SWEEP"]
 
 CHUNK = 256 * KiB
 CACHE = 2 * 1024 * 1024
+#: 4(a)'s partitioner thread counts N; both panels are one-node sweeps
+#: already smoke-sized, so a quick run sweeps the same
 N_SWEEP = (1, 2, 4, 8, 16, 32)
-P_SWEEP = (1, 2, 4, 8, 16)
+#: 4(b)'s partition counts P (one curve each) and its N axis
+MERGE_P_SWEEP = (1, 4, 16)
+MERGE_N_SWEEP = (2, 8, 32)
 
 
-def partitioning_report(n_sweep: Sequence[int] = N_SWEEP) -> ExperimentReport:
+def partitioning_report(quick: bool = False) -> ExperimentReport:
     """Figure 4(a): partitioning vs kernel stage as N grows."""
     rep = ExperimentReport(
         experiment="Figure 4(a) — map pipeline stages vs partitioner "
@@ -51,7 +53,7 @@ def partitioning_report(n_sweep: Sequence[int] = N_SWEEP) -> ExperimentReport:
     table = Table("stage times vs N", ("N", "kernel_s", "partitioning_s",
                                        "map_elapsed_s"))
     kernel_times, part_times = [], []
-    for n in n_sweep:
+    for n in N_SWEEP:
         res = run_glasswing(
             WordCountApp(), inputs, das4_cluster(nodes=1),
             JobConfig(chunk_size=CHUNK // 4, storage="local",
@@ -76,9 +78,7 @@ def partitioning_report(n_sweep: Sequence[int] = N_SWEEP) -> ExperimentReport:
     return rep
 
 
-def merge_delay_report(p_sweep: Sequence[int] = (1, 4, 16),
-                       n_sweep: Sequence[int] = (2, 8, 32)
-                       ) -> ExperimentReport:
+def merge_delay_report(quick: bool = False) -> ExperimentReport:
     """Figure 4(b): merge delay vs partitioner threads N, one curve per P.
 
     As in the paper's figure: the x-axis sweeps N and each curve is one
@@ -98,10 +98,10 @@ def merge_delay_report(p_sweep: Sequence[int] = (1, 4, 16),
     inputs = workloads.wc_input(8 * 1024 * 1024)
     delays: dict = {}
     table = Table("merge delay (s): rows = P, columns = N",
-                  ("P",) + tuple(f"N={n}" for n in n_sweep))
-    for p in p_sweep:
+                  ("P",) + tuple(f"N={n}" for n in MERGE_N_SWEEP))
+    for p in MERGE_P_SWEEP:
         row = {}
-        for n in n_sweep:
+        for n in MERGE_N_SWEEP:
             res = run_glasswing(
                 WordCountApp(), inputs, das4_cluster(nodes=1),
                 JobConfig(chunk_size=CHUNK, storage="local",
@@ -113,24 +113,21 @@ def merge_delay_report(p_sweep: Sequence[int] = (1, 4, 16),
         table.add_row(P=p, **row)
     rep.tables.append(table)
 
-    n_max, p_min, p_max = n_sweep[-1], p_sweep[0], p_sweep[-1]
+    n_min, n_max = MERGE_N_SWEEP[0], MERGE_N_SWEEP[-1]
+    p_min, p_max = MERGE_P_SWEEP[0], MERGE_P_SWEEP[-1]
     rep.check("merge delay drops sharply with P at high N",
               delays[(p_max, n_max)] < 0.25 * delays[(p_min, n_max)],
               f"P={p_min}: {delays[(p_min, n_max)]:.3f} -> "
               f"P={p_max}: {delays[(p_max, n_max)]:.3f} (at N={n_max})")
     rep.check("merge delay grows with N at every P",
-              all(delays[(p, n_sweep[-1])] >= delays[(p, n_sweep[0])]
-                  for p in p_sweep))
+              all(delays[(p, n_max)] >= delays[(p, n_min)]
+                  for p in MERGE_P_SWEEP))
     rep.check("the N=low column is (near) delay-free at every P "
               "(mergers keep up during the map phase)",
-              all(delays[(p, n_sweep[0])] <= 0.1 * max(
-                  delays[(p_min, n_max)], 1e-9) for p in p_sweep))
+              all(delays[(p, n_min)] <= 0.1 * max(
+                  delays[(p_min, n_max)], 1e-9) for p in MERGE_P_SWEEP))
     rep.check("enough partitions dissolve the delay even at N=32 "
               "(the paper's tuning recommendation)",
               delays[(p_max, n_max)] <= 0.15 * delays[(p_min, n_max)],
               f"{delays[(p_max, n_max)]:.4f}s at P={p_max}, N={n_max}")
     return rep
-
-
-def run_all() -> list:
-    return [partitioning_report(), merge_delay_report()]

@@ -1,7 +1,7 @@
 """Performance-regression gate over the committed bench baselines.
 
-Every committed ``BENCH_*.json`` is one row of :data:`BASELINES` — the
-file ``python -m repro.bench <name>`` writes, how to re-measure one of
+Every committed ``BENCH_<name>.json`` is one row of :data:`BASELINES` —
+the file ``python -m repro.bench <name>`` writes, how to re-measure one of
 its recorded points, and how far each *virtual* metric may drift — and
 :func:`replay` is the one loop that re-runs a row's points and diffs
 them.  Adding a baseline is adding a row.  ``scaling`` (the sweep) is
@@ -51,9 +51,10 @@ _EXACT = ("abs", 0.0)
 
 @dataclass(frozen=True)
 class Baseline:
-    """One committed ``BENCH_*.json`` and how to replay it."""
+    """One committed ``BENCH_<name>.json`` and how to replay it."""
 
-    path: str
+    #: the row's name: ``python -m repro.bench <name>`` writes its file
+    name: str
     #: key of the file's list of recorded points
     points_key: str
     measure: Measure
@@ -64,6 +65,10 @@ class Baseline:
     #: recorded point -> the ``app`` / ``nodes`` columns it is shown under
     label: Callable[[Point], Point] = (
         lambda p: {"app": p["app"], "nodes": p["nodes"]})
+
+    @property
+    def path(self) -> str:
+        return f"BENCH_{self.name}.json"
 
 
 def _labelled(dispatch: Callable[..., Point],
@@ -81,53 +86,49 @@ def _labelled(dispatch: Callable[..., Point],
     return measure
 
 
-BASELINES: Dict[str, Baseline] = {
-    "scaling": Baseline(
-        scaling.DEFAULT_JSON_PATH, "sweep",
-        lambda p, costs: scaling.sweep_point(p["app"], p["nodes"],
-                                             costs=costs),
-        # the map overlap factor is the §III-D pipelining payoff
-        {"elapsed_s": _TIME, "network_bytes": _COUNT,
-         "overlap_factor": ("abs", 0.05)}),
+BASELINES: Dict[str, Baseline] = {row.name: row for row in (
+    Baseline("scaling", "sweep",
+             lambda p, costs: scaling.sweep_point(p["app"], p["nodes"],
+                                                  costs=costs),
+             # the map overlap factor is the §III-D pipelining payoff
+             {"elapsed_s": _TIME, "network_bytes": _COUNT,
+              "overlap_factor": ("abs", 0.05)}),
     # each point records its trace shape, so the replay regenerates the
     # identical arrival trace; the ``nodes`` column shows the job count
-    "service": Baseline(
-        service.DEFAULT_JSON_PATH, "points",
-        lambda p, costs: service.service_point(
-            p["arbiter"], n_jobs=p["n_jobs"], seed=p["trace_seed"],
-            costs=costs),
-        {"makespan_s": _TIME, "throughput_jobs_per_s": _TIME,
-         "latency_p50_s": _TIME, "latency_p95_s": _TIME,
-         "latency_p99_s": _TIME, "completed": _COUNT,
-         "leaked_buffer_slots": _EXACT},
-        label=lambda p: {"app": f"service:{p['arbiter']}",
-                         "nodes": p["n_jobs"]}),
+    Baseline("service", "points",
+             lambda p, costs: service.service_point(
+                 p["arbiter"], n_jobs=p["n_jobs"], seed=p["trace_seed"],
+                 costs=costs),
+             {"makespan_s": _TIME, "throughput_jobs_per_s": _TIME,
+              "latency_p50_s": _TIME, "latency_p95_s": _TIME,
+              "latency_p99_s": _TIME, "completed": _COUNT,
+              "leaked_buffer_slots": _EXACT},
+             label=lambda p: {"app": f"service:{p['arbiter']}",
+                              "nodes": p["n_jobs"]}),
     # cache traffic drifting means the cross-round caching behaviour
     # changed; the k-means speedup is DAG vs naive re-submission
-    "dag": Baseline(
-        dag.DEFAULT_JSON_PATH, "points", _labelled(dag.dag_point, dag.POINTS),
-        {"elapsed_s": _TIME, "network_bytes": _COUNT,
-         "cache_hit_bytes": _COUNT, "cache_miss_bytes": _COUNT},
-        {"dag:kmeans": {"naive_elapsed_s": _TIME, "speedup": _TIME,
-                        "identical_output": _EXACT},
-         "dag:pagerank": {"max_abs_err": ("abs", 1e-12)},
-         "dag:prefixsum": {"exact": _EXACT}}),
+    Baseline("dag", "points", _labelled(dag.dag_point, dag.POINTS),
+             {"elapsed_s": _TIME, "network_bytes": _COUNT,
+              "cache_hit_bytes": _COUNT, "cache_miss_bytes": _COUNT},
+             {"dag:kmeans": {"naive_elapsed_s": _TIME, "speedup": _TIME,
+                             "identical_output": _EXACT},
+              "dag:pagerank": {"max_abs_err": ("abs", 1e-12)},
+              "dag:prefixsum": {"exact": _EXACT}}),
     # each point replays its own static run first (the chaos schedule's
     # event times derive from the measured static map extent), so the
     # comparison covers both runs
-    "elastic": Baseline(
-        elastic.DEFAULT_JSON_PATH, "points",
-        _labelled(elastic.elastic_point, elastic.POINTS),
-        {"elapsed_s": _TIME, "baseline_elapsed_s": _TIME,
-         "network_bytes": _COUNT, "identical_output": _EXACT,
-         "leaked_buffer_slots": _EXACT},
-        {"elastic:double": {"speedup": _TIME, "joined": _EXACT},
-         "elastic:halve": {"slowdown": _TIME, "departed": _EXACT,
-                           "repushed_runs": _EXACT,
-                           "reexecuted_splits": _EXACT},
-         "elastic:failover": {"failovers": _EXACT,
-                              "overhead_s": ("abs", 1e-9)}}),
-}
+    Baseline("elastic", "points",
+             _labelled(elastic.elastic_point, elastic.POINTS),
+             {"elapsed_s": _TIME, "baseline_elapsed_s": _TIME,
+              "network_bytes": _COUNT, "identical_output": _EXACT,
+              "leaked_buffer_slots": _EXACT},
+             {"elastic:double": {"speedup": _TIME, "joined": _EXACT},
+              "elastic:halve": {"slowdown": _TIME, "departed": _EXACT,
+                                "repushed_runs": _EXACT,
+                                "reexecuted_splits": _EXACT},
+              "elastic:failover": {"failovers": _EXACT,
+                                   "overhead_s": ("abs", 1e-9)}}),
+)}
 
 
 def _metric_of(point: Point, metric: str) -> float:

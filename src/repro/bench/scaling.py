@@ -15,7 +15,7 @@ carries a whole split.  This experiment measures both axes at once:
   run compares ``batch_size=1`` against the autotuned batch, asserting
   the batched path is at least :data:`MIN_WALL_SPEEDUP` times faster.
 
-``report()`` writes ``BENCH_scaling.json`` (path overridable) so CI can
+``report(json_path=...)`` writes ``BENCH_scaling.json`` so CI can
 smoke-check the sweep and diff the recorded numbers.
 """
 
@@ -38,7 +38,7 @@ from repro.bench.harness import ExperimentReport, Table, point_profile
 
 __all__ = ["report", "sweep_point", "NODES", "QUICK_NODES",
            "PER_NODE_BYTES", "SPLITS_PER_NODE", "MIN_WALL_SPEEDUP",
-           "WC64_WALL_BUDGET_S", "DEFAULT_JSON_PATH",
+           "WC64_WALL_BUDGET_S",
            "SKEW_NODES", "MIN_SKEW_SPEEDUP"]
 
 #: full weak-scaling ladder (>= 6 sizes up to 1024)
@@ -56,7 +56,6 @@ MIN_WALL_SPEEDUP = 5.0
 #: with generous headroom for slower CI machines; a regression that
 #: drags the batched hot path back toward per-record cost blows this.
 WC64_WALL_BUDGET_S = 15.0
-DEFAULT_JSON_PATH = "BENCH_scaling.json"
 
 #: cluster size of the scheduler-policy comparison on the skewed case
 SKEW_NODES = 64
@@ -171,9 +170,12 @@ def sweep_point(case: str, nodes: int,
     return point
 
 
-def report(nodes: Sequence[int] = NODES,
-           json_path: Optional[str] = DEFAULT_JSON_PATH) -> ExperimentReport:
-    """Run the sweep + the 64-node wall-clock comparison; emit the JSON."""
+def report(quick: bool = False, nodes: Optional[Sequence[int]] = None,
+           json_path: Optional[str] = None) -> ExperimentReport:
+    """Run the sweep + the 64-node wall-clock comparison; emit the JSON.
+    ``nodes`` overrides the ladder: a check at a size it lacks is not run."""
+    if nodes is None:
+        nodes = QUICK_NODES if quick else NODES
     rep = ExperimentReport(
         experiment="Scaling sweep — horizontal (1..1024 nodes) x batched "
                     "hot path",

@@ -20,7 +20,7 @@ orientation but never gated.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from repro.core import JobConfig
 from repro.core.costs import DEFAULT_HOST_COSTS, HostCosts
@@ -32,7 +32,7 @@ from repro.bench.harness import ExperimentReport, Table, point_profile
 
 __all__ = ["report", "service_point", "TRACE_JOBS", "QUICK_JOBS",
            "TRACE_SEED", "MEAN_INTERARRIVAL", "SERVICE_NODES",
-           "DEFAULT_JSON_PATH", "QUICK_WALL_BUDGET_S"]
+           "QUICK_WALL_BUDGET_S"]
 
 #: full trace length (the committed baseline) and the CI smoke length
 TRACE_JOBS = 200
@@ -44,7 +44,6 @@ TRACE_SEED = 7
 MEAN_INTERARRIVAL = 0.002
 #: shared-cluster size; service jobs are small, contention is the point
 SERVICE_NODES = 4
-DEFAULT_JSON_PATH = "BENCH_service.json"
 
 #: admission knobs of the bench: the queue is sized to admit the whole
 #: trace (the acceptance bar is "completes >= 200 mixed jobs", so the
@@ -106,10 +105,10 @@ def service_point(arbiter: str, n_jobs: int = TRACE_JOBS,
     }
 
 
-def report(n_jobs: int = TRACE_JOBS,
-           json_path: Optional[str] = DEFAULT_JSON_PATH,
-           arbiters: Sequence[str] = ARBITER_NAMES) -> ExperimentReport:
-    """Run the trace replay per arbiter; emit ``BENCH_service.json``."""
+def report(quick: bool = False,
+           json_path: Optional[str] = None) -> ExperimentReport:
+    """Run the trace replay per arbiter; emit the JSON to ``json_path``."""
+    n_jobs = QUICK_JOBS if quick else TRACE_JOBS
     rep = ExperimentReport(
         experiment=f"Service trace replay — {n_jobs} mixed jobs through "
                    f"admission control on {SERVICE_NODES} shared nodes",
@@ -119,7 +118,7 @@ def report(n_jobs: int = TRACE_JOBS,
                     "dispatches onto shared nodes with zero buffer-slot "
                     "leaks")
 
-    points = [service_point(arbiter, n_jobs) for arbiter in arbiters]
+    points = [service_point(arbiter, n_jobs) for arbiter in ARBITER_NAMES]
 
     table = Table(f"trace replay ({n_jobs} jobs, {_MAX_RUNNING} slots)",
                   ["arbiter", "completed", "makespan_s", "jobs_per_s",

@@ -44,7 +44,7 @@ SYSTEMS: Tuple[SystemEntry, ...] = (
 )
 
 
-def report() -> ExperimentReport:
+def report(quick: bool = False) -> ExperimentReport:
     rep = ExperimentReport(
         experiment="Table I — comparison between Glasswing and related "
                     "projects",

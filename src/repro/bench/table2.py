@@ -58,7 +58,7 @@ ROWS = ("input", "kernel", "partitioning", "map_elapsed", "merge_delay",
         "reduce_time")
 
 
-def report() -> ExperimentReport:
+def report(quick: bool = False) -> ExperimentReport:
     rep = ExperimentReport(
         experiment="Table II — WC map pipeline time breakdown (1 node, "
                     "local FS)",

@@ -55,7 +55,7 @@ def _run(device: DeviceKind) -> Dict[str, object]:
     return out
 
 
-def report() -> ExperimentReport:
+def report(quick: bool = False) -> ExperimentReport:
     rep = ExperimentReport(
         experiment="Table III — KM map pipeline breakdown, CPU vs GTX480",
         paper_claim="kernel-dominated; GPU beats CPU; on the GPU the "

@@ -14,7 +14,7 @@ GTX480); scaling on Type-2/K20m nodes is consistent with Type-1/GTX480.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict
 
 from repro.apps import KMeansApp
 from repro.core import JobConfig, run_glasswing
@@ -24,9 +24,11 @@ from repro.hw.specs import ClusterSpec, DeviceKind, KiB
 from repro.bench import workloads
 from repro.bench.harness import ExperimentReport, Table, speedups
 
-__all__ = ["report", "DEVICES"]
+__all__ = ["report", "DEVICES", "NODES"]
 
 CHUNK = 256 * KiB
+#: small enough that a quick run sweeps the same
+NODES = (1, 2, 4)
 
 DEVICES = {
     "CPU (2x E5620)": (presets.type1_node(), DeviceKind.CPU),
@@ -45,7 +47,7 @@ def _cluster_of(node_spec, n: int) -> ClusterSpec:
                        network=presets.QDR_IB)
 
 
-def report(nodes: Sequence[int] = (1, 2, 4)) -> ExperimentReport:
+def report(quick: bool = False) -> ExperimentReport:
     rep = ExperimentReport(
         experiment="§IV-C — vertical scalability: KM across compute devices",
         paper_claim="the same application code runs on CPUs, NVIDIA GPUs "
@@ -54,12 +56,12 @@ def report(nodes: Sequence[int] = (1, 2, 4)) -> ExperimentReport:
     inputs = workloads.km_points()
     single: Dict[str, float] = {}
     table = Table("KM (4096 centers) across devices",
-                  ("device",) + tuple(f"{n}_nodes_s" for n in nodes)
+                  ("device",) + tuple(f"{n}_nodes_s" for n in NODES)
                   + ("speedup_max",))
     per_device_scaling: Dict[str, list] = {}
     for name, (node_spec, kind) in DEVICES.items():
         times = []
-        for n in nodes:
+        for n in NODES:
             res = run_glasswing(
                 workloads.km_app_paper(), inputs, _cluster_of(node_spec, n),
                 JobConfig(chunk_size=CHUNK, storage="local", device=kind))
@@ -67,7 +69,7 @@ def report(nodes: Sequence[int] = (1, 2, 4)) -> ExperimentReport:
         single[name] = times[0]
         per_device_scaling[name] = times
         table.add_row(device=name, speedup_max=speedups(times)[-1],
-                      **{f"{n}_nodes_s": t for n, t in zip(nodes, times)})
+                      **{f"{n}_nodes_s": t for n, t in zip(NODES, times)})
     rep.tables.append(table)
 
     rep.check("every accelerator beats the host CPU",
