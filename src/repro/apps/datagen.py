@@ -12,10 +12,14 @@ inputs (see EXPERIMENTS.md for the scale mapping):
 * :func:`kmeans_points` — random single-precision observation vectors.
 * :func:`matmul_tasks` — tiled task records for the matrix multiply.
 
-Everything is seeded and reproducible.  ``wiki_text`` reads its
-vocabulary from one bulk draw of the generator's uint32 stream, decoded
-by numpy's own bounded-integer rule; see :func:`_vocabulary` for that
-contract and the test that holds numpy to it.
+Everything is seeded and reproducible.  ``wiki_text`` runs over whole
+arrays, with no Python object per word: its vocabulary is read from one
+bulk draw of the generator's uint32 stream, decoded by numpy's own
+bounded-integer rule into ``uint64`` letter codes (see
+:func:`_vocabulary` for that contract and the test that holds numpy to
+it), and its text is assembled as one byte array.  Every output byte is
+what joining ``bytes`` words line by line gave; ``tests/apps`` keeps
+that join as the reference.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "wiki_text",
@@ -47,11 +52,25 @@ _WORD_SPACE = sum((len(_CONSONANTS) * len(_VOWELS)) ** s for s in (2, 3, 4))
 #: uint32s drawn per wanted word up front: a word costs 7 on average and
 #: about one word in seven repeats an earlier one at 20,000 words
 _DRAWS_PER_WORD = 9
+#: the letter bytes of a 2, 3 or 4 syllable word's code; the rest is NUL
+_LETTER_MASK = np.array([2**64 - 2**32, 2**64 - 2**16, 2**64 - 1],
+                        dtype=np.uint64)
 
 
-def _decode_words(block: np.ndarray) -> Tuple[List[bytes], List[int]]:
+def _below(x: np.ndarray, r: int) -> np.ndarray:
+    """numpy's bounded value ``(x * r) >> 32`` of each uint32 in ``x``,
+    as uint8: how many of the thresholds ``ceil(k * 2**32 / r)``,
+    ``k = 1 .. r - 1``, it reaches (no 64-bit product)."""
+    value = np.zeros(x.shape, dtype=np.uint8)
+    for k in range(1, r):
+        value += x >= -(-k * 2**32 // r)
+    return value
+
+
+def _decode_words(block: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The words the ``next_uint32`` stream ``block`` spells, in draw
-    order, and how many uint32s each has consumed through its end.
+    order, as ``uint64`` codes, and how many uint32s each has consumed
+    through its end.
 
     A word is one draw below 3 (its syllable count minus two), then a
     consonant draw below 16 and a vowel draw below 5 per syllable, each
@@ -60,11 +79,14 @@ def _decode_words(block: np.ndarray) -> Tuple[List[bytes], List[int]]:
     read, while ``(x * r) % 2**32 < (2**32 - r) % r``.  For ``r = 3``
     and ``r = 5`` that rejects exactly ``x == 0``; for ``r = 16`` it
     rejects nothing.  A word the block cuts off is left out.
+
+    A word's code is its 4, 6 or 8 letters, NUL-padded to 8 bytes, read
+    as a big-endian integer: ``b"bada"`` is ``0x6261646100000000``.
     """
     drawn = np.arange(len(block))       # block index of each draw kept
-    x = block.astype(np.uint64)
+    x = block
     while True:
-        steps = (2 * ((x * 3) >> 32) + 5).tolist()      # 1 + 2 * syllables
+        steps = (5 + 2 * _below(x, 3)).tobytes()    # 1 + 2 * syllables
         n, p = len(steps), 0
         walk: List[int] = []
         while p < n:
@@ -83,18 +105,25 @@ def _decode_words(block: np.ndarray) -> Tuple[List[bytes], List[int]]:
         drawn = np.delete(drawn, rejected[0])
         x = np.delete(x, rejected[0])
     bounds = np.append(starts, p)
-    # Each word's positions read [count, consonant, vowel, ...]: the
-    # count draw becomes the separator in front of the word's letters.
-    offset = np.arange(p) - np.repeat(starts, np.diff(bounds))
-    x = x[:p]
-    text = np.where(offset % 2 == 1, _CONSONANT_BYTES[x >> 28],
-                    _VOWEL_BYTES[(x * 5) >> 32])
-    text[offset == 0] = ord(" ")
-    return text.tobytes().split(), (drawn[bounds[1:] - 1] + 1).tolist()
+    # Row i: the 8 draws after word i's count, [consonant, vowel, ...];
+    # those past a short word's end belong to the next and are masked.
+    draws = sliding_window_view(np.append(x, np.zeros(8, x.dtype)),
+                                8)[starts + 1]
+    letters = np.empty(draws.shape, dtype=np.uint8)
+    letters[:, 0::2] = _CONSONANT_BYTES[draws[:, 0::2] >> 28]
+    letters[:, 1::2] = _VOWEL_BYTES[_below(draws[:, 1::2], 5)]
+    syllables = np.diff(bounds) // 2
+    codes = letters.view(">u8").ravel() & _LETTER_MASK[syllables - 2]
+    return codes, drawn[bounds[1:] - 1] + 1
 
 
-def _vocabulary(size: int, rng: np.random.Generator) -> List[bytes]:
-    """Pronounceable pseudo-words, distinct, 4-12 characters.
+def _vocabulary(size: int, rng: np.random.Generator) -> np.ndarray:
+    """Pronounceable pseudo-words, distinct, 4-8 letters, as sorted
+    ``uint64`` codes (see :func:`_decode_words`).
+
+    NUL sorts before every letter, so the padding makes integer order
+    the words' ``bytes`` order, a word before any longer word it begins:
+    sorting the codes sorts the words.
 
     Draw contract: the words, their order and the state ``rng`` is left
     in are exactly those of drawing word by word — ``rng.integers(2, 5)``
@@ -103,30 +132,36 @@ def _vocabulary(size: int, rng: np.random.Generator) -> List[bytes]:
     hand.  Those scalar draws each read one ``next_uint32`` of the bit
     generator, plus one more per rejection; here one bulk
     ``rng.integers(0, 2**32, dtype=np.uint32)`` reads the same stream
-    and :func:`_decode_words` applies numpy's rule to it.  The state is
-    then rewound and exactly the consumed count re-drawn, so later draws
-    on ``rng`` see what they always saw.  ``tests/apps/test_datagen.py``
-    keeps the word-by-word loop as the reference: if a numpy release
-    changes its bounded-integer rule, that test fails instead of the
-    inputs drifting.
+    and :func:`_decode_words` applies numpy's rule to it.  A distinct
+    word enters at its code's first draw; the ``size``-th to enter
+    fixes the consumed count.  The state is then rewound and exactly
+    that count re-drawn, so later draws on ``rng`` see what they always
+    saw.  ``tests/apps/test_datagen.py`` keeps the word-by-word loop as
+    the reference: if a numpy release changes its bounded-integer rule,
+    that test fails instead of the inputs drifting.
     """
     if size < 1:
-        return []
+        return np.empty(0, dtype=np.uint64)
     saved = rng.bit_generator.state
     block = np.empty(0, dtype=np.uint32)
     want = _DRAWS_PER_WORD * size
     while True:
         block = np.concatenate([block, rng.integers(
             0, 2**32, size=want - len(block), dtype=np.uint32)])
-        words, ends = _decode_words(block)
-        distinct = list(dict.fromkeys(words))
-        if len(distinct) >= size:
+        codes, ends = _decode_words(block)
+        order = np.argsort(codes)
+        ranked = codes[order]
+        head = np.ones(len(ranked), dtype=bool)
+        head[1:] = ranked[1:] != ranked[:-1]
+        if np.count_nonzero(head) >= size:
             break
         want *= 2
+    heads = np.flatnonzero(head)
+    enters = np.minimum.reduceat(order, heads)  # each distinct code's first
+    last = np.partition(enters, size - 1)[size - 1]
     rng.bit_generator.state = saved
-    rng.integers(0, 2**32, size=ends[words.index(distinct[size - 1])],
-                 dtype=np.uint32)
-    return sorted(distinct[:size])
+    rng.integers(0, 2**32, size=ends[last], dtype=np.uint32)
+    return ranked[heads[enters <= last]]
 
 
 def wiki_text(nbytes: int, seed: int = 7, vocab_size: int = 20_000,
@@ -138,16 +173,35 @@ def wiki_text(nbytes: int, seed: int = 7, vocab_size: int = 20_000,
     if line_words < 1:
         raise ValueError(f"line_words must be >= 1, not {line_words!r}")
     rng = np.random.default_rng(seed)
-    vocab = np.array(_vocabulary(vocab_size, rng), dtype=object)
-    rng.shuffle(vocab)  # decouple zipf rank from alphabetical order
-    avg_word = float(np.mean([len(w) for w in vocab])) + 1
+    vocab = _vocabulary(vocab_size, rng)
+    # Decouple zipf rank from alphabetical order.  A shuffle's
+    # permutation depends only on the array's length, so the codes land
+    # where the words of an object array did.
+    rng.shuffle(vocab)
+    letters = vocab.astype(">u8").view(np.uint8).reshape(-1, 8)
+    avg_word = float(np.mean(np.count_nonzero(letters, axis=1))) + 1
     n_words = max(1, int(nbytes / avg_word))
     ranks = rng.zipf(zipf_a, size=n_words)
-    ranks = np.minimum(ranks, vocab_size) - 1
-    words = vocab[ranks].tolist()
-    lines = [b" ".join(words[i:i + line_words])
-             for i in range(0, len(words), line_words)]
-    return b"\n".join(lines) + b"\n"
+    np.minimum(ranks, vocab_size, out=ranks)
+    ranks -= 1
+    # A space after each word, or a newline after every line_words-th
+    # word and the last.  Each half of the words becomes one row per
+    # word, its 8 code bytes then its separator, with the NULs dropped.
+    # Halves keep every temporary under the ranks' 8 bytes a word: glibc
+    # raises its mmap threshold to the largest block freed, and the heap
+    # then keeps what the allocations under it free (9-byte rows for a
+    # whole 24 MiB text added 4 % to the peak RSS of the run reading it).
+    sep = np.full(n_words, ord(" "), dtype=np.uint8)
+    sep[line_words - 1::line_words] = ord("\n")
+    sep[-1] = ord("\n")
+    halves = []
+    for part, seps in zip(np.array_split(ranks, 2), np.array_split(sep, 2)):
+        rows = np.empty((len(part), 9), dtype=np.uint8)
+        rows[:, :8] = np.take(letters, part, axis=0)
+        rows[:, 8] = seps
+        halves.append(rows.tobytes().translate(None, b"\0"))
+    del ranks, sep, part, seps          # free them before the text
+    return b"".join(halves)
 
 
 def web_logs(nbytes: int, seed: int = 11, hot_fraction: float = 0.05,

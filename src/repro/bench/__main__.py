@@ -57,7 +57,7 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     names = ALL if args.experiment == "all" else (args.experiment,)
-    failures = 0
+    failed = set()
     for name in names:
         rendered = []
         start = perf_counter()
@@ -67,7 +67,7 @@ def main(argv=None) -> int:
             print(f"({perf_counter() - start:.1f}s)\n")
             rendered.append(text)
             if not report.all_passed:
-                failures += 1
+                failed.add(name)
             if args.trace_dir and report.timelines:
                 for path in report.export_traces(args.trace_dir):
                     print(f"trace: {path}")
@@ -75,8 +75,8 @@ def main(argv=None) -> int:
         if out_dir is not None:
             (out_dir / f"{name}.md").write_text(
                 f"# {name}\n\n```\n" + "\n\n".join(rendered) + "\n```\n")
-    if failures:
-        print(f"{failures} experiment(s) had failing shape checks",
+    if failed:
+        print(f"{len(failed)} experiment(s) had failing shape checks",
               file=sys.stderr)
         return 1
     return 0

@@ -284,17 +284,17 @@ def report(quick: bool = False, nodes: Optional[Sequence[int]] = None,
             "per_record_elapsed_s": per_record["elapsed_s"],
             "batched_elapsed_s": batched["elapsed_s"],
         }
+        # Measured seconds go in a note: a check reads the same each run.
         rep.check(
             f"batched 64-node wordcount >= {MIN_WALL_SPEEDUP:.0f}x faster "
-            f"wall-clock than batch_size=1",
-            speedup >= MIN_WALL_SPEEDUP,
-            f"{per_record['wall_s']:.2f}s -> {batched['wall_s']:.2f}s "
-            f"({speedup:.1f}x)")
+            f"wall-clock than batch_size=1", speedup >= MIN_WALL_SPEEDUP)
         rep.check(
             f"batched 64-node wordcount wall-clock under the recorded "
             f"budget ({WC64_WALL_BUDGET_S:.0f}s)",
-            batched["wall_s"] <= WC64_WALL_BUDGET_S,
-            f"{batched['wall_s']:.2f}s")
+            batched["wall_s"] <= WC64_WALL_BUDGET_S)
+        rep.notes.append(f"64-node wordcount wall-clock: batch_size=1 "
+                         f"{per_record['wall_s']:.2f}s -> batched "
+                         f"{batched['wall_s']:.2f}s ({speedup:.1f}x)")
 
     rep.write_baseline(
         json_path,

@@ -8,11 +8,18 @@ import pytest
 from repro.apps import datagen
 from repro.service.trace import synthetic_trace
 
+try:
+    from hypothesis import given, settings, strategies as st
+    HAVE_HYPOTHESIS = True
+except ImportError:    # pragma: no cover - hypothesis is an optional extra
+    HAVE_HYPOTHESIS = False
+
 KiB, MiB = 1024, 1024 * 1024
 
 #: sha256 of ``wiki_text(nbytes, seed)``, taken from the word-by-word
-#: vocabulary draw: the shuffle-storm input, a 16 KiB and a 64 KiB
-#: service-trace row, the small-scale wc-datapath input, and one more
+#: vocabulary draw and the join-based text: the shuffle-storm input, a
+#: 16 KiB and a 64 KiB service-trace row, the small-scale and the full
+#: wc-datapath input, and one more
 WIKI_TEXT_SHA256 = {
     (4 * MiB, 42):
         "83150149f69f43e3035acfe91dd954878db8ac71d9f059632ae4f3c45c7a8025",
@@ -24,6 +31,8 @@ WIKI_TEXT_SHA256 = {
         "82cd33f3f87472eecc85c04279308b638b89efa810f2f2bf00a66a4b57c96184",
     (10_000, 3):
         "0cd681e209a8304b6bb26214afabc2276a84f822bd3bd64614202f5bbd993872",
+    (24 * MiB, 102):
+        "4b6b14473eaa256bc1c6ee7c790327d9a769125c168f6f59b351c84a94bdfed5",
 }
 
 #: sha256 over every input of ``synthetic_trace(200, seed=7)`` (the
@@ -43,6 +52,36 @@ def scalar_vocabulary(size, rng):
             for _ in range(syllables))
         words.add(word.encode())
     return sorted(words)
+
+
+def join_wiki_text(nbytes, seed=7, vocab_size=20_000, zipf_a=1.5,
+                   line_words=12):
+    """The ``bytes`` objects and joins ``datagen.wiki_text`` must
+    reproduce: the vocabulary as an object array, shuffled, one
+    ``b" ".join`` per line."""
+    rng = np.random.default_rng(seed)
+    vocab = np.array(scalar_vocabulary(vocab_size, rng), dtype=object)
+    rng.shuffle(vocab)
+    avg_word = float(np.mean([len(w) for w in vocab])) + 1
+    n_words = max(1, int(nbytes / avg_word))
+    ranks = rng.zipf(zipf_a, size=n_words)
+    ranks = np.minimum(ranks, vocab_size) - 1
+    words = vocab[ranks].tolist()
+    lines = [b" ".join(words[i:i + line_words])
+             for i in range(0, len(words), line_words)]
+    return b"\n".join(lines) + b"\n"
+
+
+def spell(codes):
+    """The words ``uint64`` codes stand for: big-endian bytes, NULs off."""
+    return [int(c).to_bytes(8, "big").rstrip(b"\0") for c in codes]
+
+
+def decode(block):
+    """:func:`datagen._decode_words` as words and a list of ends."""
+    codes, ends = datagen._decode_words(block)
+    assert codes.dtype == np.uint64
+    return spell(codes), ends.tolist()
 
 
 def reference_decode(block):
@@ -116,7 +155,9 @@ def test_vocabulary_matches_the_word_by_word_draw(seed):
             for rng in (ref, new):
                 rng.integers(0, 2**32, dtype=np.uint32)
         before = new.bit_generator.state
-        assert datagen._vocabulary(size, new) == scalar_vocabulary(size, ref)
+        codes = datagen._vocabulary(size, new)
+        assert codes.dtype == np.uint64
+        assert spell(codes) == scalar_vocabulary(size, ref)
         assert new.bit_generator.state == ref.bit_generator.state
         if size == 0:
             assert new.bit_generator.state == before
@@ -132,7 +173,7 @@ def zero_at(*positions):
     checked against the reference decoder."""
     block = BLOCK.copy()
     block[list(positions)] = 0
-    words, ends = datagen._decode_words(block)
+    words, ends = decode(block)
     assert (words, ends) == reference_decode(block)
     return words, ends
 
@@ -145,7 +186,7 @@ def assert_skipped(at):
 
 
 def test_decoder_matches_the_reference_without_zeros():
-    assert datagen._decode_words(BLOCK) == (BLOCK_WORDS, BLOCK_ENDS)
+    assert decode(BLOCK) == (BLOCK_WORDS, BLOCK_ENDS)
     assert len(BLOCK_WORDS) > 40
 
 
@@ -170,8 +211,8 @@ def test_runs_of_zeros_and_a_cut_off_word():
     # in the block's last uint32.
     start = BLOCK_ENDS[4]
     zero_at(start, start + 1, start + 2, len(BLOCK) - 1)
-    assert datagen._decode_words(np.zeros(9, dtype=np.uint32)) == ([], [])
-    assert datagen._decode_words(BLOCK[:3]) == ([], [])
+    assert decode(np.zeros(9, dtype=np.uint32)) == ([], [])
+    assert decode(BLOCK[:3]) == ([], [])
 
 
 def test_decoder_matches_the_reference_on_blocks_strewn_with_zeros():
@@ -180,7 +221,59 @@ def test_decoder_matches_the_reference_on_blocks_strewn_with_zeros():
         block = rng.integers(0, 2**32, size=rng.integers(1, 60),
                              dtype=np.uint32)
         block[rng.integers(0, len(block), size=rng.integers(0, 6))] = 0
-        assert datagen._decode_words(block) == reference_decode(block)
+        assert decode(block) == reference_decode(block)
+
+
+def test_codes_sort_as_the_words_they_spell():
+    words = [b"bada", b"badaba", b"badabaca", b"badu", b"wuwu", b"wuwuwuwu"]
+    codes = np.array([int.from_bytes(w.ljust(8, b"\0"), "big")
+                      for w in words], dtype=np.uint64)
+    rng = np.random.default_rng(0)
+    shuffled = rng.permutation(codes)
+    assert spell(np.sort(shuffled)) == sorted(spell(shuffled)) == words
+
+
+#: (nbytes, seed, vocab_size, zipf_a, line_words) at the corners of the
+#: property below; 5,000 bytes hold well under 10,000 words
+TEXT_CASES = [
+    (1, 0, 1, 1.5, 12),
+    (200 * KiB, 1, 2_000, 1.5, 12),
+    (5_000, 2, 300, 2.5, 1),
+    (5_000, 3, 50, 1.5, 2),
+    (5_000, 4, 7, 2.5, 10_000),
+    (40_000, 5, 2_000, 2.5, 12),
+]
+
+
+def check_text(nbytes, seed, vocab_size, zipf_a, line_words):
+    assert datagen.wiki_text(nbytes, seed, vocab_size, zipf_a,
+                             line_words) == join_wiki_text(
+        nbytes, seed, vocab_size, zipf_a, line_words)
+
+
+@pytest.mark.parametrize("case", TEXT_CASES)
+def test_wiki_text_equals_the_joined_words(case):
+    check_text(*case)
+
+
+if HAVE_HYPOTHESIS:
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(1, 200 * KiB), st.integers(0, 2**32 - 1),
+           st.integers(1, 2_000), st.sampled_from((1.5, 2.5)),
+           st.sampled_from((1, 2, 12, 10**6)))
+    def test_wiki_text_equals_the_joined_words_anywhere(
+            nbytes, seed, vocab_size, zipf_a, line_words):
+        check_text(nbytes, seed, vocab_size, zipf_a, line_words)
+
+else:    # pragma: no cover - exercised only without hypothesis
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_wiki_text_equals_the_joined_words_anywhere(seed):
+        draw = np.random.default_rng(seed)
+        check_text(int(draw.integers(1, 200 * KiB)), seed,
+                   int(draw.integers(1, 2_000)), (1.5, 2.5)[seed % 2],
+                   (1, 2, 12, 10**6)[seed % 4])
 
 
 def test_wiki_text_rejects_an_empty_vocabulary():

@@ -138,6 +138,15 @@ def test_main_reports_failures(monkeypatch, capsys):
     assert rc == 1
 
 
+def test_failure_count_is_per_experiment_not_per_panel(monkeypatch, capsys):
+    monkeypatch.setattr(bench_main, "_reports",
+                        lambda name, quick: [make_stub(False),
+                                             make_stub(False)])
+    assert bench_main.main(["fig2"]) == 1
+    err = capsys.readouterr().err
+    assert "1 experiment(s) had failing shape checks" in err
+
+
 def test_main_writes_output_dir(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(bench_main, "_reports",
                         lambda name, quick: [make_stub(True)])

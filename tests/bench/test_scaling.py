@@ -68,3 +68,32 @@ def test_weak_scaling_input_grows_linearly():
     assert b["input_bytes"] == pytest.approx(4 * a["input_bytes"], rel=0.01)
     # Fixed per-node work: elapsed grows far slower than cluster size.
     assert b["elapsed_s"] < 4 * a["elapsed_s"]
+
+
+def stubbed_sweep(wall_s):
+    """A stand-in for :func:`scaling.sweep_point`: fixed simulated
+    numbers, ``wall_s`` of host time (100x that at ``batch_size=1``)."""
+    def point(case, nodes, batch_size=None, scheduler="static-affinity"):
+        return {
+            "app": case, "nodes": nodes, "scheduler": scheduler,
+            "elapsed_s": 0.3 if scheduler == "static-affinity" else 0.2,
+            "map_s": 0.2, "reduce_s": 0.1, "leaked_buffer_slots": 0,
+            "wall_s": wall_s * (100 if batch_size == 1 else 1),
+            "map_pipeline": {"dominant_stage": "input",
+                             "dominant_share": 0.95,
+                             "overlap_factor": 1.1}}
+    return point
+
+
+def test_check_strings_do_not_quote_wall_clock(monkeypatch):
+    """Two runs that differ only in host time print the same checks;
+    the seconds are in the notes."""
+    reports = []
+    for wall_s in (0.31, 0.47):
+        monkeypatch.setattr(scaling, "sweep_point", stubbed_sweep(wall_s))
+        reports.append(scaling.report(nodes=(1, 64)))
+    first, second = ([str(c) for c in rep.checks] for rep in reports)
+    assert any("batched 64-node" in c for c in first)
+    assert first == second
+    assert reports[0].notes != reports[1].notes
+    assert "0.31s" in reports[0].notes[0]
