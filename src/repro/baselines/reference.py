@@ -10,7 +10,10 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, List, Tuple
 
+import numpy as np
+
 from repro.core.api import MapReduceApp
+from repro.storage.records import FixedRecordFormat
 
 __all__ = ["run_reference", "canonical_output"]
 
@@ -19,9 +22,12 @@ Pair = Tuple[Any, Any]
 
 def run_reference(app: MapReduceApp, inputs: Dict[str, bytes]) -> List[Pair]:
     """Execute the job sequentially; returns canonically sorted output."""
-    records: List[bytes] = []
-    for path in sorted(inputs):
-        records.extend(app.record_format.split_records(inputs[path]))
+    fmt = app.record_format
+    parts = [fmt.split_records(inputs[path]) for path in sorted(inputs)]
+    if isinstance(fmt, FixedRecordFormat):
+        records = np.concatenate(parts) if parts else fmt.split_records(b"")
+    else:
+        records = list(itertools.chain.from_iterable(parts))
     pairs = app.map_batch(records)
     pairs = sorted(pairs, key=lambda kv: app.sort_key(kv[0]))
     out: List[Pair] = []

@@ -25,7 +25,7 @@ class Chunk:
     """
 
     index: int              # index of the owning split
-    records: List[bytes]
+    records: Sequence[bytes]  # fixed-size records: one ``V{size}`` array
     nbytes: int
     seq: int = 0            # batch number within the split
     last: bool = True       # final batch of the split?
@@ -70,7 +70,7 @@ class KeyGroupChunk:
 
     index: int
     pairs: PairColumns
-    sizes: List[int]
+    sizes: Sequence[int]    # a list, or an integer array (TeraSort's)
     nbytes: int
 
     @property

@@ -101,7 +101,7 @@ class IntermediateManager:
         """
         if pid not in self._mem_runs:
             raise KeyError(f"partition {pid} is not owned by {self.node.name}")
-        if not run.keys:
+        if not len(run):
             return
         self._mem_runs[pid].append(run)
         self._mem_bytes += run.raw_bytes

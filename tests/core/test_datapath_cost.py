@@ -16,11 +16,13 @@ per key of its chunk.
 
 import gc
 import sys
+import tracemalloc
 
 from repro.apps.datagen import teragen
 from repro.apps.terasort import TeraSortApp
 from repro.apps.wordcount import WordCountApp
 from repro.core import JobConfig
+from repro.core.api import merge_runs
 from repro.core.collector import KeyInterner, collect_map_output
 from repro.core.coordinator import ShuffleRegistry
 from repro.core.costs import DEFAULT_HOST_COSTS
@@ -201,10 +203,67 @@ def test_terasort_partition_stage_calls_do_not_scale_with_records():
         phase, sink = partition_phase(app, 4)
         calls, _ = python_calls(lambda: list(phase._partition(out)))
         assert sorted(sink.runs) == [0, 1, 2, 3]
-        merged = [k for pid in range(4) for k in sink.runs[pid].keys]
+        merged = [k for pid in range(4) for k, _ in sink.runs[pid]]
         assert merged == sorted(k for k, _ in out.pairs)
         counts.append(calls)
     assert counts[0] == counts[1]
+
+
+# ------------------------------------------------- a TeraSort split, whole
+def terasort_datapath(app, data):
+    """A split's records through the data path: read as one array, mapped
+    in two batches, joined and put in (partition, key) order on the map
+    side, cut into three runs that the reduce side merges and groups."""
+    records = app.record_format.split_records(data)
+    half = len(records) // 2
+    pairs = PairColumns.concat([app.map_batch(records[:half]),
+                                app.map_batch(records[half:])])
+    pids = app.partition_batch(pairs.keys, 4)
+    pairs = pairs.take(app.sort_order(pairs.keys, pids))
+    third = len(pairs) // 3
+    runs = [pairs[:third], pairs[third:2 * third], pairs[2 * third:]]
+    merged = merge_runs(app, runs[::-1])
+    return merged, app.group_sizes(merged.keys)
+
+
+def allocated_blocks(fn, *args):
+    """Memory blocks ``fn`` allocates and leaves alive (with its result),
+    as ``tracemalloc`` counts them."""
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+        if gc_was_enabled:
+            gc.enable()
+    del result
+    return sum(stat.count for stat in snapshot.statistics("filename"))
+
+
+def test_terasort_split_calls_and_blocks_do_not_scale_with_records():
+    """No Python object and no Python-level call per record from the split
+    read to the reduce input: the records stay one array, the columns
+    views and gathers of it."""
+    calls, blocks = [], []
+    for n_records in (2_000, 20_000):
+        data = teragen(n_records, seed=9)
+        app = TeraSortApp.from_input(data, sample_every=97)
+        terasort_datapath(app, data)        # numpy's first-call caches
+        n_calls, (merged, sizes) = python_calls(terasort_datapath, app, data)
+        assert len(merged) == n_records == sum(sizes)
+        assert [k for k, _ in merged] == sorted(
+            data[i:i + 10] for i in range(0, len(data), 100))
+        calls.append(n_calls)
+        blocks.append(allocated_blocks(terasort_datapath, app, data))
+    assert calls[0] == calls[1]
+    # A few dozen at either size: the result's arrays plus what numpy's
+    # temporaries leave in the interpreter's free lists (the exact number
+    # moves by a handful from run to run).  One object per record would
+    # be 2,000 and 20,000.
+    assert max(blocks) < 64
 
 
 # ------------------------------------------------------------ reduce side

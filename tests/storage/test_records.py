@@ -34,7 +34,8 @@ def test_text_record_bytes_includes_newline():
 # ----------------------------------------------------------- fixed records
 def test_fixed_split():
     fmt = FixedRecordFormat(4)
-    assert fmt.split_records(b"aaaabbbbcccc") == [b"aaaa", b"bbbb", b"cccc"]
+    assert fmt.split_records(b"aaaabbbbcccc").tolist() == \
+        [b"aaaa", b"bbbb", b"cccc"]
 
 
 def test_fixed_split_ragged_rejected():
