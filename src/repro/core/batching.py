@@ -66,10 +66,8 @@ def slice_batches(records: Sequence, batch_size: int) -> List[Sequence]:
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if len(records) <= batch_size:
-        return [records]
     return [records[i:i + batch_size]
-            for i in range(0, len(records), batch_size)]
+            for i in range(0, max(len(records), 1), batch_size)]
 
 
 def apportion_bytes(total: int, weights: Sequence[int]) -> List[int]:

@@ -291,14 +291,21 @@ class Scheduler:
     def pick_helper(self, exclude: int, alive_nodes: Sequence[int],
                     active: Dict[int, int],
                     split_index: Optional[int] = None) -> Optional[int]:
-        """Node to run a speculative copy on: least-loaded survivor other
-        than ``exclude`` (``active`` counts running copies per node)."""
+        """Node to run a speculative copy on: the survivor other than
+        ``exclude`` that :meth:`_helper_rank` puts first (``active`` counts
+        running copies per node)."""
         candidates = [n for n in alive_nodes if n != exclude]
         if not candidates:
             return None
-        helper = min(candidates, key=lambda n: (active[n], n))
+        holders = self._holders.get(split_index, frozenset())
+        helper = min(candidates, key=lambda n: self._helper_rank(
+            n, active[n], n in holders))
         self._note_speculative(helper, split_index)
         return helper
+
+    def _helper_rank(self, node: int, active: int, local: bool) -> tuple:
+        """Least-loaded first."""
+        return active, node
 
     def _note_speculative(self, node_id: int,
                           split_index: Optional[int]) -> None:

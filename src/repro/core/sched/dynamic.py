@@ -128,15 +128,5 @@ class DynamicLocalityScheduler(Scheduler):
         return min(survivors,
                    key=lambda n: (len(registry.owned_by(n)), n))
 
-    def pick_helper(self, exclude: int, alive_nodes: Sequence[int],
-                    active: Dict[int, int],
-                    split_index: Optional[int] = None) -> Optional[int]:
-        candidates = [n for n in alive_nodes if n != exclude]
-        if not candidates:
-            return None
-        holders = self._holders.get(split_index, frozenset()) \
-            if split_index is not None else frozenset()
-        helper = min(candidates,
-                     key=lambda n: (0 if n in holders else 1, active[n], n))
-        self._note_speculative(helper, split_index)
-        return helper
+    def _helper_rank(self, node: int, active: int, local: bool) -> tuple:
+        return not local, active, node

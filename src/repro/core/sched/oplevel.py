@@ -17,7 +17,7 @@ whoever asks next.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.sched.dynamic import DynamicLocalityScheduler, _Pool
 
@@ -54,16 +54,6 @@ class OpLevelScheduler(DynamicLocalityScheduler):
             return None
         return _largest(pool.splits[i] for i in queue if i in pool.splits)
 
-    def pick_helper(self, exclude: int, alive_nodes: Sequence[int],
-                    active: Dict[int, int],
-                    split_index: Optional[int] = None) -> Optional[int]:
-        candidates = [n for n in alive_nodes if n != exclude]
-        if not candidates:
-            return None
-        holders = self._holders.get(split_index, frozenset()) \
-            if split_index is not None else frozenset()
+    def _helper_rank(self, node: int, active: int, local: bool) -> tuple:
         # Global balance first, locality as the tie-break.
-        helper = min(candidates,
-                     key=lambda n: (active[n], 0 if n in holders else 1, n))
-        self._note_speculative(helper, split_index)
-        return helper
+        return active, not local, node
