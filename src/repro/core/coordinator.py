@@ -9,12 +9,7 @@ is :func:`repro.core.sched.affinity.affinity_assign`, shared by every
 scheduling policy, the recovery path and the Hadoop baseline.
 
 The :class:`ShuffleRegistry` is the coordinator's global view of the
-shuffle: which node owns each partition (re-assignable after a crash),
-which ``(split, partition)`` runs have been delivered where, and which
-map outputs are durable on which node's local disk.  Recovery is pure
-bookkeeping over this registry: anything delivered to a dead node, or
-never delivered at all, must be re-fetched from a durable copy or
-re-executed.
+shuffle, over which node-crash recovery is pure bookkeeping.
 """
 
 from __future__ import annotations
@@ -22,10 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.data import SortedRun
+import numpy as np
+
+from repro.core.data import MapBlock
 from repro.storage.backend import StorageBackend
 
 __all__ = ["Split", "make_splits", "ShuffleRegistry"]
+
+#: what one recovery source re-pushes to one owner: ``(block, pids)`` pairs
+Buckets = List[Tuple[MapBlock, List[int]]]
 
 
 @dataclass(frozen=True)
@@ -70,17 +70,17 @@ class ShuffleRegistry:
     One instance per job, shared by the coordinator, every map pipeline
     and the recovery layer.  Three tables:
 
-    * ``owner_of(pid)`` — which node reduces partition ``pid``; initially
+    * ``owners[pid]`` — which node reduces partition ``pid``; initially
       ``pid % n_nodes``, re-assigned to survivors after a node crash;
-    * the **delivery ledger** — ``(split, pid) -> node`` recorded when a
-      sorted run reaches its owner's intermediate manager.  An entry
-      pointing at a dead node (or missing entirely: shuffle data lost in
-      flight) marks data that recovery must reproduce;
-    * the **durable index** — per ``(node, split)`` the partition buckets
-      whose full copy the map output stage persisted to that node's local
-      disk (§III-A stage 5).  Buckets durable on a survivor are recovered
-      by a cheap disk re-read + re-push; everything else needs the split
-      re-executed.
+    * the **delivery ledger** — per split, the node each partition's
+      bucket reached (-1 until it does).  A bucket marked at a dead node,
+      or not at all (shuffle data lost in flight), is data that recovery
+      must reproduce;
+    * the **durable index** — per split, the nodes whose local disk holds
+      the split's :class:`~repro.core.data.MapBlock` (§III-A stage 5), in
+      the order they wrote it.  Buckets durable on a survivor are
+      recovered by a cheap disk re-read + re-push; everything else needs
+      the split re-executed.
     """
 
     def __init__(self, n_nodes: int, partitions_per_node: int,
@@ -96,75 +96,82 @@ class ShuffleRegistry:
             raise ValueError(
                 f"registry nodes {owners} outside the {n_nodes}-node cluster")
         self.total_partitions = len(owners) * partitions_per_node
-        self._owner: Dict[int, int] = {pid: owners[pid % len(owners)]
-                                       for pid in range(self.total_partitions)}
-        self.delivered: Dict[Tuple[int, int], int] = {}
-        self.durable: Dict[Tuple[int, int], Dict[int, SortedRun]] = {}
+        self.owners = np.resize(owners, self.total_partitions)    # cyclic
+        self.delivered: Dict[int, np.ndarray] = {}
+        self.durable: Dict[int, Dict[int, MapBlock]] = {}
 
     # -- ownership ---------------------------------------------------------
-    def owner_of(self, pid: int) -> int:
-        return self._owner[pid]
-
     def owned_by(self, node: int) -> List[int]:
-        return sorted(p for p, o in self._owner.items() if o == node)
+        return np.flatnonzero(self.owners == node).tolist()
 
     def reassign(self, pid: int, new_owner: int) -> None:
-        self._owner[pid] = new_owner
+        self.owners[pid] = new_owner
 
-    # -- delivery ledger ---------------------------------------------------
-    def mark_delivered(self, split: int, pid: int, node: int) -> None:
-        self.delivered[(split, pid)] = node
+    # -- durable map output and deliveries -----------------------------------
+    def mark_durable(self, node: int, block: MapBlock) -> None:
+        """``node``'s disk holds ``block``.  Its empty buckets count as
+        delivered to their current owners, or recovery would re-run it."""
+        self.durable.setdefault(block.split, {})[node] = block
+        ledger = self.delivered.setdefault(
+            block.split, np.full(self.total_partitions, -1))
+        empty = np.ones(self.total_partitions, dtype=bool)
+        empty[block.pids] = False
+        ledger[empty] = self.owners[empty]
 
-    def delivered_to_live(self, split: int, pid: int, alive) -> bool:
-        """True when this run already sits in a surviving manager."""
-        node = self.delivered.get((split, pid))
-        return node is not None and alive(node)
+    def deliver(self, managers, owner: int, block: MapBlock,
+                pids: List[int]) -> None:
+        """Hand buckets ``pids`` of ``block`` to ``owner``'s manager and
+        mark them delivered: the one way shuffle data lands."""
+        managers[owner].add_block(block, pids)
+        self.delivered[block.split][pids] = owner
 
-    # -- durable map output ------------------------------------------------
-    def mark_durable(self, node: int, split: int,
-                     buckets: Dict[int, SortedRun]) -> None:
-        self.durable[(node, split)] = buckets
+    def lost(self, split: int, alive) -> np.ndarray:
+        """Mask over partitions: ``split``'s buckets in no manager that
+        ``alive`` accepts (never delivered, or delivered to a dead node)."""
+        live = np.array([alive(n) for n in range(self.n_nodes)] + [False])
+        ledger = self.delivered.get(split, np.full(self.total_partitions, -1))
+        return ~live[ledger]    # -1, the not-delivered mark, reads False
+
+    def route(self, block: MapBlock, alive=None) -> Dict[int, List[int]]:
+        """``block``'s non-empty buckets by owner, owners in order of their
+        first pid; given ``alive``, only the buckets :meth:`lost` names."""
+        pids = block.pids
+        if alive is not None:
+            lost = self.lost(block.split, alive)
+            pids = [pid for pid in pids if lost[pid]]
+        groups: Dict[int, List[int]] = {}
+        for pid, owner in zip(pids, self.owners[pids].tolist()):
+            groups.setdefault(owner, []).append(pid)
+        return groups
 
     # -- recovery planning -------------------------------------------------
     def recovery_plan(self, all_splits: Sequence[Split], alive, durable_alive
-                      ) -> Tuple[Dict[Tuple[int, int], List[Tuple[int, int, SortedRun]]],
-                                 List[Split]]:
+                      ) -> Tuple[Dict[Tuple[int, int], Buckets], List[Split]]:
         """What the survivors must do after node loss.
 
         Returns ``(repushes, reexec_splits)``: ``repushes`` maps a
-        ``(source_node, owner_node)`` pair to the ``(split, pid, run)``
-        entries the source must re-read from its durable spill and
-        re-push; ``reexec_splits`` lists splits needing full re-execution
-        (their mapper died, taking the durable copy with it — or they
-        never completed at all).  Every ``(split, pid)`` the ledger shows
-        as lost is covered by exactly one of the two.
+        ``(source_node, owner_node)`` pair to the buckets the source must
+        re-read from its durable spill and re-push; ``reexec_splits``
+        lists splits needing full re-execution (their mapper died, taking
+        the durable copy with it — or they never completed at all).  Every
+        bucket the ledger shows as lost is covered by exactly one of them.
 
         ``durable_alive`` widens the durable-holder predicate beyond
         ``alive``: a *departed* (drained) node takes no new work but its
         local spill is still readable, so it remains a re-push source —
         the difference between decommissioning a node and losing it.
         """
-        repushes: Dict[Tuple[int, int], List[Tuple[int, int, SortedRun]]] = {}
+        repushes: Dict[Tuple[int, int], Buckets] = {}
         reexec: List[Split] = []
         for split in all_splits:
-            durable_holder = None
-            for (node, s) in self.durable:
-                if s == split.index and durable_alive(node):
-                    durable_holder = node
-                    break
-            lost_pids = [pid for pid in range(self.total_partitions)
-                         if not self.delivered_to_live(split.index, pid, alive)]
-            if not lost_pids:
+            if not self.lost(split.index, alive).any():
                 continue
-            if durable_holder is None:
+            holders = self.durable.get(split.index, {})
+            holder = next((n for n in holders if durable_alive(n)), None)
+            if holder is None:
                 reexec.append(split)
                 continue
-            buckets = self.durable[(durable_holder, split.index)]
-            for pid in lost_pids:
-                run = buckets.get(pid)
-                if run is None:
-                    continue    # split produced nothing for this partition
-                owner = self.owner_of(pid)
-                repushes.setdefault((durable_holder, owner), []).append(
-                    (split.index, pid, run))
+            for owner, pids in self.route(holders[holder], alive).items():
+                repushes.setdefault((holder, owner), []).append(
+                    (holders[holder], pids))
         return repushes, reexec

@@ -6,9 +6,11 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any, List, Sequence, Tuple, Union
 
-from repro.storage.records import PairColumns
+import numpy as np
 
-__all__ = ["Chunk", "PairColumns", "MapOutput", "SortedRun", "KeyGroupChunk",
+from repro.storage.records import KVSchema, PairColumns
+
+__all__ = ["Chunk", "PairColumns", "MapOutput", "MapBlock", "KeyGroupChunk",
            "ReduceOutput"]
 
 Pair = Tuple[Any, Any]
@@ -20,8 +22,8 @@ class Chunk:
 
     With the default batch size a chunk is a whole split; smaller
     ``JobConfig.batch_size`` values slice a split into several chunks
-    (``seq``/``last`` give the batch's position, ``start`` its record
-    offset within the split, and ``nbytes`` its exact byte share).
+    (``seq``/``last`` give the batch's position and ``nbytes`` its exact
+    byte share).
     """
 
     index: int              # index of the owning split
@@ -29,7 +31,6 @@ class Chunk:
     nbytes: int
     seq: int = 0            # batch number within the split
     last: bool = True       # final batch of the split?
-    start: int = 0          # record offset of this batch within the split
 
 
 @dataclass
@@ -45,17 +46,28 @@ class MapOutput:
     last: bool = True
 
 
-class SortedRun(PairColumns):
-    """A sorted batch of intermediate pairs, one partition's unit of
-    merging; ``raw_bytes`` is its uncompressed serialized size.  Columns
-    for every app: the partitioner cuts each as a slice of one ordered
-    gather, and the push, the merger and the final merge carry it on."""
+class MapBlock:
+    """One split's map output: its pairs in stable ``(partition, key)``
+    order, partition ``p``'s bucket ``pairs[offsets[p]:offsets[p + 1]]``
+    of ``raw[p]`` serialized bytes; ``pids`` are the non-empty ones.  The
+    durable index, the pushers and the receivers' caches hold the block:
+    a bucket is the block plus a pid, sliced only when it is merged."""
 
-    __slots__ = ("raw_bytes",)
+    __slots__ = ("split", "pairs", "offsets", "raw", "pids")
 
-    def __init__(self, keys: Sequence, values: Sequence, raw_bytes: int):
-        # Cut from equal-length columns by construction: no length check.
-        self.keys, self.values, self.raw_bytes = keys, values, raw_bytes
+    def __init__(self, split: int, pairs: PairColumns, pids: Sequence[int],
+                 n_partitions: int, schema: KVSchema):
+        """Cut ``pairs``, in the order of their partitions ``pids``."""
+        counts = np.bincount(np.asarray(pids, dtype=np.int64),
+                             minlength=n_partitions)
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        self.split, self.pairs, self.offsets = split, pairs, offsets.tolist()
+        self.raw = schema.bucket_sizes(pairs, offsets)
+        self.pids = np.flatnonzero(counts).tolist()
+
+    def bucket(self, pid: int) -> PairColumns:
+        """Partition ``pid``'s pairs (a slice of the block's columns)."""
+        return self.pairs[self.offsets[pid]:self.offsets[pid + 1]]
 
 
 @dataclass

@@ -17,7 +17,7 @@ clear while competing with the map kernel and partitioner threads for CPU.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.hw.node import Node
 from repro.simt.core import Event, Simulator
@@ -27,27 +27,31 @@ from repro.simt.trace import Timeline
 from repro.core.api import MapReduceApp, merge_runs
 from repro.core.config import JobConfig
 from repro.core.costs import DEFAULT_HOST_COSTS, HostCosts
-from repro.core.data import PairColumns, SortedRun
+from repro.core.data import MapBlock, PairColumns
 
 __all__ = ["IntermediateManager", "DiskRun"]
 
 
-class DiskRun(SortedRun):
-    """A sorted run on the node-local disk (its bytes only are modeled)."""
+class DiskRun(PairColumns):
+    """A merged, sorted run on the node-local disk (its bytes only are
+    modeled): ``raw_bytes`` uncompressed, ``stored_bytes`` compressed."""
 
-    __slots__ = ("path", "stored_bytes")
+    __slots__ = ("path", "raw_bytes", "stored_bytes")
 
     def __init__(self, path: str, run: PairColumns, raw_bytes: int,
                  stored_bytes: int):
-        super().__init__(run.keys, run.values, raw_bytes)
-        self.path, self.stored_bytes = path, stored_bytes  # compressed
+        # Columns of one merge, equal-length by construction: no check.
+        self.keys, self.values = run.keys, run.values
+        self.path, self.raw_bytes = path, raw_bytes
+        self.stored_bytes = stored_bytes
 
 
 class IntermediateManager:
     """Owns the partitions assigned to one node.
 
     Global partition ``pid`` is owned by node ``pid % n_nodes``; this
-    manager stores runs for its owned pids, keyed locally.
+    manager stores runs for its owned pids, keyed locally: cached buckets
+    as the :class:`MapBlock` they belong to, disk runs as :class:`DiskRun`.
     """
 
     def __init__(self, sim: Simulator, node: Node,
@@ -62,7 +66,7 @@ class IntermediateManager:
         self.timeline = timeline
         self.costs = costs
         self.owned = list(owned_pids)
-        self._mem_runs: Dict[int, List[SortedRun]] = {p: [] for p in owned_pids}
+        self._mem_runs: Dict[int, List[MapBlock]] = {p: [] for p in owned_pids}
         self._disk_runs: Dict[int, List[DiskRun]] = {p: [] for p in owned_pids}
         self._mem_bytes = 0
         self._flush_pending: set[int] = set()
@@ -92,27 +96,21 @@ class IntermediateManager:
                        node=node.name)
 
     # -- ingestion ---------------------------------------------------------
-    def add_run(self, pid: int, run: SortedRun) -> None:
-        """Accept a sorted run for owned partition ``pid`` (cache insert).
-
-        Called by the local partitioning stage and by the network receiver
-        for remote pushes.  Cheap (pointer append); merging/flushing
-        happens on the merger threads.
-        """
-        if pid not in self._mem_runs:
-            raise KeyError(f"partition {pid} is not owned by {self.node.name}")
-        if not len(run):
-            return
-        self._mem_runs[pid].append(run)
-        self._mem_bytes += run.raw_bytes
-        self._maybe_trigger_flush()
+    def add_block(self, block: MapBlock, pids: List[int]) -> None:
+        """Cache the non-empty buckets ``pids`` of ``block``, of owned
+        partitions, one after the other: a pointer append each (merging
+        and flushing happen on the merger threads)."""
+        for pid in pids:
+            self._mem_runs[pid].append(block)    # KeyError: not owned here
+            self._mem_bytes += block.raw[pid]
+            self._maybe_trigger_flush()
 
     def adopt_partition(self, pid: int) -> None:
         """Take ownership of a partition re-assigned from a dead node.
 
         Starts empty: the runs the dead owner held are reproduced by the
         recovery layer (durable re-push or split re-execution) and arrive
-        through :meth:`add_run` like any other shuffle data.
+        through :meth:`add_block` like any other shuffle data.
         """
         if pid in self._mem_runs:
             return
@@ -145,21 +143,23 @@ class IntermediateManager:
         start = self.sim.now
         for pid in self.owned:
             if len(self._disk_runs[pid]) > self.config.max_intermediate_files:
-                self._enqueue(("compact", pid))
+                self._enqueue(self._do_compact, pid)
         yield from self._drain()
         self.merge_delay = self.sim.now - start
         self.timeline.record("merge.delay", self.node.name, start, self.sim.now)
         self._queue.close()
 
-    def read_partition(self, pid: int) -> Tuple[List[SortedRun], int, int]:
-        """Runs of an owned partition for the reduce input reader.
+    def read_partition(self, pid: int) -> Tuple[List[PairColumns], int, int]:
+        """Runs of an owned partition for the reduce input reader: its
+        cached buckets in arrival order, then its disk runs.
 
         Returns ``(runs, disk_bytes, disk_raw_bytes)`` — the stored
         (compressed) bytes that must come off disk and their inflated
         size, so the reader can charge I/O and decompression.
         """
         disk = self._disk_runs.get(pid, [])
-        return (self._mem_runs.get(pid, []) + disk,
+        return ([block.bucket(pid) for block in self._mem_runs.get(pid, [])]
+                + disk,
                 sum(dr.stored_bytes for dr in disk),
                 sum(dr.raw_bytes for dr in disk))
 
@@ -170,22 +170,22 @@ class IntermediateManager:
         # Flush the largest cached partitions until we are half-drained.
         target = self.config.cache_threshold // 2
         by_size = sorted(
-            ((sum(r.raw_bytes for r in runs), pid)
-             for pid, runs in self._mem_runs.items()
-             if runs and pid not in self._flush_pending),
+            ((sum(block.raw[pid] for block in blocks), pid)
+             for pid, blocks in self._mem_runs.items()
+             if blocks and pid not in self._flush_pending),
             reverse=True)
         projected = self._mem_bytes
         for size, pid in by_size:
             if projected <= target:
                 break
             self._flush_pending.add(pid)
-            self._enqueue(("flush", pid))
+            self._enqueue(self._do_flush, pid)
             projected -= size
 
     # -- merger workers ----------------------------------------------------------
-    def _enqueue(self, task: Tuple[str, int]) -> None:
+    def _enqueue(self, task: Callable[[int], Generator], pid: int) -> None:
         self._pending += 1
-        self._queue.put(task)
+        self._queue.put((task, pid))
 
     def _worker(self) -> Generator:
         while True:
@@ -194,12 +194,7 @@ class IntermediateManager:
             except StoreClosed:
                 return
             try:
-                if task == "flush":
-                    yield from self._do_flush(pid)
-                elif task == "compact":
-                    yield from self._do_compact(pid)
-                else:  # pragma: no cover - defensive
-                    raise ValueError(f"unknown merge task {task!r}")
+                yield from task(pid)    # _do_flush or _do_compact
             finally:
                 # kill() zeroes the counter; a worker finishing its last
                 # in-flight task afterwards must not drive it negative.
@@ -208,19 +203,20 @@ class IntermediateManager:
 
     def _do_flush(self, pid: int) -> Generator:
         self._flush_pending.discard(pid)
-        runs = self._mem_runs[pid]
-        if not runs:
+        blocks = self._mem_runs[pid]
+        if not blocks:
             return
         self._mem_runs[pid] = []
-        raw = sum(r.raw_bytes for r in runs)
+        raw = sum(block.raw[pid] for block in blocks)
         self._mem_bytes -= raw
         start = self.sim.now
-        stored, items = yield from self._write_merged(pid, runs, raw, 0.0)
+        stored, items = yield from self._write_merged(
+            pid, [block.bucket(pid) for block in blocks], raw, 0.0)
         self.spilled_bytes += stored
         self.timeline.record("merge.flush", self.node.name, start, self.sim.now,
                              pid=pid, items=items, bytes=stored, raw_bytes=raw)
         if len(self._disk_runs[pid]) > self.config.max_intermediate_files:
-            self._enqueue(("compact", pid))
+            self._enqueue(self._do_compact, pid)
 
     def _do_compact(self, pid: int) -> Generator:
         disk_runs = self._disk_runs[pid]
@@ -241,7 +237,7 @@ class IntermediateManager:
                              bytes=stored, raw_bytes=raw)
 
     # -- helpers ----------------------------------------------------------------
-    def _write_merged(self, pid: int, runs: List[SortedRun], raw: int,
+    def _write_merged(self, pid: int, runs: List[PairColumns], raw: int,
                       decompress_s: float) -> Generator:
         """Merge ``runs`` into a new disk run of ``pid`` (CPU on one merger
         thread, then the write); returns its stored bytes and pairs."""
@@ -262,7 +258,6 @@ class IntermediateManager:
         while self._pending:
             self._idle_event = Event(self.sim)
             yield self._idle_event
-        return
 
     def _signal_if_idle(self) -> None:
         if (self._idle_event is not None and not self._idle_event.triggered

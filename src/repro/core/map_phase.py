@@ -40,8 +40,6 @@ import itertools
 from dataclasses import replace
 from typing import Dict, Generator, List, Tuple
 
-import numpy as np
-
 from repro.hw.specs import DeviceKind
 from repro.simt.core import Interrupt
 
@@ -50,7 +48,7 @@ from repro.core.batching import apportion_bytes, resolve_batch_size, \
 from repro.core.collector import KeyInterner, collect_map_output
 from repro.core.coordinator import Split
 from repro.core.costs import sort_seconds
-from repro.core.data import Chunk, MapOutput, PairColumns, SortedRun
+from repro.core.data import Chunk, MapBlock, MapOutput, PairColumns
 from repro.core.faults import end_crashed_attempt
 from repro.core.pipeline import Pipeline, reserve_device_buffers
 from repro.core.splitread import read_split_records
@@ -174,8 +172,7 @@ class MapPhase:
         batches = slice_batches(records, self.batch_records)
         sizes = apportion_bytes(nbytes, [len(b) for b in batches])
         return [Chunk(index=split.index, records=recs, nbytes=size, seq=i,
-                      last=(i == len(batches) - 1),
-                      start=i * self.batch_records)
+                      last=(i == len(batches) - 1))
                 for i, (recs, size) in enumerate(zip(batches, sizes))]
 
     def _stage(self, chunk: Chunk) -> Generator:
@@ -297,24 +294,14 @@ class MapPhase:
             attempt = end_crashed_attempt(
                 self, "map", f"split {chunk.index}", start, attempt,
                 split=chunk.index)
-            # Reschedule: reload the split from (replicated) storage.
-            split = self._splits_by_index[chunk.index]
-            records, nbytes = yield from read_split_records(
-                self.backend, self.node.node_id, split,
-                self.app.record_format)
-            if chunk.last and chunk.start == 0:
-                chunk = Chunk(index=chunk.index, records=records,
-                              nbytes=nbytes)
-            else:
-                # Batched split: this payload is only the first batch —
-                # take back its exact record slice (the read is
-                # deterministic) so the re-run neither drops nor
-                # duplicates records of the other batches.
-                n = len(chunk.records)
-                chunk = Chunk(index=chunk.index,
-                              records=records[chunk.start:chunk.start + n],
-                              nbytes=chunk.nbytes, seq=chunk.seq,
-                              last=chunk.last, start=chunk.start)
+            # Reschedule: reload the split from (replicated) storage.  A
+            # batched split's payload is its first batch only: it takes back
+            # that exact record slice (the read is deterministic), so the
+            # re-run neither drops nor duplicates the other batches' records.
+            records, _ = yield from read_split_records(
+                self.backend, self.node.node_id,
+                self._splits_by_index[chunk.index], self.app.record_format)
+            chunk = replace(chunk, records=records[:len(chunk.records)])
         return chunk
 
     def _retrieve(self, out: MapOutput) -> Generator:
@@ -373,42 +360,23 @@ class MapPhase:
         # appended to the node's spill area (one sequential write stream).
         stored_total = cfg.compression.compressed_size(raw_total)
         yield from self.node.disk.write(stored_total, stream="spill")
-        # The buckets are consecutive slices of the ordered columns.
-        keys, values = pairs.keys, pairs.values
-        size_of = self.app.inter_schema.size_of
-        occupied, counts = np.unique(pids, return_counts=True)
-        runs: Dict[int, SortedRun] = {}
-        stop = 0
-        for pid, n in zip(occupied.tolist(), counts.tolist()):
-            run = runs[pid] = SortedRun(keys[stop:stop + n],
-                                        values[stop:stop + n], 0)
-            run.raw_bytes = size_of(run)
-            stop += n
-        registry.mark_durable(self.node.node_id, split_index, runs)
-        # Empty buckets are vacuously delivered — without an entry the
-        # recovery planner would re-execute a fully delivered split.
-        for pid in range(total_partitions):
-            if pid not in runs:
-                registry.mark_delivered(split_index, pid,
-                                        registry.owner_of(pid))
+        # One block holds every bucket, a slice of the ordered columns.
+        block = MapBlock(split_index, pairs, pids, total_partitions,
+                         self.app.inter_schema)
+        registry.mark_durable(self.node.node_id, block)
         # Push each Partition to its owner.  Pushes to the same peer are
         # batched into one message per chunk (one socket per peer), and
         # they run asynchronously: the pipeline's output stage does not
-        # wait for the network.
-        remote: Dict[int, List[tuple[int, SortedRun]]] = {}
-        for pid, run in runs.items():
-            if self.recovery and registry.delivered_to_live(
-                    split_index, pid, self.health.alive):
-                continue    # this bucket survived the crash; don't duplicate
-            owner = registry.owner_of(pid)
-            if owner == self.node.node_id:
-                self.managers[owner].add_run(pid, run)
-                registry.mark_delivered(split_index, pid, owner)
-            else:
-                remote.setdefault(owner, []).append((pid, run))
-        if remote:
+        # wait for the network.  A recovery wave does not push again what
+        # survived the crash.
+        by_owner = registry.route(
+            block, self.health.alive if self.recovery else None)
+        local = by_owner.pop(self.node.node_id, None)
+        if local:
+            registry.deliver(self.managers, self.node.node_id, block, local)
+        if by_owner:
             self.push_procs.append(self.sim.process(
-                self._push(split_index, remote),
+                self._push(block, by_owner),
                 name=f"{self.node.name}.push.s{split_index}"))
         if self.device_key is not None:
             # Pool accounting: this operation is off the device's plate.
@@ -417,8 +385,8 @@ class MapPhase:
                                          split_index].length))
         return split_index    # not ``out``: its arrays pin the read buffer
 
-    def _push(self, split_index: int,
-              remote: Dict[int, List[tuple[int, SortedRun]]]) -> Generator:
+    def _push(self, block: MapBlock,
+              remote: Dict[int, List[int]]) -> Generator:
         """Asynchronous remote Partition push (Glasswing pushes; Hadoop
         pulls — one of the paper's stated latency advantages).  One pusher
         per split: each peer's message overhead runs up front on its own
@@ -426,19 +394,17 @@ class MapPhase:
         messages go out back to back, which is how they leave the NIC."""
         peers = len(remote)
         yield self.node.host_work(peers, self.costs.push_overhead * peers)
-        for owner, runs in remote.items():
-            stored = sum(self.config.compression.compressed_size(r.raw_bytes)
-                         for _, r in runs)
+        compressed_size = self.config.compression.compressed_size
+        for owner, pids in remote.items():
+            stored = sum(compressed_size(block.raw[pid]) for pid in pids)
             start = self.sim.now
             delivered = yield from self.network.send(self.node.node_id,
                                                      owner, stored,
                                                      meter=self.meter)
             self.timeline.record("map.push", self.node.name, start,
-                                 self.sim.now, pids=len(runs), bytes=stored,
+                                 self.sim.now, pids=len(pids), bytes=stored,
                                  delivered=bool(delivered),
                                  dst=self.managers[owner].node.name)
             if delivered is False:
                 continue    # owner is gone; recovery re-routes these runs
-            for pid, run in runs:
-                self.managers[owner].add_run(pid, run)
-                self.registry.mark_delivered(split_index, pid, owner)
+            self.registry.deliver(self.managers, owner, block, pids)

@@ -22,12 +22,11 @@ Two cooperating pieces live here:
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional
 
 from repro.simt.core import Event
 
-from repro.core.coordinator import Split
-from repro.core.data import SortedRun
+from repro.core.coordinator import Buckets, Split
 from repro.core.splitread import read_split_records
 
 __all__ = ["SpeculationController", "run_recovery"]
@@ -144,7 +143,8 @@ def run_recovery(job) -> Generator:
     #    what makes a drain cheaper than a crash.
     repushes, reexec = registry.recovery_plan(
         job.splits, health.alive, durable_alive=health.storage_alive)
-    n_repushed = sum(len(entries) for entries in repushes.values())
+    n_repushed = sum(len(pids) for entries in repushes.values()
+                     for _, pids in entries)
     for split in reexec:
         job.timeline.record("recovery.reexec", "job", sim.now, sim.now,
                             split=split.index)
@@ -175,22 +175,21 @@ def run_recovery(job) -> Generator:
     return n_repushed, len(reexec)
 
 
-def _repush(job, source: int, owner: int,
-            entries: List[Tuple[int, int, SortedRun]]) -> Generator:
-    """Re-deliver durable runs from ``source``'s spill to ``owner``."""
+def _repush(job, source: int, owner: int, entries: Buckets) -> Generator:
+    """Re-deliver durable buckets from ``source``'s spill to ``owner``."""
     sim, node = job.sim, job.cluster[source]
-    stored = sum(job.config.compression.compressed_size(run.raw_bytes)
-                 for _, _, run in entries)
+    compressed_size = job.config.compression.compressed_size
+    stored = sum(compressed_size(block.raw[pid])
+                 for block, pids in entries for pid in pids)
     start = sim.now
     yield from node.disk.read(stored, stream="spill.recover")
     yield node.host_work(1, job.costs.push_overhead)
     delivered = yield from job.network.send(source, owner, stored,
                                             meter=job.meter)
     job.timeline.record("recovery.repush", node.name, start, sim.now,
-                        owner=owner, runs=len(entries), bytes=stored,
-                        delivered=bool(delivered))
+                        owner=owner, runs=sum(len(p) for _, p in entries),
+                        bytes=stored, delivered=bool(delivered))
     if delivered is False:    # owner died during recovery — not modelled
         return
-    for split_index, pid, run in entries:
-        job.managers[owner].add_run(pid, run)
-        job.registry.mark_delivered(split_index, pid, owner)
+    for block, pids in entries:
+        job.registry.deliver(job.managers, owner, block, pids)

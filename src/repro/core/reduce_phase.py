@@ -29,7 +29,7 @@ byte-identical to the fault-free run.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import floordiv
 from typing import Generator, List, Optional, Sequence, Tuple
 
@@ -226,10 +226,7 @@ class ReducePhase:
                                  itertools.repeat(cfg.max_values_per_launch)))
             base = self.app.reduce_cost(self.device.spec, chunk.n_keys,
                                         chunk.n_values)
-            cost = KernelCost(flops=base.flops,
-                              device_bytes=base.device_bytes,
-                              atomic_intensity=base.atomic_intensity,
-                              launches=item.launches + relaunches)
+            cost = replace(base, launches=item.launches + relaunches)
         # Thread count comes from the modeled launch window, which may
         # span several simulation items (batch_size < window keys).
         threads = min(item.window_keys or chunk.n_keys, cfg.concurrent_keys) \

@@ -204,7 +204,7 @@ class DFS(StorageBackend):
         if not (0 <= node_id < len(self.cluster)):
             raise ValueError(f"unknown node {node_id}")
         end = min(offset + length, self.size(path))
-        out = bytearray()
+        pieces = []
         block_start = 0
         for block in self._meta[path]:
             block_end = block_start + block.length
@@ -213,11 +213,11 @@ class DFS(StorageBackend):
                 hi = min(end, block_end) - block_start
                 piece = yield from self._read_block(block, lo, hi - lo,
                                                     node_id, stream=path)
-                out += piece
+                pieces.append(piece)
             block_start = block_end
             if block_start >= end:
                 break
-        return bytes(out)
+        return b"".join(pieces)     # one copy (none for a lone block)
 
     def _read_block(self, block: _Block, offset: int, length: int,
                     reader: int, stream: str = "") -> Generator:

@@ -187,8 +187,31 @@ class KVSchema:
         total = _PAIR_OVERHEAD * n
         for width, column in ((self.key_bytes, keys),
                               (self.value_bytes, values)):
-            total += sum(map(width, column)) if callable(width) else width * n
+            if not callable(width):
+                total += width * n
+            elif isinstance(column, np.ndarray):    # ``len`` of a void is 0
+                raise TypeError(f"{self.name}: a callable width cannot "
+                                f"size an array column")
+            else:
+                total += sum(map(width, column))
         return total
+
+    def bucket_sizes(self, pairs: PairColumns,
+                     offsets: np.ndarray) -> List[int]:
+        """:meth:`size_of` of every slice ``[offsets[i], offsets[i + 1])``
+        of ``pairs`` in one pass: differences of one running sum."""
+        sizes = np.full(len(pairs), _PAIR_OVERHEAD, dtype=np.int64)
+        for width, column in ((self.key_bytes, pairs.keys),
+                              (self.value_bytes, pairs.values)):
+            if not callable(width):
+                sizes += width
+            elif isinstance(column, np.ndarray):
+                raise TypeError(f"{self.name}: a callable width cannot "
+                                f"size an array column")
+            else:
+                sizes += np.fromiter(map(width, column), np.int64, len(sizes))
+        running = np.concatenate(([0], np.cumsum(sizes)))
+        return (running[offsets[1:]] - running[offsets[:-1]]).tolist()
 
 
 # --------------------------------------------------------------- compression

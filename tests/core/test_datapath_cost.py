@@ -168,8 +168,9 @@ class _Sink:
     def record(self, *args, **kwargs):
         pass
 
-    def add_run(self, pid, run):
-        self.runs[pid] = run
+    def add_block(self, block, pids):
+        for pid in pids:
+            self.runs[pid] = block.bucket(pid)
 
 
 def partition_phase(app, n_partitions):
@@ -272,7 +273,7 @@ def partition_of(pairs, n_runs):
     round-robin.  One run is the common case on a large cluster; several
     merge through one ``app.sort_order`` and one gather."""
     runs = [sorted(pairs[i::n_runs]) for i in range(n_runs)]
-    return {0: ([run_of(run, raw_bytes=len(run)) for run in runs], 0, 0)}
+    return {0: ([run_of(run) for run in runs], 0, 0)}
 
 
 def one_run_partition(pairs):

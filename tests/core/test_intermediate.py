@@ -4,11 +4,12 @@ import pytest
 
 from repro.apps.wordcount import WordCountApp
 from repro.core.config import JobConfig
-from repro.core.data import SortedRun
+from repro.core.data import MapBlock, PairColumns
 from repro.core.intermediate import IntermediateManager
 from repro.hw import Node
 from repro.hw.presets import type1_node
 from repro.simt import Simulator, Timeline
+from repro.storage.records import KVSchema
 
 
 def make_manager(owned=(0, 1), cache_threshold=10_000, max_files=2,
@@ -26,10 +27,17 @@ def make_manager(owned=(0, 1), cache_threshold=10_000, max_files=2,
     return sim, tl, node, mgr
 
 
-def run_of(words, each_bytes=20):
+#: 20 bytes a pair
+SCHEMA = KVSchema("twenty", key_bytes=6, value_bytes=6)
+
+
+def add_run(mgr, pid, words):
+    """Deliver the sorted ``words`` to ``mgr`` as a split's one bucket, of
+    partition ``pid``: like the shuffle, only if it is not empty."""
     keys = sorted(words)
-    return SortedRun(keys, [1] * len(keys),
-                     raw_bytes=len(keys) * each_bytes)
+    block = MapBlock(0, PairColumns(keys, [1] * len(keys)),
+                     [pid] * len(keys), pid + 1, SCHEMA)
+    mgr.add_block(block, block.pids)
 
 
 def drive(sim, gen):
@@ -40,8 +48,8 @@ def drive(sim, gen):
 
 def test_add_and_read_back():
     sim, tl, node, mgr = make_manager()
-    mgr.add_run(0, run_of([b"a", b"b"]))
-    mgr.add_run(0, run_of([b"c"]))
+    add_run(mgr, 0, [b"a", b"b"])
+    add_run(mgr, 0, [b"c"])
     drive(sim, mgr.finalize())
     runs, disk_bytes, disk_raw = mgr.read_partition(0)
     pairs = [p for r in runs for p in r]
@@ -51,19 +59,19 @@ def test_add_and_read_back():
 def test_unowned_partition_rejected():
     sim, tl, node, mgr = make_manager(owned=(0,))
     with pytest.raises(KeyError):
-        mgr.add_run(5, run_of([b"x"]))
+        add_run(mgr, 5, [b"x"])
 
 
 def test_empty_run_ignored():
     sim, tl, node, mgr = make_manager()
-    mgr.add_run(0, SortedRun([], [], 0))
-    assert mgr.cached_bytes == 0
+    add_run(mgr, 0, [])
+    assert mgr.cached_bytes == 0 and mgr.read_partition(0)[0] == []
 
 
 def test_cache_threshold_triggers_flush():
     sim, tl, node, mgr = make_manager(cache_threshold=1_000)
     # 100 pairs x 20 bytes = 2000 > 1000: flush must fire.
-    mgr.add_run(0, run_of([b"w%03d" % i for i in range(100)]))
+    add_run(mgr, 0, [b"w%03d" % i for i in range(100)])
     sim.run()
     assert mgr.cached_bytes <= 1_000
     assert mgr.read_partition(0)[1] > 0     # bytes to read off disk
@@ -73,7 +81,7 @@ def test_cache_threshold_triggers_flush():
 
 def test_below_threshold_stays_in_memory():
     sim, tl, node, mgr = make_manager(cache_threshold=1_000_000)
-    mgr.add_run(0, run_of([b"a", b"b", b"c"]))
+    add_run(mgr, 0, [b"a", b"b", b"c"])
     sim.run()
     assert mgr.cached_bytes > 0
     assert mgr.read_partition(0)[1] == 0
@@ -81,8 +89,8 @@ def test_below_threshold_stays_in_memory():
 
 def test_flush_merges_runs_sorted():
     sim, tl, node, mgr = make_manager(cache_threshold=100)
-    mgr.add_run(0, run_of([b"banana", b"date"]))
-    mgr.add_run(0, run_of([b"apple", b"cherry"]))
+    add_run(mgr, 0, [b"banana", b"date"])
+    add_run(mgr, 0, [b"apple", b"cherry"])
     sim.run()
     drive(sim, mgr.finalize())
     runs, _, _ = mgr.read_partition(0)
@@ -94,7 +102,7 @@ def test_flush_merges_runs_sorted():
 def test_compaction_bounds_file_count():
     sim, tl, node, mgr = make_manager(cache_threshold=50, max_files=2)
     for batch in range(8):
-        mgr.add_run(0, run_of([b"k%d-%d" % (batch, i) for i in range(10)]))
+        add_run(mgr, 0, [b"k%d-%d" % (batch, i) for i in range(10)])
         sim.run()
     drive(sim, mgr.finalize())
     # At most two files reach the reader, and all 80 pairs survive.
@@ -106,7 +114,7 @@ def test_compaction_bounds_file_count():
 def test_merge_delay_recorded():
     sim, tl, node, mgr = make_manager(cache_threshold=50, max_files=1)
     for batch in range(6):
-        mgr.add_run(0, run_of([b"x%d-%d" % (batch, i) for i in range(10)]))
+        add_run(mgr, 0, [b"x%d-%d" % (batch, i) for i in range(10)])
     drive(sim, mgr.finalize())
     spans = tl.by_category("merge.delay")
     assert len(spans) == 1
@@ -116,7 +124,7 @@ def test_merge_delay_recorded():
 
 def test_finalize_idempotent_state():
     sim, tl, node, mgr = make_manager()
-    mgr.add_run(1, run_of([b"z"]))
+    add_run(mgr, 1, [b"z"])
     drive(sim, mgr.finalize())
     runs, _, _ = mgr.read_partition(1)
     assert [p for r in runs for p in r] == [(b"z", 1)]
@@ -130,7 +138,7 @@ def test_data_survives_flush_and_compact_cycles():
     for batch in range(10):
         words = [b"w%02d-%02d" % (batch, i) for i in range(12)]
         pid = batch % 2
-        mgr.add_run(pid, run_of(words))
+        add_run(mgr, pid, words)
         expected.extend((w, 1) for w in words)
         sim.run()
     drive(sim, mgr.finalize())
@@ -150,8 +158,7 @@ def test_more_merger_threads_speed_up_finalize():
             partitions_per_node=partitions)
         for batch in range(12):
             pid = batch % partitions
-            mgr.add_run(pid, run_of([b"m%d-%d" % (batch, i)
-                                     for i in range(40)]))
+            add_run(mgr, pid, [b"m%d-%d" % (batch, i) for i in range(40)])
         t0 = sim.now
         drive(sim, mgr.finalize())
         return mgr.merge_delay

@@ -257,13 +257,12 @@ class TestPinnedPartitionSpace:
         small = ShuffleRegistry(4, 2)
         restricted = ShuffleRegistry(8, 2, nodes=[0, 1, 2, 3])
         assert restricted.total_partitions == small.total_partitions == 8
-        for pid in range(8):
-            assert restricted.owner_of(pid) == small.owner_of(pid)
+        assert restricted.owners.tolist() == small.owners.tolist()
 
     def test_owners_cycle_over_the_active_set(self):
         reg = ShuffleRegistry(8, 1, nodes=[1, 5, 6])
         assert reg.total_partitions == 3
-        assert [reg.owner_of(p) for p in range(3)] == [1, 5, 6]
+        assert reg.owners.tolist() == [1, 5, 6]
         assert reg.owned_by(5) == [1]
 
     def test_invalid_nodes_raise(self):

@@ -21,10 +21,11 @@ import numpy as np
 import pytest
 
 from repro.apps import (KMeansApp, MatMulApp, PageRankContribApp,
-                        PageRankDegreeApp, PrefixBlockSumApp, PrefixScanApp)
+                        PageRankDegreeApp, PageViewApp, PrefixBlockSumApp,
+                        PrefixScanApp)
 from repro.apps.datagen import (kmeans_centers, kmeans_points, matmul_tasks,
                                 pagerank_edges, prefix_values, teragen,
-                                wiki_text)
+                                web_logs, wiki_text)
 from repro.apps.terasort import KEY_LEN, RECORD_LEN, TeraSortApp
 from repro.apps.wordcount import WordCountApp
 from repro.core import JobConfig, run_glasswing
@@ -32,7 +33,7 @@ from repro.baselines.reference import run_reference
 from repro.core.api import merge_runs, sum_by_key
 from repro.core.collector import KeyInterner, collect_map_output
 from repro.core.coordinator import ShuffleRegistry
-from repro.core.data import PairColumns, SortedRun
+from repro.core.data import MapBlock, PairColumns
 from repro.hw.presets import CPU_TYPE1, das4_cluster
 from repro.storage.records import KVSchema
 
@@ -191,10 +192,11 @@ def _durable_buckets(app, text, batch_size):
     buckets = {}
     original = ShuffleRegistry.mark_durable
 
-    def capture(registry, node, split, runs):
-        buckets[(node, split)] = {pid: (list(run), run.raw_bytes)
-                                  for pid, run in runs.items()}
-        original(registry, node, split, runs)
+    def capture(registry, node, block):
+        buckets[(node, block.split)] = {
+            pid: (list(block.bucket(pid)), block.raw[pid])
+            for pid in block.pids}
+        original(registry, node, block)
 
     config = JobConfig(chunk_size=4096, storage="local", collector="buffer",
                        use_combiner=False, partitions_per_node=3,
@@ -284,8 +286,8 @@ def check_merge_and_groups(seed):
     for a, b in zip([0] + cuts, cuts + [len(columns)]):
         part = sorted(list(columns)[a:b], key=itemgetter(0))
         if part:
-            runs.append(SortedRun([k for k, _ in part], [v for _, v in part],
-                                  len(part)))
+            runs.append(PairColumns([k for k, _ in part],
+                                    [v for _, v in part]))
     if not runs:
         return
     merged = merge_runs(app, runs)
@@ -539,6 +541,71 @@ def test_fixed_record_map_on_the_array_equals_the_bytes_list(case):
     assert list(app.map_batch(array[3:11])) == \
         old_map(app, old_records[3:11])
     assert list(app.map_batch(array[:0])) == [] == old_map(app, [])
+
+
+# ------------------------------------------------------------ map blocks
+def _every_app():
+    """Each app of ``repro.apps`` with a small input of its own."""
+    return [(WordCountApp(), wiki_text(9_000, seed=3)),
+            (PageViewApp(), web_logs(9_000, seed=3))] + \
+        [(app, blob) for app, blob, _ in _fixed_record_apps()]
+
+
+def _blocks(app, blob, batch_size):
+    """Every block a job's map phase hands the shuffle registry."""
+    blocks = []
+    original = ShuffleRegistry.mark_durable
+
+    def capture(registry, node, block):
+        blocks.append(block)
+        original(registry, node, block)
+
+    config = JobConfig(chunk_size=1024, storage="local",
+                       partitions_per_node=3, batch_size=batch_size)
+    with mock.patch.object(ShuffleRegistry, "mark_durable", capture):
+        run_glasswing(app, {"in": blob}, das4_cluster(nodes=2), config)
+    return blocks
+
+
+def check_block_against_buckets(block, schema, n_partitions):
+    """A block's one sizing pass gives each bucket exactly what ``size_of``
+    of the bucket's own slice gives (0 for an empty one), and its ``pids``
+    are the non-empty buckets."""
+    buckets = [block.bucket(pid) for pid in range(n_partitions)]
+    assert block.raw == [schema.size_of(b) for b in buckets]
+    assert all(type(raw) is int for raw in block.raw)
+    assert block.pids == [pid for pid, b in enumerate(buckets) if len(b)]
+    assert [p for b in buckets for p in b] == list(block.pairs)
+
+
+@pytest.mark.parametrize("batch_size", [None, 7])
+@pytest.mark.parametrize("case", range(9), ids=[
+    "wordcount", "pageview", "terasort", "kmeans", "prefix-blocksum",
+    "prefix-scan", "pagerank-degree", "pagerank-contrib", "matmul"])
+def test_block_sizes_equal_each_bucket_size_of(case, batch_size):
+    app, blob = _every_app()[case]
+    blocks = _blocks(app, blob, batch_size)
+    assert len(blocks) > 1
+    for block in blocks:
+        check_block_against_buckets(block, app.inter_schema, 6)
+
+
+def test_block_of_one_occupied_partition_and_of_no_pairs():
+    """Empty buckets size to 0 around the one occupied partition, for
+    tuple and for array columns; a split with no pairs is all empty."""
+    ts = TeraSortApp([b"m" * KEY_LEN])
+    for schema, pairs in (
+            (WordCountApp.inter_schema,
+             PairColumns((b"a", b"bb", b"ccc"), (1, 1, 1))),
+            (ts.inter_schema,
+             ts.map_batch(ts.record_format.split_records(teragen(3))))):
+        block = MapBlock(0, pairs, [2] * 3, 4, schema)
+        check_block_against_buckets(block, schema, 4)
+        assert block.pids == [2] and block.raw[2] == schema.size_of(pairs)
+        assert block.raw[:2] + block.raw[3:] == [0, 0, 0]
+        empty = MapBlock(1, pairs[:0], [], 3, schema)
+        check_block_against_buckets(empty, schema, 3)
+        assert empty.raw == [0, 0, 0] and empty.pids == []
 
 
 # ----------------------------------------------------- hypothesis / fallback

@@ -22,7 +22,7 @@ from repro.apps.datagen import wiki_text
 from repro.core import JobConfig, run_glasswing
 from repro.core.api import MapReduceApp, merge_runs
 from repro.core.batching import apportion_bytes, resolve_batch_size
-from repro.core.data import KeyGroupChunk, SortedRun
+from repro.core.data import KeyGroupChunk, PairColumns
 from repro.core.reduce_phase import ReducePhase
 from repro.hw.presets import CPU_TYPE1, das4_cluster
 from repro.ocl.kernel import KernelCost
@@ -44,9 +44,9 @@ def _group_sizes(pairs: List[Tuple[Any, Any]]) -> List[int]:
     return MapReduceApp().group_sizes([k for k, _ in pairs])
 
 
-def run_of(pairs: List[Tuple[Any, Any]], raw_bytes: int) -> SortedRun:
+def run_of(pairs: List[Tuple[Any, Any]]) -> PairColumns:
     """A sorted pair list as the columnar run the partitioner cuts."""
-    return SortedRun([k for k, _ in pairs], [v for _, v in pairs], raw_bytes)
+    return PairColumns([k for k, _ in pairs], [v for _, v in pairs])
 
 
 def _group_pairs(pairs: List[Tuple[Any, Any]]) -> List[Tuple[Any, List[Any]]]:
@@ -322,7 +322,7 @@ def check_plan(rng, app_name, pool_name, shape, geometry, apps=APPS,
         for _ in range(rng.choice(runs_per_partition)):
             pairs = sorted_pairs(rng, pool_name, shape, pools)
             if pairs:
-                runs.append(run_of(pairs, raw_bytes=len(pairs)))
+                runs.append(run_of(pairs))
         partitions[pid] = (runs, rng.randrange(10_000), rng.randrange(20_000))
     phase = planning_phase(app, config, partitions)
     windows = phase._plan_items()
@@ -430,8 +430,7 @@ def _heap_merge(app, runs):
 def check_merges_on_ties(app, raw_runs):
     """Equal keys in different runs come out in run order, then in-run
     order — values tell the copies apart."""
-    runs = [run_of(sorted(pairs, key=lambda kv: app.sort_key(kv[0])),
-                   raw_bytes=len(pairs))
+    runs = [run_of(sorted(pairs, key=lambda kv: app.sort_key(kv[0])))
             for pairs in raw_runs]
     expected = _heap_merge(app, runs)
     merged = merge_runs(app, runs)

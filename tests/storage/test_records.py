@@ -1,5 +1,6 @@
 """Tests for record formats, KV schemas and the compression model."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +9,7 @@ from repro.storage.records import (
     CompressionModel,
     FixedRecordFormat,
     KVSchema,
+    PairColumns,
     TextRecordFormat,
 )
 
@@ -142,6 +144,22 @@ def test_app_schemas_use_the_cheap_forms():
               for width in (schema.key_bytes, schema.value_bytes)]
     assert len(widths) == 2 * 18
     assert all(width is len or type(width) is int for width in widths)
+
+
+def test_callable_width_over_array_columns_is_refused():
+    """``len`` of a numpy void element is 0, so a callable width over
+    ``V10`` columns would size every pair as its framing alone; both
+    sizers refuse it and name the schema instead."""
+    columns = np.frombuffer(b"k" * 10 + b"v" * 10, dtype="V10")
+    pairs = PairColumns(columns[:1], columns[1:])
+    schema = KVSchema("x", key_bytes=len, value_bytes=len)
+    with pytest.raises(TypeError, match="^x: a callable width"):
+        schema.size_of(pairs)
+    with pytest.raises(TypeError, match="^x: a callable width"):
+        schema.bucket_sizes(pairs, np.array([0, 1]))
+    fixed = KVSchema("x", key_bytes=10, value_bytes=10)
+    assert fixed.size_of(pairs) == fixed.bucket_sizes(
+        pairs, np.array([0, 0, 1]))[1] == 28
 
 
 # ------------------------------------------------------------- compression
