@@ -11,9 +11,10 @@ differently (the tie rule in ``repro.net.transport``), so there the
 calendar is held to the invariants of a store-and-forward network.
 """
 
+import math
 from collections import defaultdict
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
@@ -186,6 +187,10 @@ def _schedules(n_nodes, sizes, times, kill_times):
         st.dictionaries(node, times, max_size=1))
 
 
+# Enough for the 6 x 5 messages of the largest schedule.
+_PRIMES = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+
+
 @st.composite
 def _continuous(draw):
     n_nodes = draw(st.integers(min_value=2, max_value=6))
@@ -199,8 +204,16 @@ def _continuous(draw):
     kill_times = st.integers(min_value=1, max_value=999).map(
         lambda k: k * 4.0007e-7)
     sizes = st.integers(min_value=1, max_value=200_000)
-    return (spec, n_nodes) + draw(_schedules(n_nodes, sizes, times,
+    senders, kills, deaths = draw(_schedules(n_nodes, sizes, times,
                                              kill_times))
+    # Whole byte counts are not continuous: 1 + 1 bytes end where 2 do,
+    # and 36,001 bytes where 30 us of latency and 1 byte do.  Each
+    # message gets the fraction of a different prime's square root, so
+    # no sum of wire times and latencies equals another.
+    fractions = (math.sqrt(p) % 1 for p in _PRIMES)
+    senders = [(src, start, [(dst, n + next(fractions)) for dst, n in messages])
+               for src, start, messages in senders]
+    return spec, n_nodes, senders, kills, deaths
 
 
 @st.composite
@@ -233,6 +246,24 @@ def _served_in_order(holds):
 
 @settings(max_examples=300, deadline=None)
 @given(_dyadic())
+# Ties that whole byte counts make on otherwise continuous draws: node 1's
+# TX frees in the instant node 2's first send is delivered (36,001 bytes
+# against 30 us plus 1 byte); and, at a latency of 36,000.38 byte times,
+# two deliveries end in one instant (1 + 1 bytes against 2).
+@example((NetworkSpec(name="qdr-like", bandwidth=1.2e9, latency=30e-6,
+                      bisection_factor=0.5), 3,
+          [(0, 0.0, [(0, 1)]),
+           (1, 0.00011268632156694596, [(0, 1), (0, 36001)]),
+           (2, 0.0003814103760152419, [(0, 1), (0, 1)]),
+           (1, 5.530652111103872e-05, [(0, 1), (0, 159661), (0, 1), (0, 1)])],
+          [], {}))
+@example((NetworkSpec(name="qdr-like", bandwidth=1.2e9,
+                      latency=3.0000318305e-05, bisection_factor=0.5), 3,
+          [(0, 0.0, [(0, 1)]),
+           (2, 0.0003814103760152419, [(0, 1)]),
+           (1, 0.00011268632156694596, [(0, 1), (2, 1)]),
+           (1, 5.530652111103872e-05, [(0, 1), (0, 159660), (0, 2)])],
+          [], {}))
 def test_calendar_invariants_on_dyadic_draws(case):
     spec, n_nodes, senders, kills, deaths = case
     run = _drive(Network, spec, n_nodes, senders, kills, deaths)
